@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per constructor plus both pipelines.
 
 Exit codes: 0 success; 1 the requested inverse does not exist (a diagnostic
-JSON is still produced); 2 usage or input-format errors.  All machine-readable
+JSON is still produced); 2 usage, input-format or numerical errors (one line
+on stderr, no traceback).  All machine-readable
 output is JSON (``--json``) or the documented CSV/PPM/.qmat files; stdout
 carries a short human summary.  ``--seed`` falls back to the QUATINV_SEED
 environment variable, then 0.
@@ -403,7 +404,8 @@ def main(argv=None) -> int:
                           "reason": str(exc)})
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    except (QmatFormatError, PpmFormatError, ValueError, OSError) as exc:
+    except (QmatFormatError, PpmFormatError, ValueError, OSError,
+            RuntimeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,11 +3,14 @@
 Two computational routes are kept genuinely separate throughout:
 
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
-  pair (Householder bidiagonalization + a real implicit-shift QR kernel for
-  the SVD; quaternion row operations for the elimination).
+  pair (quaternion Householder bidiagonalization to a real bidiagonal, whose
+  SVD is then real LAPACK work; quaternion row operations for the
+  elimination).  A^C is never formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, followed by exact
-  restoration of the quaternion block structure).
+  restoration of the quaternion block structure; singular-vector pairs the
+  pairing walk misses are picked by largest residual, each pick deflating
+  the candidates by one rank-2 update).
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -48,6 +51,12 @@ def _rank_threshold(sigma: np.ndarray, m: int, n: int) -> float:
     return max(m, n) * _EPS * float(sigma[0])
 
 
+def _require_finite(a: QMatrix, op: str) -> None:
+    # LAPACK would only report "SVD did not converge" on NaN/Inf input
+    if not (np.isfinite(a.q1).all() and np.isfinite(a.q2).all()):
+        raise ValueError(f"{op}: input has non-finite entries (NaN or Inf)")
+
+
 def _crep_singular_values(a: QMatrix) -> np.ndarray:
     """Quaternion singular values = pairwise-deduplicated spectrum of A^C."""
     s = np.linalg.svd(to_crep(a).data, compute_uv=False)
@@ -56,6 +65,7 @@ def _crep_singular_values(a: QMatrix) -> np.ndarray:
 
 def rank(a: QMatrix) -> int:
     """Numerical rank of a quaternion matrix: half the rank of A^C."""
+    _require_finite(a, "rank")
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
@@ -91,9 +101,13 @@ def qsvd(a: QMatrix, method: str = "crep") -> QSvdResult:
     a : QMatrix
     method : {"crep", "direct"}
         "crep": complex SVD of A^C with symplectic structure restoration.
-        "direct": quaternion Householder bidiagonalization followed by a real
-        implicit-shift QR sweep on the bidiagonal.
+        "direct": quaternion Householder bidiagonalization followed by the
+        real LAPACK SVD of the bidiagonal.
+
+    Raises ``ValueError`` for an input with NaN or Inf entries, and
+    ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK does not converge.
     """
+    _require_finite(a, "qsvd")
     m, n = a.shape
     if m == 0 or n == 0:
         return QSvdResult(QMatrix.eye(m), np.zeros(0), QMatrix.eye(n), 0)
@@ -113,7 +127,7 @@ def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
 
 
 def _greedy_pairs(columns: np.ndarray, svals: np.ndarray, half: int,
-                  want: int, basis0=None):
+                  want: int):
     """Walk `columns` in order, keeping one representative per antiunitary pair.
 
     Each kept column w is orthonormalized against everything kept so far and
@@ -122,39 +136,46 @@ def _greedy_pairs(columns: np.ndarray, svals: np.ndarray, half: int,
     kept representatives, their associated singular values, and the full
     orthonormal basis (keeps + partners) for later completion.
     """
-    dim = columns.shape[0]
-    basis = np.zeros((dim, 0), dtype=complex) if basis0 is None else basis0
+    basis = np.empty((columns.shape[0], 2 * want), dtype=complex)
+    k = 0
     reps, sigs = [], []
     for idx in range(columns.shape[1]):
         if len(reps) == want:
             break
         v = columns[:, idx].astype(complex)
-        if basis.shape[1]:
-            v = v - basis @ (basis.conj().T @ v)
+        if k:
+            kept = basis[:, :k]
+            v -= kept @ np.conj(np.conj(v) @ kept)
         nrm = np.linalg.norm(v)
         if nrm <= math.sqrt(0.5):
             continue  # partner of an earlier keep
         w = v / nrm
         reps.append(w)
         sigs.append(float(svals[idx]))
-        basis = np.column_stack([basis, w, _psi_partner(w, half)])
-    return reps, sigs, basis
+        basis[:, k] = w
+        basis[:, k + 1] = _psi_partner(w, half)
+        k += 2
+    return reps, sigs, basis[:, :k]
 
 
-def _complete_pairs(basis: np.ndarray, half: int, count: int):
-    """Extend a symplectic orthonormal set by `count` more pair representatives."""
-    reps = []
-    if count <= 0:
-        return reps, basis
-    cands = np.eye(2 * half, dtype=complex)
+def _complete_pairs(cands: np.ndarray, half: int, count: int):
+    """`count` pair representatives from the span of `cands`.
+
+    `cands` must be orthogonal to the pairs found so far and span a space
+    closed under w -> -J conj(w).  Each pick is the candidate with the
+    largest residual norm; the candidates are then deflated by the new pair.
+    Returns the representatives and the indices of the picked candidates.
+    """
+    reps, picked = [], []
     for _ in range(count):
-        resid = cands - basis @ (basis.conj().T @ cands)
-        norms = np.linalg.norm(resid, axis=0)
+        norms = np.linalg.norm(cands, axis=0)
         t = int(np.argmax(norms))
-        w = resid[:, t] / norms[t]
+        w = cands[:, t] / norms[t]
+        for p in (w, _psi_partner(w, half)):
+            cands = cands - np.outer(p, np.conj(p) @ cands)
         reps.append(w)
-        basis = np.column_stack([basis, w, _psi_partner(w, half)])
-    return reps, basis
+        picked.append(t)
+    return reps, picked
 
 
 def _qsvd_crep(a: QMatrix) -> QSvdResult:
@@ -165,15 +186,16 @@ def _qsvd_crep(a: QMatrix) -> QSvdResult:
     svals = np.zeros(2 * n)
     svals[: shat.size] = shat
 
-    # right singular pairs
-    w_reps, w_sigs, _ = _greedy_pairs(vhat, svals, n, n)
-    if len(w_reps) < n:  # near-tie fallback; normally unreachable
-        basis = np.column_stack(
-            [np.column_stack([w, _psi_partner(w, n)]) for w in w_reps]
-        ) if w_reps else np.zeros((2 * n, 0), dtype=complex)
-        extra, _ = _complete_pairs(basis, n, n - len(w_reps))
+    # right singular pairs.  Within a repeated (or null) singular value the
+    # columns of vhat need not come paired and the walk can fall short; the
+    # rest is picked from the walked columns' residuals, which stay inside
+    # their own singular subspace and so keep their singular values.
+    w_reps, w_sigs, w_basis = _greedy_pairs(vhat, svals, n, n)
+    if len(w_reps) < n:
+        resid = vhat - w_basis @ (w_basis.conj().T @ vhat)
+        extra, picked = _complete_pairs(resid, n, n - len(w_reps))
         w_reps += extra
-        w_sigs += [0.0] * len(extra)
+        w_sigs += [float(svals[t]) for t in picked]
 
     order = np.argsort(-np.asarray(w_sigs), kind="stable")
     w_cols = np.column_stack([w_reps[t] for t in order])
@@ -181,17 +203,21 @@ def _qsvd_crep(a: QMatrix) -> QSvdResult:
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma, m, n)))
 
     # left vectors: u_c = C w_c / sigma_c above the rank cut, then re-paired
-    # to restore exact orthonormality, then symplectic completion
+    # to restore exact orthonormality, then symplectic completion (which
+    # also makes up any representative the re-pairing lost)
     u_basis = np.zeros((2 * m, 0), dtype=complex)
     u_reps = []
     if r:
         raw = c @ w_cols[:, :r] / sigma[:r]
         u_reps, _, u_basis = _greedy_pairs(raw, sigma[:r], m, r)
-        if len(u_reps) < r:  # pathological; keep count honest
-            extra, u_basis = _complete_pairs(u_basis, m, r - len(u_reps))
-            u_reps += extra
-    extra, _ = _complete_pairs(u_basis, m, m - len(u_reps))
-    u_cols = np.column_stack(u_reps + extra)
+    if len(u_reps) < m:
+        # the complement of the left pairs, from one complete QR, is closed
+        # under w -> -J conj(w)
+        q, _ = np.linalg.qr(u_basis, mode="complete")
+        extra, _ = _complete_pairs(q[:, u_basis.shape[1]:], m,
+                                   m - len(u_reps))
+        u_reps += extra
+    u_cols = np.column_stack(u_reps)
 
     u = QMatrix(u_cols[:m, :], -np.conj(u_cols[m:, :]))
     v = QMatrix(w_cols[:n, :], -np.conj(w_cols[n:, :]))
@@ -311,118 +337,20 @@ def _bidiagonalize(a: QMatrix):
     return QMatrix(u1, u2), d, e, QMatrix(v1, v2)
 
 
-def _golub_reinsch(d: np.ndarray, e: np.ndarray, max_its: int = 60):
-    """Implicit-shift QR diagonalization of a real upper bidiagonal matrix.
-
-    Returns orthogonal (U, V) and nonincreasing nonnegative w with
-    ``bidiag(d, e) = U @ diag(w) @ V.T``.
-    """
-    n = d.size
-    w = d.astype(float).copy()
-    rv1 = np.zeros(n)
-    rv1[1:] = e.astype(float)
-    U = np.eye(n)
-    V = np.eye(n)
-    anorm = float(np.max(np.abs(w) + np.abs(rv1))) if n else 0.0
-    for k in range(n - 1, -1, -1):
-        for its in range(max_its):
-            flag = True
-            l = k
-            nm = l - 1
-            while l >= 0:
-                nm = l - 1
-                if abs(rv1[l]) <= _EPS * anorm:
-                    flag = False
-                    break
-                if abs(w[nm]) <= _EPS * anorm:
-                    break
-                l -= 1
-            if flag:
-                # w[nm] negligible: rotate rv1[l] out through the U columns
-                c, s = 0.0, 1.0
-                for i in range(l, k + 1):
-                    f = s * rv1[i]
-                    rv1[i] = c * rv1[i]
-                    if abs(f) <= _EPS * anorm:
-                        break
-                    g = w[i]
-                    h = math.hypot(f, g)
-                    w[i] = h
-                    h = 1.0 / h
-                    c = g * h
-                    s = -f * h
-                    y = U[:, nm].copy()
-                    z = U[:, i].copy()
-                    U[:, nm] = y * c + z * s
-                    U[:, i] = z * c - y * s
-            z = w[k]
-            if l == k:
-                if z < 0.0:
-                    w[k] = -z
-                    V[:, k] = -V[:, k]
-                break
-            if its == max_its - 1:
-                raise RuntimeError("bidiagonal QR failed to converge")
-            # Wilkinson-style shift from the trailing 2x2 of B^T B
-            x = w[l]
-            nm = k - 1
-            y = w[nm]
-            g = rv1[nm]
-            h = rv1[k]
-            f = ((y - z) * (y + z) + (g - h) * (g + h)) / (2.0 * h * y)
-            g = math.hypot(f, 1.0)
-            f = ((x - z) * (x + z) + h * (y / (f + math.copysign(g, f)) - h)) / x
-            c = s = 1.0
-            for j in range(l, nm + 1):
-                i = j + 1
-                g = rv1[i]
-                y = w[i]
-                h = s * g
-                g = c * g
-                z = math.hypot(f, h)
-                rv1[j] = z
-                c = f / z
-                s = h / z
-                f = x * c + g * s
-                g = g * c - x * s
-                h = y * s
-                y *= c
-                yy = V[:, j].copy()
-                zz = V[:, i].copy()
-                V[:, j] = yy * c + zz * s
-                V[:, i] = zz * c - yy * s
-                z = math.hypot(f, h)
-                w[j] = z
-                if z != 0.0:
-                    z = 1.0 / z
-                    c = f * z
-                    s = h * z
-                f = c * g + s * y
-                x = c * y - s * g
-                yy = U[:, j].copy()
-                zz = U[:, i].copy()
-                U[:, j] = yy * c + zz * s
-                U[:, i] = zz * c - yy * s
-            rv1[l] = 0.0
-            rv1[k] = f
-            w[k] = x
-    order = np.argsort(-w, kind="stable")
-    return U[:, order], w[order], V[:, order]
-
-
 def _qsvd_direct(a: QMatrix) -> QSvdResult:
     m, n = a.shape
     if m < n:
         res = _qsvd_direct(conj_transpose(a))
         return QSvdResult(res.v, res.sigma, res.u, res.rank)
     u0, d, e, v0 = _bidiagonalize(a)
-    ur, sigma, vr = _golub_reinsch(d, e)
+    # the bidiagonal is real: its SVD is plain real LAPACK work
+    ur, sigma, vrt = np.linalg.svd(np.diag(d) + np.diag(e, 1))
     # real rotations mix quaternion columns componentwise
     u1 = u0.q1.copy()
     u2 = u0.q2.copy()
     u1[:, :n] = u0.q1[:, :n] @ ur
     u2[:, :n] = u0.q2[:, :n] @ ur
-    v = QMatrix(v0.q1 @ vr, v0.q2 @ vr)
+    v = QMatrix(v0.q1 @ vrt.T, v0.q2 @ vrt.T)
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma, m, n)))
     return QSvdResult(QMatrix(u1, u2), sigma, v, r)
 

@@ -419,6 +419,10 @@ def read_qmat(path) -> QMatrix:
             except ValueError as exc:
                 raise QmatFormatError(
                     f"{path}: entry {got}: non-numeric field") from exc
+            if not np.isfinite(vals[got]).all():
+                raise QmatFormatError(
+                    f"{path}: entry {got} (row {got // n}, column {got % n}):"
+                    f" non-finite value {line!r}")
             got += 1
         if got != m * n:
             raise QmatFormatError(f"{path}: expected {m*n} entries, got {got}")

@@ -171,6 +171,30 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.qmat"
+    bad.write_text("QMAT 1 2\n1 0 0 0\n0 nan 0 0\n")
+    for cmd in ("rank", "svd", "pinv"):
+        assert main([cmd, "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "entry 1" in err and "non-finite" in err
+
+
+def test_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch,
+                                                 capsys):
+    import quatinv.cli as cli
+
+    def unstable(a):
+        raise RuntimeError("rank sequence failed to stabilize")
+
+    monkeypatch.setattr(cli, "mat_index", unstable)
+    path = tmp_path / "A.qmat"
+    write_qmat(path, random_qmat(3, 3, np.random.default_rng(5)))
+    assert main(["drazin", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "drazin: error: rank sequence failed to stabilize\n"
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

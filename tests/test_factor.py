@@ -21,6 +21,9 @@ from quatinv.qcore import (
 )
 
 
+EPS = np.finfo(float).eps
+
+
 def qallclose(a, b, tol=1e-12):
     return fro_norm(a - b) <= tol * max(1.0, fro_norm(b))
 
@@ -88,7 +91,8 @@ def test_qsvd_pure_j_entry(method):
 
 
 @pytest.mark.parametrize("method", ["crep", "direct"])
-@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5), (1, 3), (3, 1)])
+@pytest.mark.parametrize("shape",
+                         [(6, 4), (4, 6), (5, 5), (1, 3), (3, 1), (1, 1)])
 def test_qsvd_invariants_random(method, shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     a = random_qmat(*shape, rng)
@@ -154,6 +158,120 @@ def test_qsvd_empty():
     res = qsvd(QMatrix.zeros(0, 4))
     assert res.rank == 0 and res.sigma.size == 0
     assert res.u.shape == (0, 0) and res.v.shape == (4, 4)
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5)])
+def test_qsvd_rank_zero(method, shape):
+    res = qsvd(QMatrix.zeros(*shape), method=method)
+    assert res.rank == 0
+    assert np.all(res.sigma == 0.0) and res.sigma.size == min(shape)
+    assert unitary_defect(res.u) <= 1e-13
+    assert unitary_defect(res.v) <= 1e-13
+    assert fro_norm(res.reconstruct()) == 0.0
+
+
+def rand_unitary(n, rng):
+    """A product of three quaternion Householder reflectors."""
+    q = QMatrix.eye(n)
+    for _ in range(3):
+        v = random_qmat(n, 1, rng)
+        v = QMatrix(v.q1 - (0.5 + 0.5j), v.q2 - (0.5 + 0.5j))
+        h = QMatrix.eye(n) - mat_mul(v, conj_transpose(v)) * (
+            2.0 / fro_norm(v) ** 2)
+        q = mat_mul(q, h)
+    return q
+
+
+def with_spectrum(m, n, sigma, rng):
+    """U diag(sigma) V* with unitary U (m, m), V (n, n)."""
+    d = np.zeros((m, n))
+    d[: len(sigma), : len(sigma)] = np.diag(sigma)
+    return mat_mul(mat_mul(rand_unitary(m, rng), QMatrix.from_real(d)),
+                   conj_transpose(rand_unitary(n, rng)))
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Record (half, count) for every pair completion the crep route runs."""
+    import quatinv.factor as factor
+
+    calls = []
+    inner = factor._complete_pairs
+
+    def spy(cands, half, count):
+        calls.append((half, count))
+        return inner(cands, half, count)
+
+    monkeypatch.setattr(factor, "_complete_pairs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape", [(8, 6), (6, 8)])
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e12])
+def test_qsvd_graded_spectrum(method, shape, cond):
+    m, n = shape
+    k = min(m, n)
+    a = with_spectrum(m, n, np.logspace(0, -np.log10(cond), k),
+                      np.random.default_rng(int(np.log10(cond))))
+    res = qsvd(a, method=method)
+    ref = crep_sigma(a)
+    assert res.rank == k
+    assert np.all(np.abs(res.sigma - ref) <= max(m, n) * cond * EPS * ref)
+    assert unitary_defect(res.u) <= 1e-12
+    assert unitary_defect(res.v) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("sigma,must_fill", [
+    ([1.0] * 5, True),
+    ([2.0, 2.0, 2.0, 1.0, 1.0], False),
+])
+def test_qsvd_repeated_singular_values(method, sigma, must_fill, completions):
+    # inside a repeated singular value the complex SVD's vectors need not
+    # come in antiunitary pairs, so the crep route's pairing walk falls
+    # short for some draws (a quarter of them for the all-equal spectrum)
+    # and completes from the remaining columns
+    right_fills = 0
+    for seed in range(16):
+        a = with_spectrum(7, 5, sigma, np.random.default_rng(seed))
+        completions.clear()
+        res = qsvd(a, method=method)
+        right_fills += sum(count for half, count in completions if half == 5)
+        assert res.rank == 5
+        assert np.allclose(res.sigma, sigma, rtol=0, atol=1e-13)
+        assert unitary_defect(res.u) <= 1e-12
+        assert unitary_defect(res.v) <= 1e-12
+        assert qallclose(res.reconstruct(), a, 1e-13)
+    if method == "crep" and must_fill:
+        assert right_fills > 0
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3)])
+def test_qsvd_rank_deficient_completion(method, m, n, r, completions):
+    a = rand_rank_deficient(m, n, r, np.random.default_rng(m * n + r))
+    res = qsvd(a, method=method)
+    assert res.rank == r
+    assert unitary_defect(res.u) <= 1e-12
+    assert unitary_defect(res.v) <= 1e-12
+    assert qallclose(res.reconstruct(), a, 1e-12)
+    if method == "crep":
+        assert sum(count for half, count in completions if half == m) >= m - r
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qsvd_and_rank_reject_non_finite(method, bad):
+    a = random_qmat(3, 3, np.random.default_rng(0))
+    q2 = a.q2.copy()
+    q2[1, 2] = bad
+    a = QMatrix(a.q1, q2)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        qsvd(a, method=method)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        rank(a)
 
 
 # ------------------------------------------------- full rank decomposition

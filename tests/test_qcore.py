@@ -275,6 +275,16 @@ def test_qmat_malformed(tmp_path, body):
         read_qmat(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_qmat_rejects_non_finite_and_names_the_entry(tmp_path, bad):
+    path = tmp_path / "nf.qmat"
+    path.write_text(f"QMAT 2 2\n1 0 0 0\n0 1 0 0\n0 0 {bad} 0\n"
+                    "0 0 0 nan\n")
+    with pytest.raises(QmatFormatError,
+                       match=r"entry 2 \(row 1, column 0\): non-finite"):
+        read_qmat(path)
+
+
 def test_qmat_17_digit_contract(tmp_path):
     a = QMatrix.from_components([[1 / 3]], [[math.pi]], [[2**-40]], [[-0.1]])
     path = tmp_path / "p.qmat"
