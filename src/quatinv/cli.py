@@ -26,8 +26,8 @@ from .qcore import (
 from .factor import full_rank_decompose, qsvd
 from .geninv import (
     InverseExistenceError,
-    drazin,
-    group_inverse,
+    _drazin_with_index,
+    _group_with_index,
     mat_index,
     outer_both,
     outer_left,
@@ -159,7 +159,7 @@ def _spectral_payload(op, a, k, route, extra_residuals):
 def cmd_drazin(args) -> int:
     a = read_qmat(args.infile)
     k = mat_index(a)
-    x = drazin(a, route=args.route)
+    x = _drazin_with_index(a, k, args.route)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
     pow_k = _mat_power(a, k)
@@ -176,7 +176,8 @@ def cmd_drazin(args) -> int:
 
 def cmd_group(args) -> int:
     a = read_qmat(args.infile)
-    x = group_inverse(a, route=args.route)
+    k = mat_index(a)
+    x = _group_with_index(a, k, args.route)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
     res = {
@@ -184,8 +185,7 @@ def cmd_group(args) -> int:
         "commute": fro_norm(ax - xa),
         "one": fro_norm(mat_mul(ax, a) - a),
     }
-    _emit_json(args, _spectral_payload("group", a, mat_index(a),
-                                       args.route, res))
+    _emit_json(args, _spectral_payload("group", a, k, args.route, res))
     print(f"group: residuals one={res['one']:.3e} "
           f"commute={res['commute']:.3e}")
     return 0

@@ -5,7 +5,10 @@ Two computational routes are kept genuinely separate throughout:
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
   pair (quaternion Householder bidiagonalization to a real bidiagonal, whose
   SVD is then real LAPACK work; quaternion row operations for the
-  elimination).  A^C is never formed.
+  elimination).  The bidiagonalization loop updates only the matrix; U and
+  V are accumulated once afterwards from the recorded reflectors in
+  compact-WY form, I - Y T Y*, times one diagonal of unit-quaternion
+  phases.  A^C is never formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, followed by exact
   restoration of the quaternion block structure; singular-vector pairs the
@@ -245,82 +248,112 @@ def _times_scalar(x1, x2, s1, s2):
 
 
 def _reflector(x1, x2):
-    """Householder data (v, ||v||^2, beta) sending x to -mu*beta*e1.
+    """Householder data (v, tau) with (I - tau v v*) x = -mu*beta*e1.
 
     mu = x_1/|x_1| (1 if x_1 = 0) and beta = ||x||, so the reflected vector's
-    leading entry has the magnitude of x and the rest vanish.
+    leading entry has the magnitude of x and the rest vanish.  v is returned
+    as one (k, 2) array holding the pair (v1, v2) as its columns, and
+    tau = 2/||v||^2 = 1/(beta (beta + |x_1|)) is real.
     """
-    beta = math.sqrt(float(np.sum(np.abs(x1) ** 2 + np.abs(x2) ** 2)))
+    beta = math.sqrt(np.vdot(x1, x1).real + np.vdot(x2, x2).real)
     if beta == 0.0:
         return None
-    h1 = abs(complex(x1[0])) ** 2 + abs(complex(x2[0])) ** 2
-    habs = math.sqrt(h1)
+    habs = math.sqrt(abs(complex(x1[0])) ** 2 + abs(complex(x2[0])) ** 2)
+    v = np.stack([x1, x2], axis=1)
     if habs == 0.0:
-        mu1, mu2 = 1.0 + 0j, 0j
+        v[0, 0] += beta
     else:
-        mu1, mu2 = x1[0] / habs, x2[0] / habs
-    v1 = x1.astype(complex).copy()
-    v2 = x2.astype(complex).copy()
-    v1[0] += mu1 * beta
-    v2[0] += mu2 * beta
-    vn2 = float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2))
-    return v1, v2, vn2
+        v[0] *= 1.0 + beta / habs  # x_1 + mu*beta
+    return v, 1.0 / (beta * (beta + habs))
 
 
-def _apply_reflector_left(b1, b2, v1, v2, vn2):
-    # B := (I - (2/vn2) v v*) B  in place on the given views
-    vc1, vc2 = np.conj(v1), -v2  # v* entries
-    w1, w2 = _pair_mm(vc1[None, :], vc2[None, :], b1, b2)
-    u1, u2 = _pair_mm(v1[:, None], v2[:, None], w1, w2)
-    b1 -= (2.0 / vn2) * u1
-    b2 -= (2.0 / vn2) * u2
+def _reflect_rows(b1, b2, v, tau):
+    # B := (I - tau v v*) B in place on the given views.  w = tau v* B takes
+    # its conjugates on the vectors: conj(conj(v2) B2), not v2 conj(B2).  The
+    # products stay matrix-vector: one (2, k) @ (k, l) product in their place
+    # raised the direct route's median pinv error by a third
+    cv1, cv2 = np.conj(v[:, 0]), np.conj(v[:, 1])
+    w1 = tau * (cv1 @ b1 + np.conj(cv2 @ b2))
+    w2 = tau * (cv1 @ b2 - np.conj(cv2 @ b1))
+    b1 -= v @ np.stack([w1, -np.conj(w2)])
+    b2 -= v @ np.stack([w2, np.conj(w1)])
 
 
-def _apply_reflector_right(b1, b2, v1, v2, vn2):
-    # B := B (I - (2/vn2) v v*) in place
-    t1, t2 = _pair_mm(b1, b2, v1[:, None], v2[:, None])
-    vc1, vc2 = np.conj(v1), -v2
-    u1, u2 = _pair_mm(t1, t2, vc1[None, :], vc2[None, :])
-    b1 -= (2.0 / vn2) * u1
-    b2 -= (2.0 / vn2) * u2
+def _reflect_cols(b1, b2, v, tau):
+    # B := B (I - tau v v*) in place; t = tau B v
+    v1, v2 = v[:, 0], v[:, 1]
+    t1 = tau * (b1 @ v1 - b2 @ np.conj(v2))
+    t2 = tau * (b1 @ v2 + b2 @ np.conj(v1))
+    b1 -= np.stack([t1, t2], axis=1) @ np.conj(v.T)
+    b2 -= np.stack([t2, -t1], axis=1) @ v.T
+
+
+def _wy_product(y1, y2, tau):
+    """H_0 H_1 ... H_{k-1} with H_c = I - tau_c y_c y_c*, as I - Y T Y*.
+
+    The compact-WY factor T is upper triangular with inverse
+    S = diag(1/tau) + strictly-upper(Y*Y) (the derivation needs only
+    associativity and a real tau, so it holds for quaternions).  T Y* is
+    found by back substitution in S, one row per reflector, which is more
+    accurate than forming T by its column recurrence.  A skipped reflector
+    has tau_c = 0 and y_c = 0, and its row of T Y* is zero.
+    """
+    rows, k = y1.shape
+    ys1, ys2 = y1.conj().T, -y2.T  # Y*
+    g1, g2 = _pair_mm(ys1, ys2, y1, y2)  # Gram Y*Y
+    w1 = np.empty((k, rows), dtype=complex)
+    w2 = np.empty((k, rows), dtype=complex)
+    for c in reversed(range(k)):
+        z1, z2 = _pair_mm(g1[c, c + 1:], g2[c, c + 1:], w1[c + 1:], w2[c + 1:])
+        w1[c] = tau[c] * (ys1[c] - z1)
+        w2[c] = tau[c] * (ys2[c] - z2)
+    z1, z2 = _pair_mm(y1, y2, w1, w2)
+    return np.eye(rows) - z1, -z2
 
 
 def _bidiagonalize(a: QMatrix):
     """Reduce A (m >= n) to real upper bidiagonal B = U* A V by quaternion
-    Householder reflectors with unit-quaternion phase normalization."""
+    Householder reflectors with unit-quaternion phase normalization.
+
+    The loop updates only B.  U = H_0 D_0 H_1 D_1 ... where each phase D_c
+    acts on index c alone and so commutes with every later reflector: U is
+    the reflector product, accumulated once in compact-WY form, times one
+    diagonal of phases.  V likewise.
+    """
     m, n = a.shape
-    b1, b2 = a.q1.copy(), a.q2.copy()
-    u1 = np.eye(m, dtype=complex)
-    u2 = np.zeros((m, m), dtype=complex)
-    v1 = np.eye(n, dtype=complex)
-    v2 = np.zeros((n, n), dtype=complex)
+    b1, b2 = a.q1.astype(complex), a.q2.astype(complex)
+    # reflector vectors (zero above their pivot), real taus, and the unit
+    # phases each U / V column is right-multiplied by
+    yu1 = np.zeros((m, n), dtype=complex)
+    yu2 = np.zeros((m, n), dtype=complex)
+    yv1 = np.zeros((n, n - 1), dtype=complex)
+    yv2 = np.zeros((n, n - 1), dtype=complex)
+    tau_u = np.zeros(n)
+    tau_v = np.zeros(n - 1)
+    pu1, pu2 = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
+    pv1, pv2 = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
     for c in range(n):
         ref = _reflector(b1[c:, c], b2[c:, c])
         if ref is not None:
-            rv1, rv2, vn2 = ref
-            _apply_reflector_left(b1[c:, c:], b2[c:, c:], rv1, rv2, vn2)
-            # U := U H (same reflector, applied from the right)
-            _apply_reflector_right(u1[:, c:], u2[:, c:], rv1, rv2, vn2)
+            rv, tau_u[c] = ref
+            yu1[c:, c], yu2[c:, c] = rv.T
+            _reflect_rows(b1[c:, c:], b2[c:, c:], rv, tau_u[c])
         # make the diagonal entry real nonnegative: row *= d, U col *= conj(d)
         pa = math.sqrt(abs(complex(b1[c, c])) ** 2 + abs(complex(b2[c, c])) ** 2)
         if pa > 0.0:
             d1, d2 = np.conj(b1[c, c]) / pa, -b2[c, c] / pa
             b1[c, c:], b2[c, c:] = _scalar_times(d1, d2, b1[c, c:], b2[c, c:])
-            u1[:, c], u2[:, c] = _times_scalar(
-                u1[:, c], u2[:, c], np.conj(d1), -d2)
+            pu1[c], pu2[c] = np.conj(d1), -d2
             b1[c, c] = b1[c, c].real
             b2[c, c] = 0.0
         if c + 1 < n:
             # right reflector built from the conjugated row tail
-            y1, y2 = np.conj(b1[c, c + 1:]), -b2[c, c + 1:]
-            ref = _reflector(y1, y2)
+            ref = _reflector(np.conj(b1[c, c + 1:]), -b2[c, c + 1:])
             if ref is not None:
-                rv1, rv2, vn2 = ref
-                _apply_reflector_right(b1[c:, c + 1:], b2[c:, c + 1:],
-                                       rv1, rv2, vn2)
-                _apply_reflector_right(v1[:, c + 1:], v2[:, c + 1:],
-                                       rv1, rv2, vn2)
+                rv, tau_v[c] = ref
+                yv1[c + 1:, c], yv2[c + 1:, c] = rv.T
+                _reflect_cols(b1[c:, c + 1:], b2[c:, c + 1:], rv, tau_v[c])
             pa = math.sqrt(abs(complex(b1[c, c + 1])) ** 2
                            + abs(complex(b2[c, c + 1])) ** 2)
             if pa > 0.0:
@@ -328,12 +361,13 @@ def _bidiagonalize(a: QMatrix):
                 e1, e2 = np.conj(q1c) / pa, -q2c / pa
                 b1[c:, c + 1], b2[c:, c + 1] = _times_scalar(
                     b1[c:, c + 1], b2[c:, c + 1], e1, e2)
-                v1[:, c + 1], v2[:, c + 1] = _times_scalar(
-                    v1[:, c + 1], v2[:, c + 1], e1, e2)
+                pv1[c + 1], pv2[c + 1] = e1, e2
                 b1[c, c + 1] = b1[c, c + 1].real
                 b2[c, c + 1] = 0.0
-    d = np.array([b1[t, t].real for t in range(n)])
-    e = np.array([b1[t, t + 1].real for t in range(n - 1)])
+    u1, u2 = _times_scalar(*_wy_product(yu1, yu2, tau_u), pu1, pu2)
+    v1, v2 = _times_scalar(*_wy_product(yv1, yv2, tau_v), pv1, pv2)
+    d = b1.diagonal().real.copy()
+    e = b1.diagonal(1).real.copy()
     return QMatrix(u1, u2), d, e, QMatrix(v1, v2)
 
 

@@ -297,6 +297,14 @@ def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseRepor
 # ======================================================= classical inverses
 
 
+def _hermitian_residuals(ax: QMatrix, xa: QMatrix) -> dict:
+    # Penrose conditions 3 and 4: AX and XA Hermitian
+    return {
+        "p3": fro_norm(conj_transpose(ax) - ax),
+        "p4": fro_norm(conj_transpose(xa) - xa),
+    }
+
+
 def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
     """Absolute Frobenius residuals of the four Penrose conditions."""
     ax = mat_mul(a, x)
@@ -304,8 +312,7 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
     return {
         "one": fro_norm(mat_mul(ax, a) - a),
         "outer": fro_norm(mat_mul(xa, x) - x),
-        "p3": fro_norm(conj_transpose(ax) - ax),
-        "p4": fro_norm(conj_transpose(xa) - xa),
+        **_hermitian_residuals(ax, xa),
     }
 
 
@@ -325,8 +332,10 @@ def pinv_report(a: QMatrix, method: str = "svd",
         rep = outer_w_right(a, astar, route=route)
     else:
         raise ValueError(f"unknown pinv method {method!r}")
+    # rep.residuals already holds "one" and "outer", from the same products
     residuals = dict(rep.residuals)
-    residuals.update(penrose_residuals(a, rep.x))
+    residuals.update(
+        _hermitian_residuals(mat_mul(a, rep.x), mat_mul(rep.x, a)))
     return InverseReport(x=rep.x, exists=rep.exists, reason=rep.reason,
                          classification=rep.classification,
                          residuals=residuals, ranks=rep.ranks,
@@ -410,7 +419,11 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
     m, n = a.shape
     if m != n:
         raise ValueError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    k = mat_index(a)
+    return _drazin_with_index(a, mat_index(a), route)
+
+
+def _drazin_with_index(a: QMatrix, k: int, route: str) -> QMatrix:
+    # the Drazin inverse of square A, given k = mat_index(A)
     rep = outer_w_right(a, _normalized_power(a, k), route=route)
     if not rep.exists:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(rep.reason)
@@ -427,7 +440,11 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     m, n = a.shape
     if m != n:
         raise ValueError(f"group inverse needs a square matrix, got {a.shape}")
-    k = mat_index(a)
+    return _group_with_index(a, mat_index(a), route)
+
+
+def _group_with_index(a: QMatrix, k: int, route: str) -> QMatrix:
+    # the group inverse of square A, given k = mat_index(A)
     if k > 1:
         raise InverseExistenceError(
             f"group inverse does not exist: Ind(A) = {k} > 1")

@@ -3,6 +3,7 @@ import pytest
 
 from quatinv.factor import (
     FullRankFactorization,
+    _bidiagonalize,
     full_rank_decompose,
     one_inverse,
     qsvd,
@@ -272,6 +273,94 @@ def test_qsvd_and_rank_reject_non_finite(method, bad):
         qsvd(a, method=method)
     with pytest.raises(ValueError, match="non-finite entries"):
         rank(a)
+
+
+def block_with_zero_columns(rng):
+    """7x5 block diagonal [[A1, 0], [0, A2]], A1 2x2 and A2 5x3, whose first
+    column and A2's first column are zero: the direct route's left reflectors
+    0 and 2 and right reflector 1 are exactly zero (tau = 0 inside Y)."""
+    a = random_qmat(7, 5, rng)
+    q1, q2 = a.q1.copy(), a.q2.copy()
+    for q in (q1, q2):
+        q[:, [0, 2]] = 0.0
+        q[:2, 2:] = 0.0
+        q[2:, :2] = 0.0
+    return QMatrix(q1, q2)
+
+
+def zero_trailing_columns(rng):
+    """6x5 [A1, 0] with A1 6x2: the trailing block is exactly zero from
+    step 2 on, so every later reflector is skipped."""
+    a = random_qmat(6, 2, rng)
+    pad = np.zeros((6, 3))
+    return QMatrix(np.hstack([a.q1, pad]), np.hstack([a.q2, pad]))
+
+
+# input -> (its constructor, the zero taus of the direct route's U and V
+# reflectors, which _bidiagonalize sees for A or, when wide, for A*)
+SKIP_CASES = {
+    "zero-columns": (block_with_zero_columns, ([0, 2], [1])),
+    "zero-trailing-block": (zero_trailing_columns, ([2, 3, 4], [1, 2, 3])),
+    "rank-deficient": (lambda rng: rand_rank_deficient(8, 6, 2, rng),
+                       ([], [])),
+    "wide": (lambda rng: random_qmat(4, 7, rng), ([], [])),
+    "row": (lambda rng: random_qmat(1, 5, rng), ([], [])),
+    "column": (lambda rng: random_qmat(5, 1, rng), ([], [])),
+}
+
+
+@pytest.fixture
+def reflector_taus(monkeypatch):
+    """Record the taus of every reflector product the direct route builds."""
+    import quatinv.factor as factor
+
+    calls = []
+    inner = factor._wy_product
+
+    def spy(y1, y2, tau):
+        calls.append(tau.copy())
+        return inner(y1, y2, tau)
+
+    monkeypatch.setattr(factor, "_wy_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_bidiagonalize_skipped_reflectors_and_phases(case, reflector_taus):
+    make, (zero_u, zero_v) = SKIP_CASES[case]
+    a = make(np.random.default_rng(31))
+    if a.nrows < a.ncols:
+        a = conj_transpose(a)  # the direct route bidiagonalizes A* then
+    m, n = a.shape
+    u, d, e, v = _bidiagonalize(a)
+    tau_u, tau_v = reflector_taus
+    assert list(np.flatnonzero(tau_u == 0.0)) == zero_u
+    assert list(np.flatnonzero(tau_v == 0.0)) == zero_v
+    assert unitary_defect(u) <= 1e-13
+    assert unitary_defect(v) <= 1e-13
+    # the phases leave a real bidiagonal with nonnegative entries
+    assert np.all(d >= 0.0) and np.all(e >= 0.0)
+    bidiag = np.zeros((m, n))
+    bidiag[:n, :n] = np.diag(d) + np.diag(e, 1)
+    b = mat_mul(mat_mul(conj_transpose(u), a), v)
+    scale = max(1.0, fro_norm(a))
+    assert fro_norm(b - QMatrix.from_real(bidiag)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_qsvd_skipped_reflectors_and_phases(method, case):
+    a = SKIP_CASES[case][0](np.random.default_rng(31))
+    scale = max(1.0, fro_norm(a))
+    res = qsvd(a, method=method)
+    assert unitary_defect(res.u) <= 1e-13
+    assert unitary_defect(res.v) <= 1e-13
+    k = res.sigma.size
+    sig = np.zeros(a.shape)
+    sig[:k, :k] = np.diag(res.sigma)
+    b = mat_mul(mat_mul(conj_transpose(res.u), a), res.v)
+    assert fro_norm(b - QMatrix.from_real(sig)) <= 1e-13 * scale
+    assert fro_norm(res.reconstruct() - a) <= 1e-13 * scale
 
 
 # ------------------------------------------------- full rank decomposition

@@ -1,4 +1,5 @@
-"""Property test: both qsvd routes agree and reconstruct, over random shapes."""
+"""Property test: both qsvd routes agree, reconstruct and return unitary
+factors, over random shapes."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,17 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from quatinv.factor import qsvd  # noqa: E402
-from quatinv.qcore import QMatrix, fro_norm, mat_mul, random_qmat  # noqa: E402
+from quatinv.qcore import (  # noqa: E402
+    QMatrix,
+    conj_transpose,
+    fro_norm,
+    mat_mul,
+    random_qmat,
+)
+
+
+def unitary_defect(u):
+    return fro_norm(mat_mul(conj_transpose(u), u) - QMatrix.eye(u.shape[0]))
 
 
 @st.composite
@@ -31,3 +42,5 @@ def test_qsvd_routes_agree_and_reconstruct(a):
     assert crep.rank == direct.rank
     for res in (crep, direct):
         assert fro_norm(res.reconstruct() - a) <= 1e-12 * scale
+        assert unitary_defect(res.u) <= 1e-12
+        assert unitary_defect(res.v) <= 1e-12
