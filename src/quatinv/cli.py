@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .qcore import (
     QMatrix,
@@ -26,8 +27,9 @@ from .qcore import (
 from .factor import full_rank_decompose, qsvd
 from .geninv import (
     InverseExistenceError,
-    _drazin_with_index,
+    _drazin_from_power,
     _group_with_index,
+    _normalized_powers,
     mat_index,
     outer_both,
     outer_left,
@@ -159,10 +161,10 @@ def _spectral_payload(op, a, k, route, extra_residuals):
 def cmd_drazin(args) -> int:
     a = read_qmat(args.infile)
     k = mat_index(a)
-    x = _drazin_with_index(a, k, args.route)
+    pow_k = next(islice(_normalized_powers(a), k, None))
+    x = _drazin_from_power(a, pow_k, args.route)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
-    pow_k = _mat_power(a, k)
     res = {
         "outer": fro_norm(mat_mul(xa, x) - x),
         "commute": fro_norm(ax - xa),
@@ -189,13 +191,6 @@ def cmd_group(args) -> int:
     print(f"group: residuals one={res['one']:.3e} "
           f"commute={res['commute']:.3e}")
     return 0
-
-
-def _mat_power(a: QMatrix, k: int) -> QMatrix:
-    out = QMatrix.eye(a.shape[0])
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
 
 
 def cmd_rank(args) -> int:

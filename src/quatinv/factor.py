@@ -27,8 +27,8 @@ import numpy as np
 
 from .qcore import (
     QMatrix,
+    _route_mul,
     conj_transpose,
-    crep_mul,
     fro_norm,
     mat_mul,
     to_crep,
@@ -588,5 +588,5 @@ def one_inverse(w: QMatrix, k: QMatrix | None = None,
     mid1[s:, s:] = m.q1
     mid2[s:, s:] = m.q2
     mid = QMatrix(mid1, mid2)
-    mm = mat_mul if method == "direct" else crep_mul
+    mm = _route_mul(method)
     return mm(mm(res.v, mid), conj_transpose(res.u))

@@ -19,20 +19,24 @@ raised) when that matrix is singular, since the target inverse then does not
 exist.
 
 Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
-arithmetic versus complex-representation arithmetic end to end.
+arithmetic versus complex-representation arithmetic end to end.  The route
+is checked on entry, and all five outer-inverse constructors (and both
+Moore-Penrose realizations) evaluate the expression through one private
+core, differing only in S, T and the small inverse they hand it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .factor import full_rank_decompose, one_inverse, qsvd, random_free_blocks, rank
 from .qcore import (
     QMatrix,
+    _route_mul,
     conj_transpose,
-    crep_mul,
     fro_norm,
     from_crep,
     hstack_q,
@@ -94,12 +98,9 @@ class InverseReport:
     route: str = "direct"
 
 
-def _mm(route):
-    if route == "direct":
-        return mat_mul
-    if route == "crep":
-        return crep_mul
-    raise ValueError(f"unknown route {route!r}")
+def _check_route(route):
+    if route not in ("direct", "crep"):
+        raise ValueError(f"unknown route {route!r}")
 
 
 def _classify(nu, s_rank, t_rank, w_rank):
@@ -115,20 +116,61 @@ def _classify(nu, s_rank, t_rank, w_rank):
     }
 
 
-def _defining_residuals(a, x):
-    xax = mat_mul(mat_mul(x, a), x)
-    axa = mat_mul(mat_mul(a, x), a)
-    return {"outer": fro_norm(xax - x), "one": fro_norm(axa - a)}
+def _defining_residuals(a, x, penrose=False):
+    # XAX = X and AXA = A; with penrose, also AX and XA Hermitian
+    ax, xa = mat_mul(a, x), mat_mul(x, a)
+    res = {"outer": fro_norm(mat_mul(xa, x) - x),
+           "one": fro_norm(mat_mul(ax, a) - a)}
+    if penrose:
+        res["p3"] = fro_norm(conj_transpose(ax) - ax)
+        res["p4"] = fro_norm(conj_transpose(xa) - xa)
+    return res
 
 
-def _resolve_free_blocks(free_blocks, w, s):
-    if free_blocks is None:
-        return None, None, None
-    if isinstance(free_blocks, np.random.Generator):
-        qdim, pdim = w.shape
-        return random_free_blocks(qdim, pdim, s, free_blocks)
-    k, l, m = free_blocks
-    return k, l, m
+def _report(a, x, ranks, side, route, classification=None, penrose=False,
+            reason=""):
+    if classification is None:
+        classification = _classify(
+            ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
+    return InverseReport(
+        x=x, exists=not reason, reason=reason, classification=classification,
+        residuals=_defining_residuals(a, x, penrose),
+        ranks=ranks, side=side, route=route)
+
+
+def _urquhart(a, s, t, route, invert):
+    # X = S (TAS)^(1) T, where invert(W, rank W) returns the small inverse,
+    # or None when the requested inverse does not exist; returns (X, rank W)
+    mm = _route_mul(route)
+    w = mm(mm(t, a), s)
+    w_rank = rank(w)
+    w1 = invert(w, w_rank)
+    return (None if w1 is None else mm(mm(s, w1), t)), w_rank
+
+
+def _svd_inverse(route, free_blocks=None):
+    # the {1}-inverse of W from its SVD; free_blocks as in outer_right
+    def invert(w, w_rank):
+        blocks = free_blocks or (None, None, None)
+        if isinstance(blocks, np.random.Generator):
+            blocks = random_free_blocks(*w.shape, w_rank, blocks)
+        k, l, m = blocks
+        return one_inverse(w, k, l, m, method=route)
+    return invert
+
+
+def _full_rank_inverse(route, r):
+    # the inverse of the r-by-r matrix W = G A F, None when W is singular;
+    # the crep route inverts W^C by LAPACK and so never runs qsvd
+    def invert(w, w_rank):
+        if w_rank < r:
+            return None
+        if r == 0:
+            return QMatrix.zeros(0, 0)
+        if route == "direct":
+            return one_inverse(w, method="direct")
+        return from_crep(symmetrize_crep(np.linalg.inv(to_crep(w).data), r, r))
+    return invert
 
 
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
@@ -140,23 +182,16 @@ def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
     {1}-inverse: None for zero blocks, a (K, L, M) triple, or a Generator to
     draw them at random (the classification is invariant to the choice).
     """
+    _check_route(route)
     m, n = a.shape
     if s1.nrows != n:
         raise ValueError(f"S1 has {s1.nrows} rows, expected {n}")
     if t1.ncols != m:
         raise ValueError(f"T1 has {t1.ncols} columns, expected {m}")
-    mm = _mm(route)
-    w = mm(mm(t1, a), s1)
-    ranks = {"nu": rank(a), "s": rank(s1), "t": rank(t1), "w": rank(w)}
-    k, l, mb = _resolve_free_blocks(free_blocks, w, ranks["w"])
-    method = "direct" if route == "direct" else "crep"
-    w1 = one_inverse(w, k, l, mb, method=method)
-    x = mm(mm(s1, w1), t1)
-    return InverseReport(
-        x=x, exists=True, reason="",
-        classification=_classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"]),
-        residuals=_defining_residuals(a, x),
-        ranks=ranks, side="right", route=route)
+    ranks = {"nu": rank(a), "s": rank(s1), "t": rank(t1)}
+    x, ranks["w"] = _urquhart(a, s1, t1, route,
+                              _svd_inverse(route, free_blocks))
+    return _report(a, x, ranks, "right", route)
 
 
 def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
@@ -166,23 +201,16 @@ def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
     Mirror of :func:`outer_right`: X = T2 (S2 A T2)^(1) S2, classified by
     rank(S2 A T2) against rank(S2), rank(T2), rank(A).
     """
+    _check_route(route)
     m, n = a.shape
     if s2.ncols != m:
         raise ValueError(f"S2 has {s2.ncols} columns, expected {m}")
     if t2.nrows != n:
         raise ValueError(f"T2 has {t2.nrows} rows, expected {n}")
-    mm = _mm(route)
-    w = mm(mm(s2, a), t2)
-    ranks = {"nu": rank(a), "s": rank(s2), "t": rank(t2), "w": rank(w)}
-    k, l, mb = _resolve_free_blocks(free_blocks, w, ranks["w"])
-    method = "direct" if route == "direct" else "crep"
-    w1 = one_inverse(w, k, l, mb, method=method)
-    x = mm(mm(t2, w1), s2)
-    return InverseReport(
-        x=x, exists=True, reason="",
-        classification=_classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"]),
-        residuals=_defining_residuals(a, x),
-        ranks=ranks, side="left", route=route)
+    ranks = {"nu": rank(a), "s": rank(s2), "t": rank(t2)}
+    x, ranks["w"] = _urquhart(a, t2, s2, route,
+                              _svd_inverse(route, free_blocks))
+    return _report(a, x, ranks, "left", route)
 
 
 def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
@@ -196,18 +224,14 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     flags report each side plus their conjunction, and ``sides_disagree``
     marks the asymmetric cases.
     """
+    _check_route(route)
     m, n = a.shape
     if s.shape != (n, m):
         raise ValueError(f"S has shape {s.shape}, expected {(n, m)}")
     if t.shape != (n, m):
         raise ValueError(f"T has shape {t.shape}, expected {(n, m)}")
-    mm = _mm(route)
-    w = mm(mm(t, a), s)
-    ranks = {"nu": rank(a), "s": rank(s), "t": rank(t), "w": rank(w)}
-    k, l, mb = _resolve_free_blocks(free_blocks, w, ranks["w"])
-    method = "direct" if route == "direct" else "crep"
-    w1 = one_inverse(w, k, l, mb, method=method)
-    x = mm(mm(s, w1), t)
+    ranks = {"nu": rank(a), "s": rank(s), "t": rank(t)}
+    x, ranks["w"] = _urquhart(a, s, t, route, _svd_inverse(route, free_blocks))
     right = _classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
     left = _classify(ranks["nu"], ranks["t"], ranks["s"], ranks["w"])
     cls = {
@@ -223,45 +247,25 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
         "left_nullspace_matches": left["nullspace_matches"],
         "sides_disagree": right["range_matches"] != right["nullspace_matches"],
     }
-    return InverseReport(
-        x=x, exists=True, reason="", classification=cls,
-        residuals=_defining_residuals(a, x),
-        ranks=ranks, side="both", route=route)
+    return _report(a, x, ranks, "both", route, classification=cls)
 
 
-def _invert_full_rank(r_mat: QMatrix, route: str) -> QMatrix:
-    # invert a (numerically verified) nonsingular small matrix per route
-    if route == "direct":
-        return one_inverse(r_mat, method="direct")
-    c = np.linalg.inv(to_crep(r_mat).data)
-    n = r_mat.nrows
-    return from_crep(symmetrize_crep(c, n, n))
-
-
-def _w_report(a, side, route, fact):
+def _w_report(a, side, route, fact, penrose=False):
     # both W-variants invert the same small matrix G A F; they differ in the
     # factorization form and in which spaces (right vs left) the factors pin
-    mm = _mm(route)
-    r_small = mm(mm(fact.g, a), fact.f)
-    ranks = {"nu": rank(a), "s": fact.r, "t": fact.r, "w": rank(r_small)}
-    if ranks["w"] < fact.r:
-        zero = QMatrix.zeros(a.ncols, a.nrows)
-        return InverseReport(
-            x=zero, exists=False,
-            reason="prescribed-space inverse does not exist: "
-                   f"G*A*F is singular (rank {ranks['w']} < {fact.r})",
-            classification={k: False for k in
-                            ("is_one_inverse", "is_outer", "range_matches",
-                             "nullspace_matches", "is_12_unique")},
-            residuals=_defining_residuals(a, zero),
-            ranks=ranks, side=side, route=route)
-    inv = _invert_full_rank(r_small, route) if fact.r else QMatrix.zeros(0, 0)
-    x = mm(mm(fact.f, inv), fact.g)
-    return InverseReport(
-        x=x, exists=True, reason="",
-        classification=_classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"]),
-        residuals=_defining_residuals(a, x),
-        ranks=ranks, side=side, route=route)
+    ranks = {"nu": rank(a), "s": fact.r, "t": fact.r}
+    x, ranks["w"] = _urquhart(a, fact.f, fact.g, route,
+                              _full_rank_inverse(route, fact.r))
+    if x is not None:
+        return _report(a, x, ranks, side, route, penrose=penrose)
+    return _report(
+        a, QMatrix.zeros(a.ncols, a.nrows), ranks, side, route,
+        classification=dict.fromkeys(
+            ("is_one_inverse", "is_outer", "range_matches",
+             "nullspace_matches", "is_12_unique"), False),
+        penrose=penrose,
+        reason="prescribed-space inverse does not exist: "
+               f"G*A*F is singular (rank {ranks['w']} < {fact.r})")
 
 
 def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseReport:
@@ -273,6 +277,7 @@ def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseRepo
     small matrix means no outer inverse with those spaces exists; the report
     carries ``exists=False`` instead of raising.
     """
+    _check_route(route)
     m, n = a.shape
     if w1.shape != (n, m):
         raise ValueError(f"W1 has shape {w1.shape}, expected {(n, m)}")
@@ -287,6 +292,7 @@ def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseRepor
     R_l(W2) = R_l(S2), N_l(W2) = N_l(T2)) and returns
     X = T2 (S2 A T2)^{-1} S2 when the small matrix is invertible.
     """
+    _check_route(route)
     m, n = a.shape
     if w2.shape != (n, m):
         raise ValueError(f"W2 has shape {w2.shape}, expected {(n, m)}")
@@ -297,23 +303,9 @@ def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseRepor
 # ======================================================= classical inverses
 
 
-def _hermitian_residuals(ax: QMatrix, xa: QMatrix) -> dict:
-    # Penrose conditions 3 and 4: AX and XA Hermitian
-    return {
-        "p3": fro_norm(conj_transpose(ax) - ax),
-        "p4": fro_norm(conj_transpose(xa) - xa),
-    }
-
-
 def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
     """Absolute Frobenius residuals of the four Penrose conditions."""
-    ax = mat_mul(a, x)
-    xa = mat_mul(x, a)
-    return {
-        "one": fro_norm(mat_mul(ax, a) - a),
-        "outer": fro_norm(mat_mul(xa, x) - x),
-        **_hermitian_residuals(ax, xa),
-    }
+    return _defining_residuals(a, x, penrose=True)
 
 
 def pinv_report(a: QMatrix, method: str = "svd",
@@ -325,21 +317,17 @@ def pinv_report(a: QMatrix, method: str = "svd",
     and inverts the small matrix (the W-prescribed construction with
     W = A*).  Combined with route this gives four realizations.
     """
+    _check_route(route)
     astar = conj_transpose(a)
     if method == "svd":
-        rep = outer_right(a, astar, astar, route=route)
-    elif method == "frd":
-        rep = outer_w_right(a, astar, route=route)
-    else:
-        raise ValueError(f"unknown pinv method {method!r}")
-    # rep.residuals already holds "one" and "outer", from the same products
-    residuals = dict(rep.residuals)
-    residuals.update(
-        _hermitian_residuals(mat_mul(a, rep.x), mat_mul(rep.x, a)))
-    return InverseReport(x=rep.x, exists=rep.exists, reason=rep.reason,
-                         classification=rep.classification,
-                         residuals=residuals, ranks=rep.ranks,
-                         side=rep.side, route=rep.route)
+        # outer_right(a, A*, A*), with the Penrose residuals from its products
+        ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar)}
+        x, ranks["w"] = _urquhart(a, astar, astar, route, _svd_inverse(route))
+        return _report(a, x, ranks, "right", route, penrose=True)
+    if method == "frd":
+        fact = full_rank_decompose(astar, side="column-form", route=route)
+        return _w_report(a, "right", route, fact, penrose=True)
+    raise ValueError(f"unknown pinv method {method!r}")
 
 
 def pinv(a: QMatrix, method: str = "svd", route: str = "direct") -> QMatrix:
@@ -357,6 +345,7 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     cond(A).  Use this for solving linear systems; use :func:`pinv` when the
     inverse matrix itself is the object of study.
     """
+    _check_route(route)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
@@ -366,9 +355,23 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
         return QMatrix.zeros(a.shape[1], b.shape[1])
     u_r = QMatrix(sv.u.q1[:, :r], sv.u.q2[:, :r])
     v_r = QMatrix(sv.v.q1[:, :r], sv.v.q2[:, :r])
-    y = mat_mul(conj_transpose(u_r), b)
+    mm = _route_mul(route)
+    y = mm(conj_transpose(u_r), b)
     inv_s = (1.0 / sv.sigma[:r])[:, None]
-    return mat_mul(v_r, QMatrix(inv_s * y.q1, inv_s * y.q2))
+    return mm(v_r, QMatrix(inv_s * y.q1, inv_s * y.q2))
+
+
+def _normalized_powers(a: QMatrix):
+    # A^0 = I, A^1, A^2, ... (A square), each power after A^0 rescaled to
+    # unit Frobenius norm, which leaves its ranks and spaces unchanged
+    b = a * (1.0 / max(1.0, fro_norm(a)))
+    p = QMatrix.eye(a.nrows)
+    while True:
+        yield p
+        p = mat_mul(p, b)
+        nrm = fro_norm(p)
+        if nrm > 0.0:
+            p = p * (1.0 / nrm)
 
 
 def mat_index(a: QMatrix) -> int:
@@ -382,31 +385,13 @@ def mat_index(a: QMatrix) -> int:
         raise ValueError(f"index needs a square matrix, got {a.shape}")
     if n == 0:
         return 0
-    b = a * (1.0 / max(1.0, fro_norm(a)))
-    p = QMatrix.eye(n)
     prev = n  # rank(A^0)
-    for j in range(1, n + 2):
-        p = mat_mul(p, b)
-        nrm = fro_norm(p)
-        if nrm > 0.0:
-            p = p * (1.0 / nrm)
-        r = rank(p)
+    for k, p in enumerate(islice(_normalized_powers(a), 1, n + 2)):
+        r = rank(p)  # rank(A^{k+1})
         if r == prev:
-            return j - 1
+            return k
         prev = r
     raise RuntimeError("rank sequence failed to stabilize")  # unreachable
-
-
-def _normalized_power(a: QMatrix, k: int) -> QMatrix:
-    n = a.nrows
-    b = a * (1.0 / max(1.0, fro_norm(a)))
-    p = QMatrix.eye(n)
-    for _ in range(k):
-        p = mat_mul(p, b)
-        nrm = fro_norm(p)
-        if nrm > 0.0:
-            p = p * (1.0 / nrm)
-    return p
 
 
 def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
@@ -416,15 +401,18 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
     rescaling leaves untouched, so normalized powers feed it directly.
     Satisfies A^{k+1} X = A^k, XAX = X, AX = XA.
     """
+    _check_route(route)
     m, n = a.shape
     if m != n:
         raise ValueError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    return _drazin_with_index(a, mat_index(a), route)
+    power = next(islice(_normalized_powers(a), mat_index(a), None))
+    return _drazin_from_power(a, power, route)
 
 
-def _drazin_with_index(a: QMatrix, k: int, route: str) -> QMatrix:
-    # the Drazin inverse of square A, given k = mat_index(A)
-    rep = outer_w_right(a, _normalized_power(a, k), route=route)
+def _drazin_from_power(a: QMatrix, power: QMatrix, route: str) -> QMatrix:
+    # the Drazin inverse of square A, given A^k (k = mat_index(A)) up to a
+    # positive real scale
+    rep = outer_w_right(a, power, route=route)
     if not rep.exists:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(rep.reason)
     return rep.x
@@ -437,6 +425,7 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     raises :class:`InverseExistenceError` since the group inverse requires
     rank(A^2) = rank(A).
     """
+    _check_route(route)
     m, n = a.shape
     if m != n:
         raise ValueError(f"group inverse needs a square matrix, got {a.shape}")

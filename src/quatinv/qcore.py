@@ -239,6 +239,12 @@ def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(row[:, :n], row[:, n:])
 
 
+def _route_mul(route: str):
+    # the product of a route ("direct" or "crep"), read from the module
+    # globals at call time so wrappers installed on those names are seen
+    return mat_mul if route == "direct" else crep_mul
+
+
 def conj_transpose(a: QMatrix) -> QMatrix:
     """Conjugate transpose ``A*``; satisfies ``(A*)^C = (A^C)*``."""
     return QMatrix(np.conj(a.q1).T, -a.q2.T)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quatinv.cli import main
+from quatinv.geninv import pinv
 from quatinv.qcore import (
     QMatrix,
     fro_norm,
@@ -118,6 +119,23 @@ def test_drazin_and_group_on_block_example(tmp_path):
     code = main(["group", "--in", str(a_path), "--json", str(rpt)])
     assert code == 1  # index 2 > 1: no group inverse
     assert load_json(rpt)["exists"] is False
+
+
+def test_drazin_power_residual_is_relative(tmp_path):
+    # "power" is ||A A^k X - A^k|| on A^k rescaled to unit Frobenius norm,
+    # so it does not grow with the scale of A (here ||A^2|| ~ 1e12)
+    rng = np.random.default_rng(3)
+    q1 = np.diag([2.0, 0.0, 0.0]).astype(complex)
+    q1[1, 2] = 1.0
+    p = random_qmat(3, 3, rng) + QMatrix.eye(3) * 3.0
+    a = mat_mul(mat_mul(p, QMatrix(q1, np.zeros((3, 3), complex))), pinv(p))
+    a_path = tmp_path / "A.qmat"
+    write_qmat(a_path, a * 1e6)
+    rpt = tmp_path / "d.json"
+    assert main(["drazin", "--in", str(a_path), "--json", str(rpt)]) == 0
+    report = load_json(rpt)
+    assert report["index"] == 2
+    assert report["residuals"]["power"] <= 1e-12
 
 
 def test_group_on_invertible(tmp_path):

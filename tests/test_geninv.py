@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quatinv import geninv, qcore
 from quatinv.factor import full_rank_decompose, qsvd, rank
 from quatinv.geninv import (
     InverseExistenceError,
@@ -430,6 +431,54 @@ def test_pinv_solve_minimum_norm_on_rank_deficient():
     assert fro_norm(pinv_solve(zero, random_qmat(3, 2, rng))) == 0.0
 
 
+def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
+    # the crep route applies its SVD factors with crep products only
+    rng = np.random.default_rng(41)
+    a, b = random_qmat(6, 4, rng), random_qmat(6, 2, rng)
+    calls = []
+
+    def spy(x, y):
+        calls.append((x.shape, y.shape))
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(geninv, "mat_mul", spy)
+    monkeypatch.setattr(qcore, "mat_mul", spy)
+    pinv_solve(a, b, route="crep")
+    assert calls == []
+    pinv_solve(a, b, route="direct")
+    assert len(calls) == 2
+
+
+CONSTRUCTORS = {
+    "outer_right": lambda a, route: outer_right(a, a, a, route=route),
+    "outer_left": lambda a, route: outer_left(a, a, a, route=route),
+    "outer_both": lambda a, route: outer_both(a, a, a, route=route),
+    "outer_w_right": lambda a, route: outer_w_right(a, a, route=route),
+    "outer_w_left": lambda a, route: outer_w_left(a, a, route=route),
+    "pinv": lambda a, route: pinv(a, route=route),
+    "pinv_report": lambda a, route: pinv_report(a, route=route),
+    "pinv_solve": lambda a, route: pinv_solve(a, a, route=route),
+    "drazin": lambda a, route: drazin(a, route=route),
+    "group_inverse": lambda a, route: group_inverse(a, route=route),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_unknown_route_is_rejected_before_any_rank(name, monkeypatch):
+    ranked = []
+    real_rank = geninv.rank
+
+    def spy(x):
+        ranked.append(x.shape)
+        return real_rank(x)
+
+    monkeypatch.setattr(geninv, "rank", spy)
+    a = NILP + QMatrix.eye(2)
+    with pytest.raises(ValueError, match="unknown route"):
+        CONSTRUCTORS[name](a, "complex")
+    assert ranked == []
+
+
 # -------------------------------------------------------------- mat_index
 
 
@@ -587,6 +636,7 @@ def test_subspace_dimension_mismatch():
 
 def test_route_agreement_all_constructors():
     rng = np.random.default_rng(39)
+    extra = np.random.default_rng(139)
     for _ in range(10):
         a = rand_rank_deficient(5, 4, 3, rng)
         s1 = random_qmat(4, 2, rng)
@@ -600,6 +650,18 @@ def test_route_agreement_all_constructors():
         assert rd.exists == rc.exists
         if rd.exists:
             assert fro_norm(rd.x - rc.x) <= 1e-10 * max(1.0, fro_norm(rd.x))
+        # the mirrored and both-sided constructors, drawn from their own
+        # generator so the inputs above stay as they were
+        s2, t2 = random_qmat(2, 5, extra), random_qmat(4, 2, extra)
+        s, t = (rand_rank_deficient(4, 5, 2, extra) for _ in range(2))
+        w2 = rand_rank_deficient(4, 5, 2, extra)
+        for build in (lambda route: outer_left(a, s2, t2, route=route),
+                      lambda route: outer_both(a, s, t, route=route),
+                      lambda route: outer_w_left(a, w2, route=route)):
+            rd, rc = build("direct"), build("crep")
+            assert rd.exists == rc.exists
+            if rd.exists:
+                assert fro_norm(rd.x - rc.x) <= 1e-10 * max(1.0, fro_norm(rd.x))
 
 
 def test_classification_soundness():
