@@ -81,7 +81,11 @@ def _emit_json(args, payload) -> None:
 
 
 def _report_payload(op, rep, tol):
-    worst = max(rep.residuals.values()) if rep.residuals else 0.0
+    name, worst = max(rep.residuals.items(), key=lambda kv: kv[1],
+                      default=("", 0.0))
+    if not worst <= tol:  # a NaN residual warns too
+        print(f"{op}: warning: worst residual {name} = {worst:.3e} "
+              f"exceeds --tol {tol:g}", file=sys.stderr)
     return {
         "op": op,
         "route": rep.route,
@@ -232,6 +236,7 @@ def cmd_svd(args) -> int:
 
 
 def cmd_deblur(args) -> int:
+    seed = _resolve_seed(args)  # a bad QUATINV_SEED must fail before any write
     img = read_ppm(args.image)
     op = build_blur(args.p, args.q, args.sigma, args.r, args.s)
     b = blur(op, img)
@@ -244,7 +249,6 @@ def cmd_deblur(args) -> int:
             write_ppm(args.real_out, real_img)
     if args.out:
         write_ppm(args.out, restored)
-    seed = _resolve_seed(args)
     _emit_json(args, deblur_report(op, img, quat_m, real_m, seed))
     print(f"deblur {img.h}x{img.w}: PSNR {quat_m.psnr:.2f} dB, "
           f"SSIM {quat_m.ssim:.4f}, RR {quat_m.rr:.3e}")
@@ -295,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: QUATINV_SEED or 0)")
     shared.add_argument("--tol", type=float, default=1e-8,
-                        help="tolerance used in report flags")
+                        help="tolerance for within_tol; a worst residual "
+                        "above it prints a warning on stderr")
     shared.add_argument("--out", default=None,
                         help="output file (or prefix for multi-file commands)")
     shared.add_argument("--json", default=None,

@@ -5,15 +5,15 @@ Two computational routes are kept genuinely separate throughout:
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
   pair (quaternion Householder bidiagonalization to a real bidiagonal, whose
   SVD is then real LAPACK work; quaternion row operations for the
-  elimination).  The bidiagonalization loop updates only the matrix; U and
-  V are accumulated once afterwards from the recorded reflectors in
-  compact-WY form, I - Y T Y*, times one diagonal of unit-quaternion
-  phases.  A^C is never formed.
+  elimination).  The bidiagonalization loop applies only the reflectors;
+  one scalar pass then finds the unit-quaternion phases that make the
+  bidiagonal real, and U and V are the reflector products in compact-WY
+  form, I - Y T Y*, times one diagonal of phases.  A^C is never formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
-  representation (one complex SVD / GEMM of doubled size, followed by exact
-  restoration of the quaternion block structure; singular-vector pairs the
-  pairing walk misses are picked by largest residual, each pick deflating
-  the candidates by one rank-2 update).
+  representation (one complex SVD / GEMM of doubled size, and no other
+  factorization, followed by exact restoration of the quaternion block
+  structure; one routine pairs the singular vectors of either side, picking
+  the pairs its walk misses by largest residual).
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -129,36 +129,43 @@ def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _greedy_pairs(columns: np.ndarray, svals: np.ndarray, half: int,
-                  want: int):
-    """Walk `columns` in order, keeping one representative per antiunitary pair.
+def _pairs(cands: np.ndarray, half: int, walk: int):
+    """`half` orthonormal pair representatives from the columns of `cands`.
 
-    Each kept column w is orthonormalized against everything kept so far and
-    against the forced partners -J conj(w); a column that deflates to (near)
-    nothing is the partner of an earlier keep and is skipped.  Returns the
-    kept representatives, their associated singular values, and the full
-    orthonormal basis (keeps + partners) for later completion.
+    The first `walk` columns are walked in order; each is orthonormalized
+    against the pairs kept so far (w and its forced partner -J conj(w)), and
+    one that deflates to (near) nothing is a partner and is skipped.  Pairs
+    the walk falls short of are completed from the residuals of the columns
+    not kept, which with the kept pairs must span a space closed under
+    w -> -J conj(w).  Returns the representatives as columns and the column
+    of `cands` each came from.
     """
-    basis = np.empty((columns.shape[0], 2 * want), dtype=complex)
+    basis = np.empty((cands.shape[0], 2 * half), dtype=complex)
     k = 0
-    reps, sigs = [], []
-    for idx in range(columns.shape[1]):
-        if len(reps) == want:
+    src = []
+    for idx in range(walk):
+        if k == 2 * half:
             break
-        v = columns[:, idx].astype(complex)
+        v = cands[:, idx].copy()
         if k:
             kept = basis[:, :k]
             v -= kept @ np.conj(np.conj(v) @ kept)
         nrm = np.linalg.norm(v)
         if nrm <= math.sqrt(0.5):
             continue  # partner of an earlier keep
-        w = v / nrm
-        reps.append(w)
-        sigs.append(float(svals[idx]))
-        basis[:, k] = w
-        basis[:, k + 1] = _psi_partner(w, half)
+        basis[:, k] = v / nrm
+        basis[:, k + 1] = _psi_partner(basis[:, k], half)
+        src.append(idx)
         k += 2
-    return reps, sigs, basis[:, :k]
+    reps = basis[:, 0:k:2]
+    if k < 2 * half:
+        kept = basis[:, :k]
+        rest = np.delete(np.arange(cands.shape[1]), src)
+        resid = cands[:, rest] - kept @ (kept.conj().T @ cands[:, rest])
+        extra, picked = _complete_pairs(resid, half, half - k // 2)
+        reps = np.column_stack([reps] + extra)
+        src += rest[picked].tolist()
+    return reps, src
 
 
 def _complete_pairs(cands: np.ndarray, half: int, count: int):
@@ -184,43 +191,27 @@ def _complete_pairs(cands: np.ndarray, half: int, count: int):
 def _qsvd_crep(a: QMatrix) -> QSvdResult:
     m, n = a.shape
     c = to_crep(a).data  # exactly symplectic by construction
-    _, shat, vhat_h = np.linalg.svd(c, full_matrices=True)
-    vhat = vhat_h.conj().T
+    uhat, shat, vhat_h = np.linalg.svd(c, full_matrices=True)
     svals = np.zeros(2 * n)
     svals[: shat.size] = shat
 
     # right singular pairs.  Within a repeated (or null) singular value the
     # columns of vhat need not come paired and the walk can fall short; the
-    # rest is picked from the walked columns' residuals, which stay inside
+    # rest is picked from the skipped columns' residuals, which stay inside
     # their own singular subspace and so keep their singular values.
-    w_reps, w_sigs, w_basis = _greedy_pairs(vhat, svals, n, n)
-    if len(w_reps) < n:
-        resid = vhat - w_basis @ (w_basis.conj().T @ vhat)
-        extra, picked = _complete_pairs(resid, n, n - len(w_reps))
-        w_reps += extra
-        w_sigs += [float(svals[t]) for t in picked]
-
-    order = np.argsort(-np.asarray(w_sigs), kind="stable")
-    w_cols = np.column_stack([w_reps[t] for t in order])
-    sigma = np.asarray(w_sigs)[order][: min(m, n)]
+    w_cols, src = _pairs(vhat_h.conj().T, n, 2 * n)
+    w_sigs = svals[src]
+    order = np.argsort(-w_sigs, kind="stable")
+    w_cols = w_cols[:, order]
+    sigma = w_sigs[order][: min(m, n)]
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma, m, n)))
 
-    # left vectors: u_c = C w_c / sigma_c above the rank cut, then re-paired
-    # to restore exact orthonormality, then symplectic completion (which
-    # also makes up any representative the re-pairing lost)
-    u_basis = np.zeros((2 * m, 0), dtype=complex)
-    u_reps = []
-    if r:
-        raw = c @ w_cols[:, :r] / sigma[:r]
-        u_reps, _, u_basis = _greedy_pairs(raw, sigma[:r], m, r)
-    if len(u_reps) < m:
-        # the complement of the left pairs, from one complete QR, is closed
-        # under w -> -J conj(w)
-        q, _ = np.linalg.qr(u_basis, mode="complete")
-        extra, _ = _complete_pairs(q[:, u_basis.shape[1]:], m,
-                                   m - len(u_reps))
-        u_reps += extra
-    u_cols = np.column_stack(u_reps)
+    # left vectors: u_c = C w_c / sigma_c above the rank cut, re-paired to
+    # restore exact orthonormality, then completed from those columns and
+    # the complex SVD's left vectors past 2r, whose span is closed under
+    # w -> -J conj(w) and also holds any representative the walk lost
+    raw = c @ w_cols[:, :r] / sigma[:r]
+    u_cols, _ = _pairs(np.hstack([raw, uhat[:, 2 * r:]]), m, r)
 
     u = QMatrix(u_cols[:m, :], -np.conj(u_cols[m:, :]))
     v = QMatrix(w_cols[:n, :], -np.conj(w_cols[n:, :]))
@@ -311,27 +302,39 @@ def _wy_product(y1, y2, tau):
     return np.eye(rows) - z1, -z2
 
 
+def _unit_product(x1, x2, s1, s2):
+    # x s / |x s| on Python complex pairs, or s when x = 0.  Dividing by
+    # |x s| rather than |x| keeps a long chain of phases unit
+    t1, t2 = x1 * s1 - x2 * s2.conjugate(), x1 * s2 + x2 * s1.conjugate()
+    h = math.hypot(abs(t1), abs(t2))
+    return (t1 / h, t2 / h) if h > 0.0 else (s1, s2)
+
+
 def _bidiagonalize(a: QMatrix):
     """Reduce A (m >= n) to real upper bidiagonal B = U* A V by quaternion
-    Householder reflectors with unit-quaternion phase normalization.
+    Householder reflectors and unit-quaternion phases.
 
-    The loop updates only B.  U = H_0 D_0 H_1 D_1 ... where each phase D_c
-    acts on index c alone and so commutes with every later reflector: U is
-    the reflector product, accumulated once in compact-WY form, times one
-    diagonal of phases.  V likewise.
+    The loop applies only the reflectors, to B alone, and leaves a quaternion
+    bidiagonal with diagonal d_c and superdiagonal e_c.  A reflector built
+    from x s, for a unit scalar s, equals the one built from x, so the phases
+    that make B real can wait until after the loop: one scalar pass finds
+    P = diag(p_c), Q = diag(q_c) with P* B Q real and nonnegative,
+
+        q_0 = 1,  p_c = d_c q_c / |d_c|,  q_{c+1} = conj(e_c) p_c / |e_c|
+
+    (p_c = q_c when d_c = 0 and q_{c+1} = p_c when e_c = 0: any unit phase
+    serves there).  U is the reflector product, accumulated once in
+    compact-WY form, times P; V likewise, times Q.
     """
     m, n = a.shape
     b1, b2 = a.q1.astype(complex), a.q2.astype(complex)
-    # reflector vectors (zero above their pivot), real taus, and the unit
-    # phases each U / V column is right-multiplied by
+    # reflector vectors (zero above their pivot) and real taus
     yu1 = np.zeros((m, n), dtype=complex)
     yu2 = np.zeros((m, n), dtype=complex)
     yv1 = np.zeros((n, n - 1), dtype=complex)
     yv2 = np.zeros((n, n - 1), dtype=complex)
     tau_u = np.zeros(n)
     tau_v = np.zeros(n - 1)
-    pu1, pu2 = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
-    pv1, pv2 = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
     for c in range(n):
         ref = _reflector(b1[c:, c], b2[c:, c])
@@ -339,14 +342,6 @@ def _bidiagonalize(a: QMatrix):
             rv, tau_u[c] = ref
             yu1[c:, c], yu2[c:, c] = rv.T
             _reflect_rows(b1[c:, c:], b2[c:, c:], rv, tau_u[c])
-        # make the diagonal entry real nonnegative: row *= d, U col *= conj(d)
-        pa = math.sqrt(abs(complex(b1[c, c])) ** 2 + abs(complex(b2[c, c])) ** 2)
-        if pa > 0.0:
-            d1, d2 = np.conj(b1[c, c]) / pa, -b2[c, c] / pa
-            b1[c, c:], b2[c, c:] = _scalar_times(d1, d2, b1[c, c:], b2[c, c:])
-            pu1[c], pu2[c] = np.conj(d1), -d2
-            b1[c, c] = b1[c, c].real
-            b2[c, c] = 0.0
         if c + 1 < n:
             # right reflector built from the conjugated row tail
             ref = _reflector(np.conj(b1[c, c + 1:]), -b2[c, c + 1:])
@@ -354,20 +349,21 @@ def _bidiagonalize(a: QMatrix):
                 rv, tau_v[c] = ref
                 yv1[c + 1:, c], yv2[c + 1:, c] = rv.T
                 _reflect_cols(b1[c:, c + 1:], b2[c:, c + 1:], rv, tau_v[c])
-            pa = math.sqrt(abs(complex(b1[c, c + 1])) ** 2
-                           + abs(complex(b2[c, c + 1])) ** 2)
-            if pa > 0.0:
-                q1c, q2c = b1[c, c + 1], b2[c, c + 1]
-                e1, e2 = np.conj(q1c) / pa, -q2c / pa
-                b1[c:, c + 1], b2[c:, c + 1] = _times_scalar(
-                    b1[c:, c + 1], b2[c:, c + 1], e1, e2)
-                pv1[c + 1], pv2[c + 1] = e1, e2
-                b1[c, c + 1] = b1[c, c + 1].real
-                b2[c, c + 1] = 0.0
+
+    d = np.hypot(np.abs(b1.diagonal()), np.abs(b2.diagonal()))
+    e = np.hypot(np.abs(b1.diagonal(1)), np.abs(b2.diagonal(1)))
+    pu1, pu2 = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
+    pv1, pv2 = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    s = (1.0 + 0j, 0j)  # the running phase: q_c, then p_c
+    for c in range(n):
+        pv1[c], pv2[c] = s
+        s = _unit_product(complex(b1[c, c]), complex(b2[c, c]), *s)
+        pu1[c], pu2[c] = s
+        if c + 1 < n:
+            s = _unit_product(complex(b1[c, c + 1]).conjugate(),
+                              -complex(b2[c, c + 1]), *s)
     u1, u2 = _times_scalar(*_wy_product(yu1, yu2, tau_u), pu1, pu2)
     v1, v2 = _times_scalar(*_wy_product(yv1, yv2, tau_v), pv1, pv2)
-    d = b1.diagonal().real.copy()
-    e = b1.diagonal(1).real.copy()
     return QMatrix(u1, u2), d, e, QMatrix(v1, v2)
 
 

@@ -10,6 +10,7 @@ from quatinv.cli import main
 from quatinv.geninv import pinv
 from quatinv.qcore import (
     QMatrix,
+    conj_transpose,
     fro_norm,
     mat_mul,
     random_qmat,
@@ -80,6 +81,47 @@ def test_outer_classification_flags(tmp_path):
     cls = report["classification"]
     assert cls["is_one_inverse"] and cls["is_12_unique"]
     assert report["ranks"]["nu"] == 5
+
+
+def write_inputs(tmp_path, **mats):
+    paths = {}
+    for name, m in mats.items():
+        paths[name] = str(tmp_path / f"{name}.qmat")
+        write_qmat(paths[name], m)
+    return paths
+
+
+def residual_command(command, tmp_path):
+    a = random_qmat(6, 4, np.random.default_rng(7))
+    if command == "pinv":
+        p = write_inputs(tmp_path, A=a)
+        return ["pinv", "--in", p["A"]]
+    if command == "outer":
+        p = write_inputs(tmp_path, A=a, S=QMatrix.eye(4), T=QMatrix.eye(6))
+        return ["outer", "--in", p["A"], "--s", p["S"], "--t", p["T"]]
+    p = write_inputs(tmp_path, A=a, W=conj_transpose(a))
+    return ["outer-w", "--in", p["A"], "--w", p["W"]]
+
+
+@pytest.mark.parametrize("command", ["pinv", "outer", "outer-w"])
+@pytest.mark.parametrize("tol", [1e-300, None])
+def test_residual_above_tol_warns_on_stderr(command, tol, tmp_path, capsys):
+    args = residual_command(command, tmp_path)
+    rpt = tmp_path / "r.json"
+    tol_args = [] if tol is None else ["--tol", str(tol)]
+    assert main(args + tol_args + ["--json", str(rpt)]) == 0
+    report = load_json(rpt)
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "warning:" in line]
+    worst = max(report["residuals"], key=report["residuals"].get)
+    if tol is None:  # the default 1e-8 holds
+        assert report["within_tol"] is True
+        assert warnings == []
+    else:
+        assert report["within_tol"] is False
+        assert len(warnings) == 1
+        assert f"worst residual {worst} =" in warnings[0]
+        assert "--tol 1e-300" in warnings[0]
 
 
 def test_outer_w_existence_failure_exits_1(tmp_path):
@@ -246,6 +288,20 @@ def test_deblur_rejects_height_mismatch(tmp_path, capsys):
     assert main(["deblur", "--image", str(ppm), "--p", "2", "--q", "8"]) == 2
     err = capsys.readouterr().err
     assert "12" in err and "16" in err
+
+
+def test_deblur_bad_env_seed_writes_nothing(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(4)
+    ppm = tmp_path / "in.ppm"
+    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))
+    out, real, rpt = (tmp_path / f for f in ("q.ppm", "r.ppm", "m.json"))
+    monkeypatch.setenv("QUATINV_SEED", "not-a-number")
+    code = main(["deblur", "--image", str(ppm), "--p", "2", "--q", "8",
+                 "--compare-real", "--out", str(out), "--real-out", str(real),
+                 "--json", str(rpt)])
+    assert code == 2
+    assert "QUATINV_SEED" in capsys.readouterr().err
+    assert not (out.exists() or real.exists() or rpt.exists())
 
 
 def test_lorenz_filter_cli(tmp_path):

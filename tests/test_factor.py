@@ -262,6 +262,23 @@ def test_qsvd_rank_deficient_completion(method, m, n, r, completions):
         assert sum(count for half, count in completions if half == m) >= m - r
 
 
+@pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3),
+                                   (9, 4, 4), (4, 9, 4)])
+def test_qsvd_crep_factors_once(m, n, r, monkeypatch):
+    # the left pairs are completed from the one complex SVD's own left
+    # vectors, with no second factorization of the pairs already found
+    a = rand_rank_deficient(m, n, r, np.random.default_rng(m * n + r))
+    calls = []
+    for name in ("svd", "qr"):
+        def spy(*args, _name=name, _inner=getattr(np.linalg, name), **kw):
+            calls.append(_name)
+            return _inner(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, spy)
+    res = qsvd(a, method="crep")
+    assert calls == ["svd"]
+    assert res.rank == r
+
+
 @pytest.mark.parametrize("method", ["crep", "direct"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_qsvd_and_rank_reject_non_finite(method, bad):
