@@ -3,17 +3,19 @@
 Two computational routes are kept genuinely separate throughout:
 
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
-  pair (quaternion Householder bidiagonalization to a real bidiagonal, whose
-  SVD is then real LAPACK work; quaternion row operations for the
-  elimination).  The bidiagonalization loop applies only the reflectors;
-  one scalar pass then finds the unit-quaternion phases that make the
-  bidiagonal real, and U and V are the reflector products in compact-WY
-  form, I - Y T Y*, times one diagonal of phases.  A^C is never formed.
+  pair (quaternion Householder reflectors: bidiagonalization to a real
+  bidiagonal, whose SVD is then real LAPACK work, and the column-pivoted QR
+  of the full rank decomposition).  The bidiagonalization loop applies only
+  the reflectors; one scalar pass then finds the unit-quaternion phases that
+  make the bidiagonal real, and U and V are the reflector products in
+  compact-WY form, I - Y T Y*, times one diagonal of phases.  A^C is never
+  formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, and no other
   factorization, followed by exact restoration of the quaternion block
   structure; one routine pairs the singular vectors of either side, picking
-  the pairs its walk misses by largest residual).
+  the pairs its walk misses by largest residual; the pivoted QR applies each
+  reflector to paired rows of A^C).
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -29,8 +31,9 @@ from .qcore import (
     QMatrix,
     _route_mul,
     conj_transpose,
-    fro_norm,
+    from_crep,
     mat_mul,
+    symmetrize_crep,
     to_crep,
 )
 
@@ -405,116 +408,102 @@ class FullRankFactorization:
         return self.r == 0
 
 
-def _elim_tol(a: QMatrix) -> float:
+def _pivot(x1, x2):
+    # the column of the pair (x1, x2) with the largest quaternion norm, and
+    # that norm
+    w = np.sum(np.abs(x1) ** 2 + np.abs(x2) ** 2, axis=0)
+    j = int(np.argmax(w))
+    return j, math.sqrt(w[j])
+
+
+def _qr_direct(a: QMatrix):
+    """Column-pivoted quaternion Householder QR on the component pair.
+
+    Returns the column permutation, the rank r and X = R11^{-1} R12 as a
+    pair, found by back substitution with the pivots' quaternion inverses.
+    """
     m, n = a.shape
-    big = math.sqrt(float(a.abs2().max())) if m and n else 0.0
-    return max(m, n) * _EPS * big
-
-
-def _rref_direct(a: QMatrix, tol: float):
-    """Reduced row echelon form by quaternion row operations on the pair."""
-    a1, a2 = a.q1.copy(), a.q2.copy()
-    m, n = a1.shape
-    piv_cols = []
-    row = 0
-    # rejection threshold must follow element growth, or leftover rounding
-    # noise in a rank-deficient tail can masquerade as one more pivot
-    big = 0.0
-    for c in range(n):
-        if row == m:
+    b1, b2 = a.q1.copy(), a.q2.copy()
+    perm = np.arange(n)
+    r = stop = 0
+    for k in range(min(m, n)):
+        j, big = _pivot(b1[k:, k:], b2[k:, k:])
+        if k == 0:
+            stop = max(m, n) * _EPS * big
+        if big <= stop:
             break
-        big = max(big, math.sqrt(float((np.abs(a1) ** 2
-                                        + np.abs(a2) ** 2).max())))
-        tol_c = max(tol, max(m, n) * _EPS * big)
-        width = np.abs(a1[row:, c]) ** 2 + np.abs(a2[row:, c]) ** 2
-        imax = row + int(np.argmax(width))
-        if math.sqrt(float(width[imax - row])) <= tol_c:
-            continue
-        if imax != row:
-            a1[[row, imax]] = a1[[imax, row]]
-            a2[[row, imax]] = a2[[imax, row]]
-        p1, p2 = complex(a1[row, c]), complex(a2[row, c])
+        j += k
+        for arr in (b1, b2, perm):
+            arr[..., [k, j]] = arr[..., [j, k]]
+        _reflect_rows(b1[k:, k:], b2[k:, k:], *_reflector(b1[k:, k], b2[k:, k]))
+        r = k + 1
+    x1, x2 = np.empty((2, r, n - r), dtype=complex)
+    for k in reversed(range(r)):
+        z1, z2 = _pair_mm(b1[k, k + 1:r], b2[k, k + 1:r], x1[k + 1:], x2[k + 1:])
+        p1, p2 = b1[k, k], b2[k, k]
         n2 = abs(p1) ** 2 + abs(p2) ** 2
-        s1, s2 = np.conj(p1) / n2, -p2 / n2  # p^{-1}
-        a1[row], a2[row] = _scalar_times(s1, s2, a1[row], a2[row])
-        a1[row, c] = 1.0
-        a2[row, c] = 0.0
-        q1 = a1[:, c].copy()
-        q2 = a2[:, c].copy()
-        q1[row] = 0.0
-        q2[row] = 0.0
-        # rows -= q * pivot_row (quaternion outer update)
-        a1 -= q1[:, None] * a1[row][None, :] - q2[:, None] * np.conj(a2[row])[None, :]
-        a2 -= q1[:, None] * a2[row][None, :] + q2[:, None] * np.conj(a1[row])[None, :]
-        a1[:, c] = 0.0
-        a2[:, c] = 0.0
-        a1[row, c] = 1.0
-        piv_cols.append(c)
-        row += 1
-    return QMatrix(a1[:row], a2[:row]), piv_cols
+        x1[k], x2[k] = _scalar_times(np.conj(p1) / n2, -p2 / n2,
+                                     b1[k, r:] - z1, b2[k, r:] - z2)
+    return perm, r, QMatrix(x1, x2)
 
 
-def _rref_crep(a: QMatrix, tol: float):
-    """Same elimination, carried out on the doubled complex representation
-    with paired block rows (complex structure preserving)."""
+def _qr_crep(a: QMatrix):
+    """The same pivoted QR on A^C, structure preserving: columns c and n+c
+    of A^C (one quaternion column) move together, and each reflector acts
+    on the paired rows as the rank-2 complex update I - tau v^C (v^C)*.
+    X comes from a complex solve with the 2r-by-2r R11^C."""
     m, n = a.shape
-    d = to_crep(a).data.copy()
-    piv_cols = []
-    row = 0
-    # growth-aware threshold, mirroring _rref_direct (quaternion magnitudes
-    # read off the representative top block row pair)
-    big = 0.0
-    for c in range(n):
-        if row == m:
+    c = to_crep(a).data.copy()
+    perm = np.arange(n)
+    r = stop = 0
+    for k in range(min(m, n)):
+        # quaternion column norms, read off the top block row [Q1, Q2]
+        j, big = _pivot(c[k:m, k:n], c[k:m, n + k:])
+        if k == 0:
+            stop = max(m, n) * _EPS * big
+        if big <= stop:
             break
-        big = max(big, math.sqrt(float((np.abs(d[:m, :n]) ** 2
-                                        + np.abs(d[:m, n:]) ** 2).max())))
-        tol_c = max(tol, max(m, n) * _EPS * big)
-        width = np.abs(d[row:m, c]) ** 2 + np.abs(d[row:m, c + n]) ** 2
-        imax = row + int(np.argmax(width))
-        if math.sqrt(float(width[imax - row])) <= tol_c:
-            continue
-        if imax != row:
-            d[[row, imax]] = d[[imax, row]]
-            d[[m + row, m + imax]] = d[[m + imax, m + row]]
-        p1, p2 = complex(d[row, c]), complex(d[row, c + n])
-        n2 = abs(p1) ** 2 + abs(p2) ** 2
-        s1, s2 = np.conj(p1) / n2, -p2 / n2
-        sb = np.array([[s1, s2], [-np.conj(s2), np.conj(s1)]])
-        d[[row, m + row], :] = sb @ d[[row, m + row], :]
-        q1 = d[:m, c].copy()
-        q2 = d[:m, c + n].copy()
-        q1[row] = 0.0
-        q2[row] = 0.0
-        top = d[row, :].copy()
-        bot = d[m + row, :].copy()
-        d[:m, :] -= q1[:, None] * top[None, :] + q2[:, None] * bot[None, :]
-        d[m:, :] -= (-np.conj(q2)[:, None] * top[None, :]
-                     + np.conj(q1)[:, None] * bot[None, :])
-        for cc in (c, c + n):
-            d[:, cc] = 0.0
-        d[row, c] = 1.0
-        d[m + row, c + n] = 1.0
-        piv_cols.append(c)
-        row += 1
-    return QMatrix(d[:row, :n], d[:row, n:]), piv_cols
+        j += k
+        c[:, [k, j, n + k, n + j]] = c[:, [j, k, n + j, n + k]]
+        perm[[k, j]] = perm[[j, k]]
+        v, tau = _reflector(c[k:m, k], c[k:m, n + k])
+        vb = np.conj(v[:, ::-1]) * [-1, 1]  # v^C = [v; vb]
+        top, bot = c[k:m, k:], c[m + k:, k:]
+        h = tau * (v.conj().T @ top + vb.conj().T @ bot)
+        top -= v @ h
+        bot -= vb @ h
+        r = k + 1
+    rows = np.r_[:r, m:m + r]
+    x = np.linalg.solve(c[np.ix_(rows, np.r_[:r, n:n + r])],
+                        c[np.ix_(rows, np.r_[r:n, n + r:2 * n])])
+    return perm, r, from_crep(symmetrize_crep(x, r, n - r))
 
 
 def full_rank_decompose(a: QMatrix, side: str = "column-form",
                         route: str = "direct") -> FullRankFactorization:
-    """Full rank decomposition A = F G by column-pivoted elimination.
+    """Full rank decomposition A = F G by column-pivoted Householder QR.
+
+    A P = Q [[R11, R12], [0, R22]] with R11 r-by-r.  Each step pivots on the
+    trailing column of largest quaternion norm, and the QR stops once that
+    norm is at most max(m, n) eps times the first pivot's (the SVD rank rule
+    with this norm in place of sigma_1).  F is A's pivot columns in A's
+    column order and G = [I, R11^{-1} R12] P^T, the identity on F's columns.
 
     Parameters
     ----------
     a : QMatrix
     side : {"column-form", "row-form"}
-        "column-form": F is built from the pivot columns of A and G from the
-        reduced rows.  "row-form": the mirrored construction from the pivot
-        rows (the elimination runs on A* and the factors are conjugate-
-        transposed back), so the row factor inherits A's left spaces.
+        "column-form": F is built from the pivot columns of A.  "row-form":
+        the mirrored construction from the pivot rows (the QR runs on A* and
+        the factors are conjugate-transposed back), so the row factor
+        inherits A's left spaces.
     route : {"direct", "crep"}
-        Arithmetic realization of the elimination.
+        Arithmetic realization of the QR: quaternion reflectors on the
+        component pair, or their complex representations on A^C.
+
+    Raises ``ValueError`` for an input with NaN or Inf entries.
     """
+    _require_finite(a, "full_rank_decompose")
     kind = side.split("-")[0]
     if kind == "row":
         fact = full_rank_decompose(conj_transpose(a), side="column-form",
@@ -524,13 +513,20 @@ def full_rank_decompose(a: QMatrix, side: str = "column-form",
     if kind != "column":
         raise ValueError(f"unknown side {side!r}")
     if route == "direct":
-        g, piv = _rref_direct(a, _elim_tol(a))
+        perm, r, x = _qr_direct(a)
     elif route == "crep":
-        g, piv = _rref_crep(a, _elim_tol(a))
+        perm, r, x = _qr_crep(a)
     else:
         raise ValueError(f"unknown route {route!r}")
+    # row k of G belongs to pivot column piv[k]
+    order = np.argsort(perm[:r])
+    piv = perm[:r][order]
+    g1, g2 = np.zeros((2, r, a.ncols), dtype=complex)
+    g1[np.arange(r), piv] = 1.0
+    g1[:, perm[r:]] = x.q1[order]
+    g2[:, perm[r:]] = x.q2[order]
     f = QMatrix(a.q1[:, piv], a.q2[:, piv])
-    return FullRankFactorization(f, g, len(piv))
+    return FullRankFactorization(f, QMatrix(g1, g2), r)
 
 
 # ========================================================== {1}-inverse

@@ -28,7 +28,6 @@ __all__ = [
     "Quaternion",
     "QMatrix",
     "CRep",
-    "CRepRow",
     "QmatFormatError",
     "quat_mul",
     "mat_mul",
@@ -36,9 +35,7 @@ __all__ = [
     "conj_transpose",
     "fro_norm",
     "to_crep",
-    "to_crep_row",
     "from_crep",
-    "from_crep_row",
     "symmetrize_crep",
     "random_qmat",
     "hstack_q",
@@ -264,27 +261,11 @@ class CRep:
     n: int
 
 
-@dataclass(frozen=True)
-class CRepRow:
-    """First block row ``[Q1, Q2]`` of a complex representation (m-by-2n)."""
-
-    data: np.ndarray
-    m: int
-    n: int
-
-
 def to_crep(a: QMatrix) -> CRep:
     m, n = a.shape
     data = np.block([[a.q1, a.q2], [-np.conj(a.q2), np.conj(a.q1)]])
     data.setflags(write=False)
     return CRep(data, m, n)
-
-
-def to_crep_row(a: QMatrix) -> CRepRow:
-    m, n = a.shape
-    data = np.hstack([a.q1, a.q2])
-    data.setflags(write=False)
-    return CRepRow(data, m, n)
 
 
 def symplectic_residual(c: np.ndarray, m: int, n: int) -> float:
@@ -320,11 +301,6 @@ def from_crep(c: CRep) -> QMatrix:
             f"symplectic constraint violated: residual {res:.3e} exceeds "
             f"{CREP_TOL:.0e} * {scale:.3e}")
     return QMatrix(c.data[: c.m, : c.n], c.data[: c.m, c.n:])
-
-
-def from_crep_row(row: CRepRow) -> QMatrix:
-    """Extract a quaternion matrix from a first block row (always valid)."""
-    return QMatrix(row.data[:, : row.n], row.data[:, row.n:])
 
 
 def symmetrize_crep(c0, m: int, n: int) -> CRep:

@@ -290,6 +290,9 @@ def test_qsvd_and_rank_reject_non_finite(method, bad):
         qsvd(a, method=method)
     with pytest.raises(ValueError, match="non-finite entries"):
         rank(a)
+    for side in ("column-form", "row-form"):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            full_rank_decompose(a, side=side, route=method)
 
 
 def block_with_zero_columns(rng):
@@ -418,12 +421,42 @@ def test_frd_dependent_quaternion_columns():
 
 
 def test_frd_zero_matrix_is_empty():
-    fact = full_rank_decompose(QMatrix.zeros(3, 5))
-    assert fact.is_empty
-    assert fact.f.shape == (3, 0)
-    assert fact.g.shape == (0, 5)
-    assert qallclose(mat_mul(fact.f, fact.g), QMatrix.zeros(3, 5), 0.0) or True
-    assert fro_norm(mat_mul(fact.f, fact.g)) == 0.0
+    for m, n in [(3, 5), (0, 3), (3, 0), (0, 0)]:
+        for route in ("direct", "crep"):
+            for side in ("column-form", "row-form"):
+                fact = full_rank_decompose(QMatrix.zeros(m, n), side=side,
+                                           route=route)
+                assert fact.is_empty
+                assert fact.f.shape == (m, 0)
+                assert fact.g.shape == (0, n)
+                assert fro_norm(mat_mul(fact.f, fact.g)) == 0.0
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_frd_rank_of_uniform_rank_40_product(route, seed):
+    # sigma_40/sigma_1 ~ 2e-3 and sigma_41/sigma_1 ~ 3e-16: a clean rank.
+    # Gauss-Jordan elimination took rounding noise for a 41st pivot on seed
+    # 7 (both routes) and seed 42 (crep)
+    w = rand_rank_deficient(80, 120, 40, np.random.default_rng(seed))
+    fact = full_rank_decompose(w, route=route)
+    assert fact.r == 40
+    assert fro_norm(mat_mul(fact.f, fact.g) - w) <= 1e-12 * fro_norm(w)
+
+
+@pytest.mark.parametrize("side", ["column-form", "row-form"])
+def test_frd_direct_never_forms_the_complex_representation(side, monkeypatch):
+    import quatinv.factor
+    import quatinv.qcore
+
+    def refuse(a):
+        raise AssertionError("to_crep called on the direct route")
+    monkeypatch.setattr(quatinv.factor, "to_crep", refuse)
+    monkeypatch.setattr(quatinv.qcore, "to_crep", refuse)
+    a = rand_rank_deficient(7, 9, 4, np.random.default_rng(59))
+    fact = full_rank_decompose(a, side=side, route="direct")
+    assert fact.r == 4
+    assert qallclose(mat_mul(fact.f, fact.g), a, 1e-13)
 
 
 def test_frd_routes_agree():

@@ -12,7 +12,6 @@ from quatinv.qcore import (
     crep_mul,
     fro_norm,
     from_crep,
-    from_crep_row,
     mat_mul,
     quat_mul,
     random_qmat,
@@ -20,7 +19,6 @@ from quatinv.qcore import (
     symmetrize_crep,
     symplectic_residual,
     to_crep,
-    to_crep_row,
     write_qmat,
 )
 
@@ -156,14 +154,6 @@ def test_crep_round_trip_bitwise():
     rng = np.random.default_rng(10)
     a = random_qmat(3, 4, rng)
     back = from_crep(to_crep(a))
-    np.testing.assert_array_equal(back.q1, a.q1)
-    np.testing.assert_array_equal(back.q2, a.q2)
-
-
-def test_crep_row_round_trip():
-    rng = np.random.default_rng(11)
-    a = random_qmat(2, 5, rng)
-    back = from_crep_row(to_crep_row(a))
     np.testing.assert_array_equal(back.q1, a.q1)
     np.testing.assert_array_equal(back.q2, a.q2)
 

@@ -1,6 +1,6 @@
 """Property tests: both qsvd routes agree, reconstruct and return unitary
-factors, and the {1}-inverse built on them meets the Penrose equations,
-over random shapes."""
+factors, the {1}-inverse built on them meets the Penrose equations, and the
+full rank decomposition finds the SVD rank, over random shapes."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from quatinv.factor import one_inverse, qsvd, random_free_blocks  # noqa: E402
+from quatinv.factor import (  # noqa: E402
+    full_rank_decompose,
+    one_inverse,
+    qsvd,
+    random_free_blocks,
+    rank,
+)
 from quatinv.geninv import penrose_residuals  # noqa: E402
 from quatinv.qcore import (  # noqa: E402
     QMatrix,
@@ -55,6 +61,18 @@ def test_qsvd_routes_agree_and_reconstruct(a):
         assert fro_norm(res.reconstruct() - a) <= 1e-12 * scale
         assert unitary_defect(res.u) <= 1e-12
         assert unitary_defect(res.v) <= 1e-12
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(quaternion_matrices())
+def test_full_rank_decompose_finds_the_rank_and_reconstructs(a):
+    r = rank(a)
+    scale = max(1.0, fro_norm(a))
+    for route in ("direct", "crep"):
+        for side in ("column-form", "row-form"):
+            fact = full_rank_decompose(a, side=side, route=route)
+            assert fact.r == r
+            assert fro_norm(mat_mul(fact.f, fact.g) - a) <= 1e-12 * scale
 
 
 def kappa_eps(a):
