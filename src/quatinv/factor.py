@@ -14,8 +14,9 @@ Two computational routes are kept genuinely separate throughout:
   representation (one complex SVD / GEMM of doubled size, and no other
   factorization, followed by exact restoration of the quaternion block
   structure; one routine pairs the singular vectors of either side, picking
-  the pairs its walk misses by largest residual; the pivoted QR applies each
-  reflector to paired rows of A^C).
+  the pairs its walk misses by largest residual, with the residual norms
+  downdated pick by pick; the pivoted QR applies each reflector to paired
+  rows of A^C).
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -50,11 +51,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-def _rank_threshold(sigma: np.ndarray, m: int, n: int) -> float:
-    # sigma: deduplicated quaternion singular values, nonincreasing
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0.0
-    return max(m, n) * _EPS * float(sigma[0])
+def _rank_threshold(lead: float, m: int, n: int) -> float:
+    # the one rank rule: a value counts when it is above max(m, n) eps times
+    # the leading one (sigma_1 for an SVD, the first pivot's norm for a QR)
+    return max(m, n) * _EPS * lead
 
 
 def _require_finite(a: QMatrix, op: str) -> None:
@@ -76,7 +76,7 @@ def rank(a: QMatrix) -> int:
     if m == 0 or n == 0:
         return 0
     sig = _crep_singular_values(a)
-    return int(np.count_nonzero(sig > _rank_threshold(sig, m, n)))
+    return int(np.count_nonzero(sig > _rank_threshold(sig[0], m, n)))
 
 
 # =========================================================== quaternion SVD
@@ -138,10 +138,12 @@ def _pairs(cands: np.ndarray, half: int, walk: int):
     The first `walk` columns are walked in order; each is orthonormalized
     against the pairs kept so far (w and its forced partner -J conj(w)), and
     one that deflates to (near) nothing is a partner and is skipped.  Pairs
-    the walk falls short of are completed from the residuals of the columns
-    not kept, which with the kept pairs must span a space closed under
-    w -> -J conj(w).  Returns the representatives as columns and the column
-    of `cands` each came from.
+    the walk falls short of are completed by largest residual: the squared
+    residual norms of the columns not kept are found once, and each pick
+    takes the largest, is orthonormalized against the kept pairs and
+    downdates the rest by its own pair (the columns must span, with the kept
+    pairs, a space closed under w -> -J conj(w)).  Returns the
+    representatives as columns and the column of `cands` each came from.
     """
     basis = np.empty((cands.shape[0], 2 * half), dtype=complex)
     k = 0
@@ -160,35 +162,23 @@ def _pairs(cands: np.ndarray, half: int, walk: int):
         basis[:, k + 1] = _psi_partner(basis[:, k], half)
         src.append(idx)
         k += 2
-    reps = basis[:, 0:k:2]
     if k < 2 * half:
+        resid = (np.sum(np.abs(cands) ** 2, axis=0)
+                 - np.sum(np.abs(basis[:, :k].conj().T @ cands) ** 2, axis=0))
+        resid[src] = -np.inf
+    while k < 2 * half:
+        t = int(np.argmax(resid))
+        v = cands[:, t].copy()
         kept = basis[:, :k]
-        rest = np.delete(np.arange(cands.shape[1]), src)
-        resid = cands[:, rest] - kept @ (kept.conj().T @ cands[:, rest])
-        extra, picked = _complete_pairs(resid, half, half - k // 2)
-        reps = np.column_stack([reps] + extra)
-        src += rest[picked].tolist()
-    return reps, src
-
-
-def _complete_pairs(cands: np.ndarray, half: int, count: int):
-    """`count` pair representatives from the span of `cands`.
-
-    `cands` must be orthogonal to the pairs found so far and span a space
-    closed under w -> -J conj(w).  Each pick is the candidate with the
-    largest residual norm; the candidates are then deflated by the new pair.
-    Returns the representatives and the indices of the picked candidates.
-    """
-    reps, picked = [], []
-    for _ in range(count):
-        norms = np.linalg.norm(cands, axis=0)
-        t = int(np.argmax(norms))
-        w = cands[:, t] / norms[t]
-        for p in (w, _psi_partner(w, half)):
-            cands = cands - np.outer(p, np.conj(p) @ cands)
-        reps.append(w)
-        picked.append(t)
-    return reps, picked
+        for _ in range(2):
+            v -= kept @ np.conj(np.conj(v) @ kept)
+        basis[:, k] = v / np.linalg.norm(v)
+        basis[:, k + 1] = _psi_partner(basis[:, k], half)
+        resid -= np.sum(np.abs(basis[:, k:k + 2].conj().T @ cands) ** 2, axis=0)
+        resid[t] = -np.inf
+        src.append(t)
+        k += 2
+    return basis[:, 0::2], src
 
 
 def _qsvd_crep(a: QMatrix) -> QSvdResult:
@@ -207,7 +197,7 @@ def _qsvd_crep(a: QMatrix) -> QSvdResult:
     order = np.argsort(-w_sigs, kind="stable")
     w_cols = w_cols[:, order]
     sigma = w_sigs[order][: min(m, n)]
-    r = int(np.count_nonzero(sigma > _rank_threshold(sigma, m, n)))
+    r = int(np.count_nonzero(sigma > _rank_threshold(sigma[0], m, n)))
 
     # left vectors: u_c = C w_c / sigma_c above the rank cut, re-paired to
     # restore exact orthonormality, then completed from those columns and
@@ -384,7 +374,7 @@ def _qsvd_direct(a: QMatrix) -> QSvdResult:
     u1[:, :n] = u0.q1[:, :n] @ ur
     u2[:, :n] = u0.q2[:, :n] @ ur
     v = QMatrix(v0.q1 @ vrt.T, v0.q2 @ vrt.T)
-    r = int(np.count_nonzero(sigma > _rank_threshold(sigma, m, n)))
+    r = int(np.count_nonzero(sigma > _rank_threshold(sigma[0], m, n)))
     return QSvdResult(QMatrix(u1, u2), sigma, v, r)
 
 
@@ -429,7 +419,7 @@ def _qr_direct(a: QMatrix):
     for k in range(min(m, n)):
         j, big = _pivot(b1[k:, k:], b2[k:, k:])
         if k == 0:
-            stop = max(m, n) * _EPS * big
+            stop = _rank_threshold(big, m, n)
         if big <= stop:
             break
         j += k
@@ -460,7 +450,7 @@ def _qr_crep(a: QMatrix):
         # quaternion column norms, read off the top block row [Q1, Q2]
         j, big = _pivot(c[k:m, k:n], c[k:m, n + k:])
         if k == 0:
-            stop = max(m, n) * _EPS * big
+            stop = _rank_threshold(big, m, n)
         if big <= stop:
             break
         j += k

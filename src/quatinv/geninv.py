@@ -149,11 +149,14 @@ def _urquhart(a, s, t, route, invert):
 
 
 def _svd_inverse(route, free_blocks=None):
-    # the {1}-inverse of W from its SVD; free_blocks as in outer_right
+    # the {1}-inverse of W from its SVD; free_blocks as in outer_right.  Random
+    # blocks are sized by the rank of the SVD that one_inverse runs, which on
+    # a near tie can differ from w_rank
     def invert(w, w_rank):
         blocks = free_blocks or (None, None, None)
         if isinstance(blocks, np.random.Generator):
-            blocks = random_free_blocks(*w.shape, w_rank, blocks)
+            s = qsvd(w, method=route).rank
+            blocks = random_free_blocks(*w.shape, s, blocks)
         k, l, m = blocks
         return one_inverse(w, k, l, m, method=route)
     return invert

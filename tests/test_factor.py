@@ -4,6 +4,7 @@ import pytest
 from quatinv.factor import (
     FullRankFactorization,
     _bidiagonalize,
+    _pairs,
     full_rank_decompose,
     one_inverse,
     qsvd,
@@ -192,19 +193,40 @@ def with_spectrum(m, n, sigma, rng):
                    conj_transpose(rand_unitary(n, rng)))
 
 
+def walk_keeps(cands, half, walk):
+    """Pairs an in-order walk of cands[:, :walk] keeps, by the rule of
+    factor._pairs: a column is kept when its residual against the kept pairs
+    (each w with its partner -J conj(w)) has norm above sqrt(1/2)."""
+    kept = np.zeros((cands.shape[0], 0), dtype=complex)
+    for v in cands[:, :walk].T:
+        if kept.shape[1] == 2 * half:
+            break
+        v = v - kept @ (kept.conj().T @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > np.sqrt(0.5):
+            w = v / nrm
+            p = np.concatenate([-np.conj(w[half:]), np.conj(w[:half])])
+            kept = np.column_stack([kept, w, p])
+    return kept.shape[1] // 2
+
+
 @pytest.fixture
 def completions(monkeypatch):
-    """Record (half, count) for every pair completion the crep route runs."""
+    """Record (half, count) for every pairing the crep route runs, where
+    count is the number of pairs the in-order walk falls short by and so the
+    completion must supply."""
     import quatinv.factor as factor
 
     calls = []
-    inner = factor._complete_pairs
+    inner = factor._pairs
 
-    def spy(cands, half, count):
-        calls.append((half, count))
-        return inner(cands, half, count)
+    def spy(cands, half, walk):
+        calls.append((half, half - walk_keeps(cands, half, walk)))
+        reps, src = inner(cands, half, walk)
+        assert len(set(src)) == half == reps.shape[1]
+        return reps, src
 
-    monkeypatch.setattr(factor, "_complete_pairs", spy)
+    monkeypatch.setattr(factor, "_pairs", spy)
     return calls
 
 
@@ -228,6 +250,7 @@ def test_qsvd_graded_spectrum(method, shape, cond):
 @pytest.mark.parametrize("sigma,must_fill", [
     ([1.0] * 5, True),
     ([2.0, 2.0, 2.0, 1.0, 1.0], False),
+    ([2.0, 2.0, 1.0, 0.0, 0.0], False),
 ])
 def test_qsvd_repeated_singular_values(method, sigma, must_fill, completions):
     # inside a repeated singular value the complex SVD's vectors need not
@@ -240,7 +263,7 @@ def test_qsvd_repeated_singular_values(method, sigma, must_fill, completions):
         completions.clear()
         res = qsvd(a, method=method)
         right_fills += sum(count for half, count in completions if half == 5)
-        assert res.rank == 5
+        assert res.rank == np.count_nonzero(sigma)
         assert np.allclose(res.sigma, sigma, rtol=0, atol=1e-13)
         assert unitary_defect(res.u) <= 1e-12
         assert unitary_defect(res.v) <= 1e-12
@@ -260,6 +283,36 @@ def test_qsvd_rank_deficient_completion(method, m, n, r, completions):
     assert qallclose(res.reconstruct(), a, 1e-12)
     if method == "crep":
         assert sum(count for half, count in completions if half == m) >= m - r
+
+
+def test_pairs_completes_a_short_walk_inside_each_closed_subspace():
+    # C^16 = S + S^perp, both closed under w -> -J conj(w), with S of five
+    # pairs; each is given by an orthonormal basis rotated at random, so the
+    # candidates do not come paired and the walk over S falls short
+    half, p = 8, 5
+    rng = np.random.default_rng(4)
+
+    def crand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = crand(2 * half, p)
+    partners = np.vstack([-np.conj(x[half:]), np.conj(x[:half])])
+    full, _ = np.linalg.qr(np.hstack([x, partners, crand(2 * half, 2 * (half - p))]))
+    sub = full[:, :2 * p]
+    z1, _ = np.linalg.qr(crand(2 * p, 2 * p))
+    z2, _ = np.linalg.qr(crand(2 * (half - p), 2 * (half - p)))
+    cands = np.hstack([sub @ z1, full[:, 2 * p:] @ z2])
+    assert walk_keeps(cands[:, :2 * p], half, 2 * p) < p
+    for walk in (0, 2 * half):
+        reps, src = _pairs(cands, half, walk)
+        basis = np.hstack([reps, np.vstack([-np.conj(reps[half:]),
+                                            np.conj(reps[:half])])])
+        assert np.abs(basis.conj().T @ basis - np.eye(2 * half)).max() <= 1e-13
+        # the pairs picked from the columns of S span S
+        in_sub = basis[:, np.tile(np.array(src) < 2 * p, 2)]
+        assert in_sub.shape[1] == 2 * p
+        assert np.abs(in_sub @ in_sub.conj().T
+                      - sub @ sub.conj().T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3),

@@ -145,6 +145,25 @@ def test_outer_right_free_blocks_change_x_when_not_unique():
     assert fro_norm(x1 - x2) > 1e-6
 
 
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_random_free_blocks_follow_the_rank_of_the_svd_that_uses_them(route):
+    # sigma_3 sits at the rank threshold 6 eps sigma_1, where rank(W) and
+    # qsvd(W, route) decide differently for this draw on both routes; blocks
+    # sized by rank(W) would be rejected by one_inverse
+    from test_factor import rand_unitary
+
+    rng = np.random.default_rng(8)
+    t = 6 * np.finfo(float).eps * rng.uniform(0.5, 2)
+    d = QMatrix.from_real(np.diag([1.0, 0.5, t, 0.0, 0.0, 0.0]))
+    w = mat_mul(mat_mul(rand_unitary(6, rng), d),
+                conj_transpose(rand_unitary(6, rng)))
+    eye = QMatrix.eye(6)
+    x = outer_right(w, eye, eye, route=route,
+                    free_blocks=np.random.default_rng(0)).x
+    assert x.shape == (6, 6)
+    assert np.isfinite(x.q1).all() and np.isfinite(x.q2).all()
+
+
 # -------------------------------------------------------------- outer_left
 
 
