@@ -18,6 +18,14 @@ Two computational routes are kept genuinely separate throughout:
   downdated pick by pick; the pivoted QR applies each reflector to paired
   rows of A^C).
 
+``qsvd`` has a full mode (unitary U and V) and a compact one (only the r
+pairs above the rank cut); both decide r by the same rule.  On crep the
+compact SVD is LAPACK's thin SVD, whose top 2r right vectors are paired and
+mapped to the left side as C w / sigma, with no completion of the null
+cluster; on direct it is the full result sliced.  The zero-block
+{1}-inverse (the Moore-Penrose inverse of its argument) takes the compact
+SVD; free blocks need the full one.
+
 Both must agree to rounding; the test suite enforces this.
 """
 
@@ -63,10 +71,12 @@ def _require_finite(a: QMatrix, op: str) -> None:
         raise ValueError(f"{op}: input has non-finite entries (NaN or Inf)")
 
 
-def _crep_singular_values(a: QMatrix) -> np.ndarray:
-    """Quaternion singular values = pairwise-deduplicated spectrum of A^C."""
-    s = np.linalg.svd(to_crep(a).data, compute_uv=False)
-    return 0.5 * (s[0::2] + s[1::2])
+def _crep_rank(s: np.ndarray, m: int, n: int) -> int:
+    # the rank of an m-by-n quaternion matrix from the LAPACK singular values
+    # s of its A^C, which come in equal pairs: the quaternion singular values
+    # are the pair means
+    sig = 0.5 * (s[0::2] + s[1::2])
+    return int(np.count_nonzero(sig > _rank_threshold(sig[0], m, n)))
 
 
 def rank(a: QMatrix) -> int:
@@ -75,8 +85,7 @@ def rank(a: QMatrix) -> int:
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    sig = _crep_singular_values(a)
-    return int(np.count_nonzero(sig > _rank_threshold(sig[0], m, n)))
+    return _crep_rank(np.linalg.svd(to_crep(a).data, compute_uv=False), m, n)
 
 
 # =========================================================== quaternion SVD
@@ -84,7 +93,12 @@ def rank(a: QMatrix) -> int:
 
 @dataclass(frozen=True)
 class QSvdResult:
-    """SVD ``A = U diag(sigma) V*`` with unitary quaternion U (m,m), V (n,n)."""
+    """SVD ``A = U diag(sigma) V*`` of an m-by-n quaternion matrix of rank r.
+
+    Full: unitary U (m, m) and V (n, n), and the min(m, n) singular values.
+    Compact: U (m, r) and V (n, r) with orthonormal columns, and the r
+    singular values above the rank cut.
+    """
 
     u: QMatrix
     sigma: np.ndarray
@@ -99,7 +113,7 @@ class QSvdResult:
         return mat_mul(QMatrix(us1, us2), conj_transpose(vk))
 
 
-def qsvd(a: QMatrix, method: str = "crep") -> QSvdResult:
+def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
     """Quaternion SVD by the selected realization.
 
     Parameters
@@ -109,6 +123,13 @@ def qsvd(a: QMatrix, method: str = "crep") -> QSvdResult:
         "crep": complex SVD of A^C with symplectic structure restoration.
         "direct": quaternion Householder bidiagonalization followed by the
         real LAPACK SVD of the bidiagonal.
+    full : bool
+        True: unitary U (m, m) and V (n, n) and all min(m, n) singular
+        values.  False: the compact SVD, only the r pairs above the rank cut:
+        U (m, r), V (n, r) and sigma_1..r.  Both modes decide r by the same
+        rule.  On crep the compact mode runs LAPACK's thin SVD and pairs only
+        the top 2r complex singular vectors; on direct it slices the full
+        result.
 
     Raises ``ValueError`` for an input with NaN or Inf entries, and
     ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK does not converge.
@@ -116,12 +137,21 @@ def qsvd(a: QMatrix, method: str = "crep") -> QSvdResult:
     _require_finite(a, "qsvd")
     m, n = a.shape
     if m == 0 or n == 0:
-        return QSvdResult(QMatrix.eye(m), np.zeros(0), QMatrix.eye(n), 0)
+        if full:
+            return QSvdResult(QMatrix.eye(m), np.zeros(0), QMatrix.eye(n), 0)
+        return QSvdResult(QMatrix.zeros(m, 0), np.zeros(0),
+                          QMatrix.zeros(n, 0), 0)
     if method == "crep":
-        return _qsvd_crep(a)
-    if method == "direct":
-        return _qsvd_direct(a)
-    raise ValueError(f"unknown qsvd method {method!r}")
+        return _qsvd_crep(a, full)
+    if method != "direct":
+        raise ValueError(f"unknown qsvd method {method!r}")
+    res = _qsvd_direct(a)
+    if full:
+        return res
+    r = res.rank
+    return QSvdResult(QMatrix(res.u.q1[:, :r], res.u.q2[:, :r]),
+                      res.sigma[:r],
+                      QMatrix(res.v.q1[:, :r], res.v.q2[:, :r]), r)
 
 
 def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
@@ -132,8 +162,9 @@ def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _pairs(cands: np.ndarray, half: int, walk: int):
-    """`half` orthonormal pair representatives from the columns of `cands`.
+def _pairs(cands: np.ndarray, half: int, walk: int, count: int):
+    """`count` orthonormal pair representatives from the columns of `cands`,
+    vectors of length 2 `half`.
 
     The first `walk` columns are walked in order; each is orthonormalized
     against the pairs kept so far (w and its forced partner -J conj(w)), and
@@ -145,11 +176,12 @@ def _pairs(cands: np.ndarray, half: int, walk: int):
     pairs, a space closed under w -> -J conj(w)).  Returns the
     representatives as columns and the column of `cands` each came from.
     """
-    basis = np.empty((cands.shape[0], 2 * half), dtype=complex)
+    want = 2 * count
+    basis = np.empty((cands.shape[0], want), dtype=complex)
     k = 0
     src = []
     for idx in range(walk):
-        if k == 2 * half:
+        if k == want:
             break
         v = cands[:, idx].copy()
         if k:
@@ -162,11 +194,11 @@ def _pairs(cands: np.ndarray, half: int, walk: int):
         basis[:, k + 1] = _psi_partner(basis[:, k], half)
         src.append(idx)
         k += 2
-    if k < 2 * half:
+    if k < want:
         resid = (np.sum(np.abs(cands) ** 2, axis=0)
                  - np.sum(np.abs(basis[:, :k].conj().T @ cands) ** 2, axis=0))
         resid[src] = -np.inf
-    while k < 2 * half:
+    while k < want:
         t = int(np.argmax(resid))
         v = cands[:, t].copy()
         kept = basis[:, :k]
@@ -181,30 +213,35 @@ def _pairs(cands: np.ndarray, half: int, walk: int):
     return basis[:, 0::2], src
 
 
-def _qsvd_crep(a: QMatrix) -> QSvdResult:
+def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
     m, n = a.shape
     c = to_crep(a).data  # exactly symplectic by construction
-    uhat, shat, vhat_h = np.linalg.svd(c, full_matrices=True)
+    uhat, shat, vhat_h = np.linalg.svd(c, full_matrices=full)
+    r = _crep_rank(shat, m, n)
     svals = np.zeros(2 * n)
     svals[: shat.size] = shat
 
     # right singular pairs.  Within a repeated (or null) singular value the
     # columns of vhat need not come paired and the walk can fall short; the
     # rest is picked from the skipped columns' residuals, which stay inside
-    # their own singular subspace and so keep their singular values.
-    w_cols, src = _pairs(vhat_h.conj().T, n, 2 * n)
+    # their own singular subspace and so keep their singular values.  The
+    # compact SVD walks only the top 2r columns, whose span is closed under
+    # w -> -J conj(w) when the rank cut falls in a gap.
+    pairs = n if full else r
+    w_cols, src = _pairs(vhat_h[:2 * pairs].conj().T, n, 2 * pairs, pairs)
     w_sigs = svals[src]
     order = np.argsort(-w_sigs, kind="stable")
     w_cols = w_cols[:, order]
     sigma = w_sigs[order][: min(m, n)]
-    r = int(np.count_nonzero(sigma > _rank_threshold(sigma[0], m, n)))
 
     # left vectors: u_c = C w_c / sigma_c above the rank cut, re-paired to
-    # restore exact orthonormality, then completed from those columns and
-    # the complex SVD's left vectors past 2r, whose span is closed under
-    # w -> -J conj(w) and also holds any representative the walk lost
+    # restore exact orthonormality.  The full SVD completes them from those
+    # columns and the complex SVD's left vectors past 2r, whose span is
+    # closed under w -> -J conj(w) and also holds any representative the
+    # walk lost; the compact one falls back on the top 2r left vectors
     raw = c @ w_cols[:, :r] / sigma[:r]
-    u_cols, _ = _pairs(np.hstack([raw, uhat[:, 2 * r:]]), m, r)
+    fallback = uhat[:, 2 * r:] if full else uhat[:, :2 * r]
+    u_cols, _ = _pairs(np.hstack([raw, fallback]), m, r, m if full else r)
 
     u = QMatrix(u_cols[:m, :], -np.conj(u_cols[m:, :]))
     v = QMatrix(w_cols[:n, :], -np.conj(w_cols[n:, :]))
@@ -541,11 +578,22 @@ def one_inverse(w: QMatrix, k: QMatrix | None = None,
 
         w^(1) = V [[diag(sigma_{1..s})^{-1}, K], [L, M]] U*
 
-    and ``w @ w^(1) @ w == w`` holds for all of them.  Zero blocks (the
-    default) give the Moore-Penrose inverse of w.
+    and ``w @ w^(1) @ w == w`` holds for all of them.  A block left as None
+    is zero.  With all three None this is the Moore-Penrose inverse of w,
+    V_s diag(sigma_{1..s})^{-1} U_s*, built from the compact SVD in one
+    product; given any block, the full SVD is used.
     """
-    qdim, pdim = w.shape
-    res = qsvd(w, method=method)
+    if k is None and l is None and m is None:
+        res = qsvd(w, method=method, full=False)
+        vs = QMatrix(res.v.q1 / res.sigma, res.v.q2 / res.sigma)
+        return _route_mul(method)(vs, conj_transpose(res.u))
+    return _free_block_inverse(qsvd(w, method=method), k, l, m, method)
+
+
+def _free_block_inverse(res: QSvdResult, k, l, m, method: str) -> QMatrix:
+    # V [[diag(sigma_{1..s})^{-1}, K], [L, M]] U* from the full SVD res of w,
+    # with a None block taken as zero
+    qdim, pdim = res.u.shape[0], res.v.shape[0]
     s = res.rank
     if k is None:
         k = QMatrix.zeros(s, qdim - s)

@@ -32,7 +32,14 @@ from itertools import islice
 
 import numpy as np
 
-from .factor import full_rank_decompose, one_inverse, qsvd, random_free_blocks, rank
+from .factor import (
+    _free_block_inverse,
+    full_rank_decompose,
+    one_inverse,
+    qsvd,
+    random_free_blocks,
+    rank,
+)
 from .qcore import (
     QMatrix,
     _route_mul,
@@ -150,15 +157,14 @@ def _urquhart(a, s, t, route, invert):
 
 def _svd_inverse(route, free_blocks=None):
     # the {1}-inverse of W from its SVD; free_blocks as in outer_right.  Random
-    # blocks are sized by the rank of the SVD that one_inverse runs, which on
-    # a near tie can differ from w_rank
+    # blocks are drawn at the rank of the one SVD they are placed in, which
+    # on a near tie can differ from w_rank
     def invert(w, w_rank):
-        blocks = free_blocks or (None, None, None)
-        if isinstance(blocks, np.random.Generator):
-            s = qsvd(w, method=route).rank
-            blocks = random_free_blocks(*w.shape, s, blocks)
-        k, l, m = blocks
-        return one_inverse(w, k, l, m, method=route)
+        if isinstance(free_blocks, np.random.Generator):
+            res = qsvd(w, method=route)
+            blocks = random_free_blocks(*w.shape, res.rank, free_blocks)
+            return _free_block_inverse(res, *blocks, route)
+        return one_inverse(w, *(free_blocks or (None,) * 3), method=route)
     return invert
 
 
@@ -344,24 +350,20 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     Unlike the composed generator formula A*(A*AA*)^(1)A* — whose middle
     matrix cubes the spectrum of A and loses small singular values of
     ill-conditioned systems — this applies V diag(1/sigma) U* directly from
-    the rank-revealing SVD of A itself, so accuracy degrades only with
-    cond(A).  Use this for solving linear systems; use :func:`pinv` when the
-    inverse matrix itself is the object of study.
+    the compact rank-revealing SVD of A itself (only its r pairs above the
+    rank cut), so accuracy degrades only with cond(A).  Use this for solving
+    linear systems; use :func:`pinv` when the inverse matrix itself is the
+    object of study.
     """
     _check_route(route)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    sv = qsvd(a, method=route)
-    r = sv.rank
-    if r == 0:
-        return QMatrix.zeros(a.shape[1], b.shape[1])
-    u_r = QMatrix(sv.u.q1[:, :r], sv.u.q2[:, :r])
-    v_r = QMatrix(sv.v.q1[:, :r], sv.v.q2[:, :r])
+    sv = qsvd(a, method=route, full=False)
     mm = _route_mul(route)
-    y = mm(conj_transpose(u_r), b)
-    inv_s = (1.0 / sv.sigma[:r])[:, None]
-    return mm(v_r, QMatrix(inv_s * y.q1, inv_s * y.q2))
+    y = mm(conj_transpose(sv.u), b)
+    inv_s = (1.0 / sv.sigma)[:, None]
+    return mm(sv.v, QMatrix(inv_s * y.q1, inv_s * y.q2))
 
 
 def _normalized_powers(a: QMatrix):

@@ -31,8 +31,8 @@ def qallclose(a, b, tol=1e-12):
 
 
 def unitary_defect(u):
-    m = u.shape[0]
-    return fro_norm(mat_mul(conj_transpose(u), u) - QMatrix.eye(m))
+    # ||U*U - I||: U unitary when square, orthonormal columns when compact
+    return fro_norm(mat_mul(conj_transpose(u), u) - QMatrix.eye(u.shape[1]))
 
 
 def crep_sigma(a):
@@ -193,13 +193,15 @@ def with_spectrum(m, n, sigma, rng):
                    conj_transpose(rand_unitary(n, rng)))
 
 
-def walk_keeps(cands, half, walk):
+def walk_keeps(cands, half, walk, count):
     """Pairs an in-order walk of cands[:, :walk] keeps, by the rule of
     factor._pairs: a column is kept when its residual against the kept pairs
-    (each w with its partner -J conj(w)) has norm above sqrt(1/2)."""
+    (each w with its partner -J conj(w)) has norm above sqrt(1/2), until
+    `count` pairs are kept."""
+    want = 2 * count
     kept = np.zeros((cands.shape[0], 0), dtype=complex)
     for v in cands[:, :walk].T:
-        if kept.shape[1] == 2 * half:
+        if kept.shape[1] == want:
             break
         v = v - kept @ (kept.conj().T @ v)
         nrm = np.linalg.norm(v)
@@ -212,18 +214,18 @@ def walk_keeps(cands, half, walk):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Record (half, count) for every pairing the crep route runs, where
-    count is the number of pairs the in-order walk falls short by and so the
+    """Record (half, short) for every pairing the crep route runs, where
+    short is the number of pairs the in-order walk falls short by and so the
     completion must supply."""
     import quatinv.factor as factor
 
     calls = []
     inner = factor._pairs
 
-    def spy(cands, half, walk):
-        calls.append((half, half - walk_keeps(cands, half, walk)))
-        reps, src = inner(cands, half, walk)
-        assert len(set(src)) == half == reps.shape[1]
+    def spy(cands, half, walk, count):
+        calls.append((half, count - walk_keeps(cands, half, walk, count)))
+        reps, src = inner(cands, half, walk, count)
+        assert len(set(src)) == count == reps.shape[1]
         return reps, src
 
     monkeypatch.setattr(factor, "_pairs", spy)
@@ -302,9 +304,9 @@ def test_pairs_completes_a_short_walk_inside_each_closed_subspace():
     z1, _ = np.linalg.qr(crand(2 * p, 2 * p))
     z2, _ = np.linalg.qr(crand(2 * (half - p), 2 * (half - p)))
     cands = np.hstack([sub @ z1, full[:, 2 * p:] @ z2])
-    assert walk_keeps(cands[:, :2 * p], half, 2 * p) < p
+    assert walk_keeps(cands[:, :2 * p], half, 2 * p, half) < p
     for walk in (0, 2 * half):
-        reps, src = _pairs(cands, half, walk)
+        reps, src = _pairs(cands, half, walk, half)
         basis = np.hstack([reps, np.vstack([-np.conj(reps[half:]),
                                             np.conj(reps[:half])])])
         assert np.abs(basis.conj().T @ basis - np.eye(2 * half)).max() <= 1e-13
@@ -330,6 +332,128 @@ def test_qsvd_crep_factors_once(m, n, r, monkeypatch):
     res = qsvd(a, method="crep")
     assert calls == ["svd"]
     assert res.rank == r
+
+
+# ---------------------------------------------------------- compact qsvd
+
+
+def check_compact(a, method):
+    """The compact SVD of a is the rank-r part of the full one: U (m, r) and
+    V (n, r) with orthonormal columns, the full SVD's rank and top r sigma,
+    and U diag(sigma) V* = A."""
+    full = qsvd(a, method=method)
+    res = qsvd(a, method=method, full=False)
+    (m, n), r = a.shape, full.rank
+    scale = max(1.0, fro_norm(a))
+    assert res.rank == r
+    assert res.u.shape == (m, r) and res.v.shape == (n, r)
+    assert res.sigma.shape == (r,)
+    assert np.max(np.abs(res.sigma - full.sigma[:r]),
+                  initial=0.0) <= 1e-12 * scale
+    assert unitary_defect(res.u) <= 1e-12
+    assert unitary_defect(res.v) <= 1e-12
+    assert fro_norm(res.reconstruct() - a) <= 1e-12 * scale
+    return res
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5)])
+def test_compact_qsvd_rank_zero(method, shape):
+    res = check_compact(QMatrix.zeros(*shape), method)
+    assert res.rank == 0 and res.sigma.size == 0
+    assert fro_norm(res.reconstruct()) == 0.0
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_compact_qsvd_empty(method, shape):
+    res = qsvd(QMatrix.zeros(*shape), method=method, full=False)
+    assert res.rank == 0 and res.sigma.size == 0
+    assert res.u.shape == (shape[0], 0) and res.v.shape == (shape[1], 0)
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape,sigma,must_fill", [
+    ((7, 5), [1.0] * 5, True),
+    ((5, 7), [1.0] * 5, True),
+    ((7, 5), [2.0, 2.0, 2.0, 1.0, 1.0], False),
+    ((5, 7), [2.0, 2.0, 2.0, 1.0, 1.0], False),
+    ((7, 5), [2.0, 2.0, 1.0, 0.0, 0.0], False),
+    ((5, 7), [2.0, 2.0, 1.0, 0.0, 0.0], False),
+    ((9, 7), [1.0] * 6 + [0.0], True),
+    ((7, 9), [1.0] * 6 + [0.0], True),
+])
+def test_compact_qsvd_repeated_singular_values(method, shape, sigma,
+                                               must_fill, completions):
+    # inside a repeated singular value the walk over the top 2r columns can
+    # fall short; it then completes from those columns alone, never from the
+    # null vectors past them, whose residuals are larger
+    right_fills = 0
+    for seed in range(16):
+        a = with_spectrum(*shape, sigma, np.random.default_rng(seed))
+        res = check_compact(a, method)
+        # the last two pairings are the compact SVD's, right side first
+        right_fills += completions[-2][1] if method == "crep" else 0
+        completions.clear()
+        assert res.rank == np.count_nonzero(sigma)
+        assert np.allclose(res.sigma, sigma[:res.rank], rtol=0, atol=1e-13)
+    if method == "crep" and must_fill:
+        assert right_fills > 0
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("shape", [(8, 6), (6, 8)])
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e12])
+def test_compact_qsvd_graded_spectrum(method, shape, cond):
+    m, n = shape
+    k = min(m, n)
+    a = with_spectrum(m, n, np.logspace(0, -np.log10(cond), k),
+                      np.random.default_rng(int(np.log10(cond))))
+    res = check_compact(a, method)
+    ref = crep_sigma(a)
+    assert res.rank == k
+    assert np.all(np.abs(res.sigma - ref) <= max(m, n) * cond * EPS * ref)
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+@pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3),
+                                   (7, 10, 3), (12, 5, 5), (5, 12, 5)])
+def test_compact_qsvd_wide_and_tall_rank_deficient(method, m, n, r):
+    a = rand_rank_deficient(m, n, r, np.random.default_rng(m * n + r))
+    assert check_compact(a, method).rank == r
+
+
+@pytest.mark.parametrize("method", ["crep", "direct"])
+def test_zero_block_one_inverse_uses_the_compact_svd(method, monkeypatch):
+    # one compact qsvd; on crep that is one thin complex SVD and no QR
+    import quatinv.factor as factor
+
+    w = rand_rank_deficient(9, 6, 3, np.random.default_rng(5))
+    modes, thin = [], []
+    inner_qsvd, inner_svd = factor.qsvd, np.linalg.svd
+
+    def qsvd_spy(a, method="crep", full=True):
+        modes.append(full)
+        return inner_qsvd(a, method=method, full=full)
+
+    def svd_spy(*args, **kw):
+        thin.append(not kw.get("full_matrices", True))
+        return inner_svd(*args, **kw)
+
+    def qr_spy(*args, **kw):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(factor, "qsvd", qsvd_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    one_inverse(w, method=method)
+    assert modes == [False]
+    if method == "crep":
+        assert thin == [True]
+    # any block given takes the full SVD
+    modes.clear()
+    one_inverse(w, m=QMatrix.zeros(3, 6), method=method)
+    assert modes == [True]
 
 
 @pytest.mark.parametrize("method", ["crep", "direct"])

@@ -148,8 +148,9 @@ def test_outer_right_free_blocks_change_x_when_not_unique():
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_random_free_blocks_follow_the_rank_of_the_svd_that_uses_them(route):
     # sigma_3 sits at the rank threshold 6 eps sigma_1, where rank(W) and
-    # qsvd(W, route) decide differently for this draw on both routes; blocks
-    # sized by rank(W) would be rejected by one_inverse
+    # qsvd(W, route) decide differently for this draw on the direct route
+    # (and did on crep while its SVD counted the paired values it picked);
+    # blocks sized by rank(W) would be rejected by one_inverse
     from test_factor import rand_unitary
 
     rng = np.random.default_rng(8)
@@ -162,6 +163,32 @@ def test_random_free_blocks_follow_the_rank_of_the_svd_that_uses_them(route):
                     free_blocks=np.random.default_rng(0)).x
     assert x.shape == (6, 6)
     assert np.isfinite(x.q1).all() and np.isfinite(x.q2).all()
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_random_free_blocks_take_one_svd(route, monkeypatch):
+    # the blocks are drawn at the rank of the SVD they are placed in, so one
+    # qsvd serves both
+    from quatinv import factor
+
+    calls = []
+    inner = factor.qsvd
+
+    def spy(a, method="crep", full=True):
+        calls.append(full)
+        return inner(a, method=method, full=full)
+
+    monkeypatch.setattr(factor, "qsvd", spy)
+    monkeypatch.setattr(geninv, "qsvd", spy)
+    rng = np.random.default_rng(31)
+    a = rand_rank_deficient(5, 4, 2, rng)
+    s1, t1 = random_qmat(4, 3, rng), random_qmat(3, 5, rng)
+    rep = outer_right(a, s1, t1, route=route,
+                      free_blocks=np.random.default_rng(0))
+    assert calls == [True]
+    # rank(T1 A S1) = rank(A) = 2: a {1}-inverse of A
+    assert rep.classification["is_one_inverse"]
+    assert rep.residuals["one"] <= 1e-10 * max(1.0, fro_norm(a))
 
 
 # -------------------------------------------------------------- outer_left

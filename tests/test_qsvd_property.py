@@ -1,6 +1,7 @@
 """Property tests: both qsvd routes agree, reconstruct and return unitary
-factors, the {1}-inverse built on them meets the Penrose equations, and the
-full rank decomposition finds the SVD rank, over random shapes."""
+factors, the compact SVD is the rank-r part of the full one, the {1}-inverse
+built on them meets the Penrose equations, and the full rank decomposition
+finds the SVD rank, over random shapes."""
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ C_FREE_BLOCKS = 400.0
 
 
 def unitary_defect(u):
-    return fro_norm(mat_mul(conj_transpose(u), u) - QMatrix.eye(u.shape[0]))
+    # ||U*U - I||: U unitary when square, orthonormal columns when compact
+    return fro_norm(mat_mul(conj_transpose(u), u) - QMatrix.eye(u.shape[1]))
 
 
 @st.composite
@@ -61,6 +63,24 @@ def test_qsvd_routes_agree_and_reconstruct(a):
         assert fro_norm(res.reconstruct() - a) <= 1e-12 * scale
         assert unitary_defect(res.u) <= 1e-12
         assert unitary_defect(res.v) <= 1e-12
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(quaternion_matrices())
+def test_compact_qsvd_is_the_rank_r_part_of_the_full_one(a):
+    (m, n), scale = a.shape, max(1.0, fro_norm(a))
+    for method in ("crep", "direct"):
+        full = qsvd(a, method=method)
+        res = qsvd(a, method=method, full=False)
+        r = full.rank
+        assert res.rank == r
+        assert res.u.shape == (m, r) and res.v.shape == (n, r)
+        assert res.sigma.shape == (r,)
+        assert np.max(np.abs(res.sigma - full.sigma[:r]),
+                      initial=0.0) <= 1e-12 * scale
+        assert unitary_defect(res.u) <= 1e-12
+        assert unitary_defect(res.v) <= 1e-12
+        assert fro_norm(res.reconstruct() - a) <= 1e-12 * scale
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
@@ -123,6 +143,22 @@ def test_one_inverse_is_penrose_and_routes_agree(a):
     bound, _ = kappa_eps(a)
     for errs in penrose_errors(a).values():
         assert max(errs) <= C_PENROSE * bound
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(quaternion_matrices())
+def test_zero_block_one_inverse_matches_explicit_zero_blocks(a):
+    # the compact-SVD product V_r diag(sigma)^-1 U_r* against the full SVD's
+    # V [[diag(sigma)^-1, 0], [0, 0]] U*
+    bound, _ = kappa_eps(a)
+    q, p = a.shape
+    for route in ("crep", "direct"):
+        r = qsvd(a, method=route).rank
+        zeros = (QMatrix.zeros(r, q - r), QMatrix.zeros(p - r, r),
+                 QMatrix.zeros(p - r, q - r))
+        x_full = one_inverse(a, *zeros, method=route)
+        x = one_inverse(a, method=route)
+        assert relative(fro_norm(x - x_full), fro_norm(x_full)) <= C_PENROSE * bound
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
