@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..qcore import QMatrix, mat_mul
 from ..geninv import pinv
@@ -125,11 +124,15 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
     """Restore X_hat = pinv(A) @ B and project to channels.
 
     Returns ``(image, metrics)``; metrics are computed against ``truth`` when
-    it is given and are ``None`` otherwise.
+    it is given and are ``None`` otherwise.  A ``truth`` that ``metrics``
+    cannot score (another shape than B, or smaller than the SSIM window)
+    raises ``ValueError`` before the pseudoinverse is computed.
     """
     if b.shape[0] != op.h:
         raise ValueError(
             f"blurred data height {b.shape[0]} does not match operator {op.h}")
+    if truth is not None:
+        _require_comparable((truth.h, truth.w), b.shape)
     x_hat = mat_mul(pinv(op.a, method="svd", route=route), b)
     img = qmat_to_image(x_hat, clamp=True)
     return img, (metrics(truth, img) if truth is not None else None)
@@ -162,63 +165,82 @@ def real_block_restore(op: BlurOperator, b: QMatrix) -> ColorImage:
                       np.clip(sol[2 * h:], 0.0, 1.0))
 
 
-def _gaussian_window() -> np.ndarray:
+def _require_comparable(ref_shape: tuple, shape: tuple) -> None:
+    """Raise ``ValueError`` unless two images can be scored by ``metrics``."""
+    if ref_shape != shape:
+        raise ValueError(f"image dimensions differ: {ref_shape} vs {shape}")
+    if min(ref_shape) < _SSIM_WIN:
+        raise ValueError(
+            f"image {ref_shape} smaller than the {_SSIM_WIN}x{_SSIM_WIN} window")
+
+
+def _gaussian_band(n: int) -> np.ndarray:
+    """The (n - 10) x n band whose row i holds the normalized 11-tap
+    Gaussian (sigma 1.5) in columns i..i+10."""
     half = _SSIM_WIN // 2
     x = np.arange(-half, half + 1, dtype=float)
     g = np.exp(-(x**2) / (2.0 * _SSIM_SIGMA**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    rows = np.arange(n - _SSIM_WIN + 1)
+    band = np.zeros((rows.size, n))
+    for t, tap in enumerate(g / g.sum()):
+        band[rows, rows + t] = tap
+    return band
 
 
-def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean SSIM over all fully interior 11x11 Gaussian windows."""
-    if min(x.shape) < _SSIM_WIN:
-        raise ValueError(
-            f"image {x.shape} smaller than the {_SSIM_WIN}x{_SSIM_WIN} window")
-    k = _gaussian_window()
+def _ssim_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean SSIM of each plane of x against the same plane of y.
 
-    def smooth(img):
-        win = sliding_window_view(img, (_SSIM_WIN, _SSIM_WIN))
-        return np.tensordot(win, k, axes=([2, 3], [0, 1]))
-
-    mu_x = smooth(x)
-    mu_y = smooth(y)
-    sxx = smooth(x * x) - mu_x**2
-    syy = smooth(y * y) - mu_y**2
-    sxy = smooth(x * y) - mu_x * mu_y
+    x and y are (planes, h, w) stacks.  The local means, variances and
+    covariance are weighted by the 11x11 Gaussian window (sigma 1.5) of Wang,
+    Bovik, Sheikh & Simoncelli, "Image quality assessment: from error
+    visibility to structural similarity" (IEEE TIP, 2004), and the mean runs
+    over every fully interior window.  The window is separable, k = g g^T
+    with g the normalized 1-D Gaussian, so smoothing a map P over all those
+    windows is the band product G_h @ P @ G_w^T (see ``_gaussian_band``),
+    taken for all planes of one moment map at a time.
+    """
+    h, w = x.shape[-2:]
+    g_h = _gaussian_band(h)
+    g_w = g_h if w == h else _gaussian_band(w)
+    mu_x, mu_y, sxx, syy, sxy = (g_h @ p @ g_w.T
+                                 for p in (x, y, x * x, y * y, x * y))
+    sxx -= mu_x**2
+    syy -= mu_y**2
+    sxy -= mu_x * mu_y
     c1 = (_SSIM_K1 * 1.0)**2
     c2 = (_SSIM_K2 * 1.0)**2
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (sxx + syy + c2)
-    return float(np.mean(num / den))
+    return np.mean(num / den, axis=(-2, -1))
 
 
-def _pearson3(img: ColorImage) -> np.ndarray:
-    flat = img.planes().reshape(3, -1)
-    return np.corrcoef(flat)
+def _pearson3(planes: np.ndarray) -> np.ndarray:
+    return np.corrcoef(planes.reshape(3, -1))
 
 
 def metrics(x: ColorImage, x_hat: ColorImage) -> RestorationMetrics:
     """PSNR / SSIM / relative residual / channel correlations.
 
     PSNR uses peak 1.0 with the MSE averaged over all three channels and is
-    capped at ``PSNR_CAP_DB`` for identical inputs.  RR is the Frobenius
-    relative error over the stacked channels (zero reference is an error).
+    capped at ``PSNR_CAP_DB`` for identical inputs.  SSIM is the mean over
+    the three channels of each channel's mean SSIM over all fully interior
+    11x11 Gaussian windows (Wang et al., IEEE TIP, 2004), smoothed with the
+    separable window as two band products; images smaller than the window
+    are an error.  RR is the Frobenius relative error over the stacked
+    channels (zero reference is an error).
     """
-    if (x.h, x.w) != (x_hat.h, x_hat.w):
-        raise ValueError(
-            f"image dimensions differ: {(x.h, x.w)} vs {(x_hat.h, x_hat.w)}")
-    diff = x.planes() - x_hat.planes()
+    _require_comparable((x.h, x.w), (x_hat.h, x_hat.w))
+    ref, est = x.planes(), x_hat.planes()
+    diff = ref - est
     mse = float(np.mean(diff**2))
     psnr = PSNR_CAP_DB if mse == 0.0 else min(
         PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))
-    ssim = float(np.mean([_ssim_plane(a, b) for a, b in
-                          zip(x.planes(), x_hat.planes())]))
-    ref = float(np.linalg.norm(x.planes()))
-    if ref == 0.0:
+    ssim = float(np.mean(_ssim_planes(ref, est)))
+    ref_norm = float(np.linalg.norm(ref))
+    if ref_norm == 0.0:
         raise ValueError("relative residual undefined for a zero reference")
-    rr = float(np.linalg.norm(diff)) / ref
-    return RestorationMetrics(psnr, ssim, rr, _pearson3(x), _pearson3(x_hat))
+    rr = float(np.linalg.norm(diff)) / ref_norm
+    return RestorationMetrics(psnr, ssim, rr, _pearson3(ref), _pearson3(est))
 
 
 def deblur_report(op: BlurOperator, truth: ColorImage,

@@ -162,25 +162,28 @@ def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _pairs(cands: np.ndarray, half: int, walk: int, count: int):
+def _pairs(cands: np.ndarray, half: int, count: int,
+           more: np.ndarray | None = None):
     """`count` orthonormal pair representatives from the columns of `cands`,
     vectors of length 2 `half`.
 
-    The first `walk` columns are walked in order; each is orthonormalized
+    The columns of `cands` are walked in order; each is orthonormalized
     against the pairs kept so far (w and its forced partner -J conj(w)), and
     one that deflates to (near) nothing is a partner and is skipped.  Pairs
-    the walk falls short of are completed by largest residual: the squared
-    residual norms of the columns not kept are found once, and each pick
-    takes the largest, is orthonormalized against the kept pairs and
-    downdates the rest by its own pair (the columns must span, with the kept
-    pairs, a space closed under w -> -J conj(w)).  Returns the
-    representatives as columns and the column of `cands` each came from.
+    the walk falls short of are completed by largest residual from the
+    columns not kept and the columns of `more`, which are appended only
+    then: the squared residual norms of the candidates are found once, and
+    each pick takes the largest, is orthonormalized against the kept pairs
+    and downdates the rest by its own pair (the candidates must span, with
+    the kept pairs, a space closed under w -> -J conj(w)).  Returns the
+    representatives as columns and the column of `cands` (or of `more`,
+    counted on from the end of `cands`) each came from.
     """
     want = 2 * count
     basis = np.empty((cands.shape[0], want), dtype=complex)
     k = 0
     src = []
-    for idx in range(walk):
+    for idx in range(cands.shape[1]):
         if k == want:
             break
         v = cands[:, idx].copy()
@@ -195,6 +198,8 @@ def _pairs(cands: np.ndarray, half: int, walk: int, count: int):
         src.append(idx)
         k += 2
     if k < want:
+        if more is not None:
+            cands = np.hstack([cands, more])
         resid = (np.sum(np.abs(cands) ** 2, axis=0)
                  - np.sum(np.abs(basis[:, :k].conj().T @ cands) ** 2, axis=0))
         resid[src] = -np.inf
@@ -228,7 +233,7 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
     # compact SVD walks only the top 2r columns, whose span is closed under
     # w -> -J conj(w) when the rank cut falls in a gap.
     pairs = n if full else r
-    w_cols, src = _pairs(vhat_h[:2 * pairs].conj().T, n, 2 * pairs, pairs)
+    w_cols, src = _pairs(vhat_h[:2 * pairs].conj().T, n, pairs)
     w_sigs = svals[src]
     order = np.argsort(-w_sigs, kind="stable")
     w_cols = w_cols[:, order]
@@ -238,10 +243,11 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
     # restore exact orthonormality.  The full SVD completes them from those
     # columns and the complex SVD's left vectors past 2r, whose span is
     # closed under w -> -J conj(w) and also holds any representative the
-    # walk lost; the compact one falls back on the top 2r left vectors
+    # walk lost; the compact one falls back on the top 2r left vectors,
+    # which it reads only if the walk falls short
     raw = c @ w_cols[:, :r] / sigma[:r]
     fallback = uhat[:, 2 * r:] if full else uhat[:, :2 * r]
-    u_cols, _ = _pairs(np.hstack([raw, fallback]), m, r, m if full else r)
+    u_cols, _ = _pairs(raw, m, m if full else r, more=fallback)
 
     u = QMatrix(u_cols[:m, :], -np.conj(u_cols[m:, :]))
     v = QMatrix(w_cols[:n, :], -np.conj(w_cols[n:, :]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from quatinv.apps import (
     ColorImage,
@@ -23,6 +24,7 @@ from quatinv.apps import (
     write_ppm,
     write_trajectory_csv,
 )
+import quatinv.apps.deblur as deblur_mod
 from quatinv.apps.deblur import PSNR_CAP_DB, real_block_system
 from quatinv.qcore import QMatrix, fro_norm, mat_mul, random_qmat
 
@@ -231,6 +233,23 @@ def test_deblur_routes_agree():
     assert np.max(np.abs(direct.planes() - crep.planes())) <= 5e-9
 
 
+@pytest.mark.parametrize("b_shape,truth_shape", [((16, 16), (16, 12)),
+                                                  ((8, 8), (8, 8))],
+                         ids=["16x12", "8x8"])
+def test_deblur_rejects_truth_before_the_inverse(b_shape, truth_shape,
+                                                 monkeypatch):
+    # a truth of another shape than B, or one smaller than the SSIM window,
+    # is refused on entry and not after the h x h pseudoinverse
+    op = build_blur(b_shape[0] // 4, 4, sigma=3.0, r=3, s=2)
+    b = blur(op, rand_image(*b_shape, seed=23))
+    calls = []
+    monkeypatch.setattr(deblur_mod, "pinv",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError):
+        deblur_quaternion(op, b, truth=rand_image(*truth_shape, seed=24))
+    assert calls == []
+
+
 def test_real_block_restore_loses_correlation_structure():
     truth = rand_image(64, 16, seed=10, lo=0.05, hi=0.95)
     op = build_blur(8, 8, sigma=3.0, r=3, s=3)
@@ -296,6 +315,72 @@ def test_metrics_ssim_penalizes_distortion():
         img.planes() + 0.15 * rng.standard_normal((3, 24, 24)), 0.0, 1.0))
     m = metrics(img, noisy)
     assert m.ssim < 0.99
+
+
+def ssim_2d_window(x, y):
+    """Mean SSIM of one plane pair over all fully interior 11x11 windows,
+    smoothing with the 2-D Gaussian window over a sliding window view: the
+    reference for the separable band products of ``metrics``."""
+    t = np.arange(-5, 6, dtype=float)
+    g = np.exp(-(t**2) / (2.0 * 1.5**2))
+    k = np.outer(g, g)
+    k /= k.sum()
+
+    def smooth(img):
+        win = sliding_window_view(img, (11, 11))
+        return np.tensordot(win, k, axes=([2, 3], [0, 1]))
+
+    mu_x = smooth(x)
+    mu_y = smooth(y)
+    sxx = smooth(x * x) - mu_x**2
+    syy = smooth(y * y) - mu_y**2
+    sxy = smooth(x * y) - mu_x * mu_y
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
+    den = (mu_x**2 + mu_y**2 + c1) * (sxx + syy + c2)
+    return float(np.mean(num / den))
+
+
+def _noisy(img, amp, seed):
+    rng = np.random.default_rng(seed)
+    return ColorImage(*np.clip(
+        img.planes() + amp * rng.standard_normal(img.planes().shape), 0.0, 1.0))
+
+
+def _constant(h, w, value):
+    return ColorImage(*np.full((3, h, w), value))
+
+
+@pytest.mark.parametrize("ref,est", [
+    pytest.param(rand_image(11, 11, seed=25), rand_image(11, 11, seed=26),
+                 id="11x11-one-window"),
+    pytest.param(rand_image(12, 40, seed=27), rand_image(12, 40, seed=28),
+                 id="12x40"),
+    pytest.param(rand_image(64, 16, seed=29), rand_image(64, 16, seed=30),
+                 id="64x16"),
+    pytest.param(rand_image(128, 128, seed=31), rand_image(128, 128, seed=32),
+                 id="128x128"),
+    pytest.param(rand_image(48, 48, seed=34, lo=0.1, hi=0.9),
+                 _noisy(rand_image(48, 48, seed=34, lo=0.1, hi=0.9), 0.3, 35),
+                 id="clipped-noisy"),
+])
+def test_metrics_ssim_matches_the_2d_window(ref, est):
+    want = np.mean([ssim_2d_window(x, y)
+                    for x, y in zip(ref.planes(), est.planes())])
+    assert abs(metrics(ref, est).ssim - want) <= 1e-13
+
+
+@pytest.mark.parametrize("est", [_constant(20, 30, 0.4),
+                                 _noisy(_constant(20, 30, 0.4), 0.1, 33)],
+                         ids=["equal", "noisy"])
+def test_ssim_of_a_constant_plane_matches_the_2d_window(est):
+    # sigma_x^2 = 0, so only C1 and C2 keep the quotient finite.  Scored per
+    # plane: metrics() also returns channel correlations, which a constant
+    # channel leaves undefined
+    ref = _constant(20, 30, 0.4)
+    want = [ssim_2d_window(x, y) for x, y in zip(ref.planes(), est.planes())]
+    got = deblur_mod._ssim_planes(ref.planes(), est.planes())
+    assert np.abs(got - want).max() <= 1e-13
 
 
 def test_metrics_correlation_of_identical_channels():

@@ -193,14 +193,14 @@ def with_spectrum(m, n, sigma, rng):
                    conj_transpose(rand_unitary(n, rng)))
 
 
-def walk_keeps(cands, half, walk, count):
-    """Pairs an in-order walk of cands[:, :walk] keeps, by the rule of
+def walk_keeps(cands, half, count):
+    """Pairs an in-order walk of the columns of cands keeps, by the rule of
     factor._pairs: a column is kept when its residual against the kept pairs
     (each w with its partner -J conj(w)) has norm above sqrt(1/2), until
     `count` pairs are kept."""
     want = 2 * count
     kept = np.zeros((cands.shape[0], 0), dtype=complex)
-    for v in cands[:, :walk].T:
+    for v in cands.T:
         if kept.shape[1] == want:
             break
         v = v - kept @ (kept.conj().T @ v)
@@ -222,9 +222,9 @@ def completions(monkeypatch):
     calls = []
     inner = factor._pairs
 
-    def spy(cands, half, walk, count):
-        calls.append((half, count - walk_keeps(cands, half, walk, count)))
-        reps, src = inner(cands, half, walk, count)
+    def spy(cands, half, count, more=None):
+        calls.append((half, count - walk_keeps(cands, half, count)))
+        reps, src = inner(cands, half, count, more)
         assert len(set(src)) == count == reps.shape[1]
         return reps, src
 
@@ -304,9 +304,9 @@ def test_pairs_completes_a_short_walk_inside_each_closed_subspace():
     z1, _ = np.linalg.qr(crand(2 * p, 2 * p))
     z2, _ = np.linalg.qr(crand(2 * (half - p), 2 * (half - p)))
     cands = np.hstack([sub @ z1, full[:, 2 * p:] @ z2])
-    assert walk_keeps(cands[:, :2 * p], half, 2 * p, half) < p
+    assert walk_keeps(cands[:, :2 * p], half, half) < p
     for walk in (0, 2 * half):
-        reps, src = _pairs(cands, half, walk, half)
+        reps, src = _pairs(cands[:, :walk], half, half, more=cands[:, walk:])
         basis = np.hstack([reps, np.vstack([-np.conj(reps[half:]),
                                             np.conj(reps[:half])])])
         assert np.abs(basis.conj().T @ basis - np.eye(2 * half)).max() <= 1e-13
@@ -315,6 +315,22 @@ def test_pairs_completes_a_short_walk_inside_each_closed_subspace():
         assert in_sub.shape[1] == 2 * p
         assert np.abs(in_sub @ in_sub.conj().T
                       - sub @ sub.conj().T).max() <= 1e-12
+
+
+def test_pairs_reads_the_fallback_only_when_the_walk_falls_short():
+    class Unread:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the fallback columns were read")
+
+    eye = np.eye(8, dtype=complex)
+    # e1 and e2 are orthogonal to each other's pairs: the walk keeps both
+    reps, src = _pairs(eye[:, :2], 4, 2, more=Unread())
+    assert np.array_equal(reps, eye[:, :2]) and src == [0, 1]
+    # e5 = -J conj(e1) is the partner of e1: the walk keeps one pair of two
+    with pytest.raises(AssertionError, match="fallback"):
+        _pairs(eye[:, [0, 4]], 4, 2, more=Unread())
+    reps, src = _pairs(eye[:, [0, 4]], 4, 2, more=eye[:, 1:2])
+    assert np.array_equal(reps, eye[:, :2]) and src == [0, 2]
 
 
 @pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3),
