@@ -215,7 +215,15 @@ def _ssim_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pearson3(planes: np.ndarray) -> np.ndarray:
-    return np.corrcoef(planes.reshape(3, -1))
+    # a constant channel has zero variance: NaN correlations, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.corrcoef(planes.reshape(3, -1))
+
+
+def _corr_json(corr: np.ndarray) -> list:
+    """A correlation matrix as nested lists, NaN (undefined) as None."""
+    return [[None if math.isnan(v) else v for v in row]
+            for row in corr.tolist()]
 
 
 def metrics(x: ColorImage, x_hat: ColorImage) -> RestorationMetrics:
@@ -227,7 +235,8 @@ def metrics(x: ColorImage, x_hat: ColorImage) -> RestorationMetrics:
     11x11 Gaussian windows (Wang et al., IEEE TIP, 2004), smoothed with the
     separable window as two band products; images smaller than the window
     are an error.  RR is the Frobenius relative error over the stacked
-    channels (zero reference is an error).
+    channels (zero reference is an error).  A correlation with a constant
+    channel is undefined and comes back as NaN, without a warning.
     """
     _require_comparable((x.h, x.w), (x_hat.h, x_hat.w))
     ref, est = x.planes(), x_hat.planes()
@@ -252,9 +261,9 @@ def deblur_report(op: BlurOperator, truth: ColorImage,
         "psnr_db": quat_metrics.psnr,
         "ssim": quat_metrics.ssim,
         "rr": quat_metrics.rr,
-        "corr_orig": quat_metrics.corr_orig.tolist(),
-        "corr_quat": quat_metrics.corr_restored.tolist(),
-        "corr_real": (real_metrics.corr_restored.tolist()
+        "corr_orig": _corr_json(quat_metrics.corr_orig),
+        "corr_quat": _corr_json(quat_metrics.corr_restored),
+        "corr_real": (_corr_json(real_metrics.corr_restored)
                       if real_metrics is not None else None),
         "params": {"p": op.p, "q": op.q, "sigma": op.sigma,
                    "r": op.r, "s": op.s,

@@ -4,8 +4,21 @@ Exit codes: 0 success; 1 the requested inverse does not exist (a diagnostic
 JSON is still produced); 2 usage, input-format or numerical errors (one line
 on stderr, no traceback).  All machine-readable
 output is JSON (``--json``) or the documented CSV/PPM/.qmat files; stdout
-carries a short human summary.  ``--seed`` falls back to the QUATINV_SEED
-environment variable, then 0.
+carries a short human summary.
+
+Each subcommand accepts only the shared flags it reads; any other is a usage
+error (exit 2):
+
+  =======================  =======  ======  =====  =====  ======
+  subcommand               --route  --seed  --tol  --out  --json
+  =======================  =======  ======  =====  =====  ======
+  pinv, outer, outer-w     yes              yes    yes    yes
+  drazin, group, frd, svd  yes                     yes    yes
+  rank                                                    yes
+  deblur, lorenz-filter    yes      yes            yes    yes
+  =======================  =======  ======  =====  =====  ======
+
+``--seed`` falls back to the QUATINV_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from .qcore import (
     read_qmat,
     write_qmat,
 )
-from .factor import full_rank_decompose, qsvd
+from .factor import full_rank_decompose, qsvd, rank as qrank
 from .geninv import (
     InverseExistenceError,
     _drazin_from_power,
@@ -38,7 +51,6 @@ from .geninv import (
     outer_w_right,
     pinv_report,
 )
-from .bench import SUITES, emit_csv, run_bench
 from .apps import (
     PpmFormatError,
     blur,
@@ -72,7 +84,7 @@ def _resolve_seed(args) -> int:
 
 
 def _emit_json(args, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "json", None):
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -198,7 +210,6 @@ def cmd_group(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .factor import rank as qrank
     a = read_qmat(args.infile)
     r = qrank(a)
     _emit_json(args, {"op": "rank", "shape": list(a.shape), "rank": r})
@@ -275,89 +286,82 @@ def cmd_lorenz_filter(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    k_list = [int(tok) for tok in args.k.split(",") if tok]
-    seed = _resolve_seed(args)
-    records = run_bench(args.suite, k_list, args.trials, seed=seed)
-    if args.out:
-        emit_csv(records, args.out)
-    _emit_json(args, {"op": "bench", "suite": args.suite, "k": k_list,
-                      "trials": args.trials, "seed": seed,
-                      "rows": len(records)})
-    for rec in records:
-        res = " ".join(f"{k}={v:.2e}" for k, v in sorted(rec.residuals.items()))
-        print(f"{rec.op:12s} {rec.route:6s} k={rec.k:<3d} "
-              f"{rec.mean_seconds:.4f}s {res}")
-    return 0
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, as for every other exit-2 failure
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--route", choices=["direct", "crep"],
-                        default="direct",
-                        help="quaternion arithmetic or complex representation")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: QUATINV_SEED or 0)")
-    shared.add_argument("--tol", type=float, default=1e-8,
-                        help="tolerance for within_tol; a worst residual "
-                        "above it prints a warning on stderr")
-    shared.add_argument("--out", default=None,
-                        help="output file (or prefix for multi-file commands)")
-    shared.add_argument("--json", default=None,
-                        help="write the JSON report here instead of stdout")
+    route = _flag("--route", choices=["direct", "crep"], default="direct",
+                  help="quaternion arithmetic or complex representation")
+    seed = _flag("--seed", type=int, default=None,
+                 help="RNG seed (default: QUATINV_SEED or 0)")
+    tol = _flag("--tol", type=float, default=1e-8,
+                help="tolerance for within_tol; a worst residual "
+                "above it prints a warning on stderr")
+    out = _flag("--out", default=None,
+                help="output file (or prefix for multi-file commands)")
+    report = _flag("--json", default=None,
+                   help="write the JSON report here instead of stdout")
+    source = _flag("--in", dest="infile", required=True,
+                   help="input matrix (.qmat)")
+    # each subcommand takes exactly the shared flags its cmd_* reads
+    checked = [source, route, tol, out, report]  # pinv, outer, outer-w
+    plain = [source, route, out, report]         # drazin, group, frd, svd
+    seeded = [route, seed, out, report]          # deblur, lorenz-filter
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatinv",
         description="Generalized inverses of quaternion matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pinv", parents=[shared],
+    p = sub.add_parser("pinv", parents=checked,
                        help="Moore-Penrose inverse")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["svd", "frd"], default="svd")
     p.set_defaults(func=cmd_pinv)
 
-    p = sub.add_parser("outer", parents=[shared],
+    p = sub.add_parser("outer", parents=checked,
                        help="outer inverse from generator pair (S, T)")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--side", choices=["right", "left", "both"],
                    default="right")
     p.set_defaults(func=cmd_outer)
 
-    p = sub.add_parser("outer-w", parents=[shared],
+    p = sub.add_parser("outer-w", parents=checked,
                        help="outer inverse with both spaces prescribed by W")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--side", choices=["right", "left"], default="right")
     p.set_defaults(func=cmd_outer_w)
 
-    p = sub.add_parser("drazin", parents=[shared], help="Drazin inverse")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("drazin", parents=plain, help="Drazin inverse")
     p.set_defaults(func=cmd_drazin)
 
-    p = sub.add_parser("group", parents=[shared], help="group inverse")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("group", parents=plain, help="group inverse")
     p.set_defaults(func=cmd_group)
 
-    p = sub.add_parser("rank", parents=[shared], help="numerical rank")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("rank", parents=[source, report], help="numerical rank")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("frd", parents=[shared],
+    p = sub.add_parser("frd", parents=plain,
                        help="full rank decomposition A = F G")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--side", choices=["column-form", "row-form"],
                    default="column-form")
     p.set_defaults(func=cmd_frd)
 
-    p = sub.add_parser("svd", parents=[shared],
+    p = sub.add_parser("svd", parents=plain,
                        help="quaternion singular value decomposition")
-    p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_svd)
 
-    p = sub.add_parser("deblur", parents=[shared],
+    p = sub.add_parser("deblur", parents=seeded,
                        help="blur + pseudoinverse restore a PPM image")
     p.add_argument("--image", required=True)
     p.add_argument("--p", type=int, required=True)
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the real-block restoration here (PPM)")
     p.set_defaults(func=cmd_deblur)
 
-    p = sub.add_parser("lorenz-filter", parents=[shared],
+    p = sub.add_parser("lorenz-filter", parents=seeded,
                        help="quaternion FIR filter on a Lorenz trajectory")
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.05)
@@ -379,14 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="filter order n (default: largest that fits)")
     p.set_defaults(func=cmd_lorenz_filter)
-
-    p = sub.add_parser("bench", parents=[shared],
-                       help="timing/accuracy sweep over problem sizes")
-    p.add_argument("--suite", choices=list(SUITES), required=True)
-    p.add_argument("--k", default="5,10,20",
-                   help="comma-separated size parameters")
-    p.add_argument("--trials", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,4 +1,3 @@
-import csv
 import json
 import subprocess
 import sys
@@ -6,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from quatinv.cli import main
+from quatinv.cli import build_parser, main
 from quatinv.geninv import pinv
 from quatinv.qcore import (
     QMatrix,
@@ -255,6 +254,60 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch,
     assert err == "drazin: error: rank sequence failed to stabilize\n"
 
 
+# the shared flags each subcommand reads; every other one is refused
+FLAGS_READ = {
+    "pinv": {"--route", "--tol", "--out", "--json"},
+    "outer": {"--route", "--tol", "--out", "--json"},
+    "outer-w": {"--route", "--tol", "--out", "--json"},
+    "drazin": {"--route", "--out", "--json"},
+    "group": {"--route", "--out", "--json"},
+    "frd": {"--route", "--out", "--json"},
+    "svd": {"--route", "--out", "--json"},
+    "rank": {"--json"},
+    "deblur": {"--route", "--seed", "--out", "--json"},
+    "lorenz-filter": {"--route", "--seed", "--out", "--json"},
+}
+SHARED_FLAGS = {"--route": "crep", "--seed": "1", "--tol": "0.001",
+                "--out": "o", "--json": "j"}
+REQUIRED_ARGS = {
+    "outer": ["--in", "A", "--s", "S", "--t", "T"],
+    "outer-w": ["--in", "A", "--w", "W"],
+    "deblur": ["--image", "I", "--p", "2", "--q", "8"],
+    "lorenz-filter": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_READ))
+def test_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    parser = build_parser()
+    base = [command] + REQUIRED_ARGS.get(command, ["--in", "A"])
+    for flag, value in SHARED_FLAGS.items():
+        if flag in FLAGS_READ[command]:
+            args = parser.parse_args(base + [flag, value])
+            assert str(getattr(args, flag[2:])) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(base + [flag, value])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["bench", "--suite", "pinv_all4"], "'bench'"),
+    (["rank", "--in", "A", "--route", "crep"], "--route"),
+    (["pinv", "--in", "A", "--seed", "1"], "--seed"),
+    (["drazin", "--in", "A", "--tol", "1e-3"], "--tol"),
+])
+def test_unread_flag_exits_2_on_one_line(argv, named, rand_mat, capsys):
+    # A names a readable matrix, so only the refused flag can fail the run
+    argv = [rand_mat[1] if tok == "A" else tok for tok in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and named in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -278,6 +331,30 @@ def test_deblur_cli(tmp_path):
     assert report["rr"] <= 1e-6
     assert np.array(report["corr_real"]).shape == (3, 3)
     assert out.exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("compare_real", [False, True])
+def test_deblur_flat_channel_writes_strict_json(compare_real, tmp_path):
+    # a constant red channel has no defined correlation: null, not NaN
+    rng = np.random.default_rng(6)
+    g, b = rng.uniform(0.1, 0.9, size=(2, 16, 16))
+    ppm = tmp_path / "flat.ppm"
+    write_ppm(ppm, ColorImage(np.full((16, 16), 0.5), g, b))
+    rpt = tmp_path / "m.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatinv.cli", "deblur", "--image", str(ppm),
+         "--p", "2", "--q", "8", "--json", str(rpt)]
+        + (["--compare-real"] if compare_real else []),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    report = json.loads(rpt.read_text(), parse_constant=reject_constant)
+    assert report["corr_orig"][0] == [None, None, None]
+    assert (report["corr_real"] is None) != compare_real
 
 
 def test_deblur_rejects_height_mismatch(tmp_path, capsys):
@@ -343,20 +420,6 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert r1.read_text() == r2.read_text()
     monkeypatch.setenv("QUATINV_SEED", "not-a-number")
     assert main(base + ["--json", str(r1)]) == 2
-
-
-def test_bench_cli(tmp_path):
-    out = tmp_path / "bench.csv"
-    rpt = tmp_path / "b.json"
-    code = main(["bench", "--suite", "outer_right", "--k", "2,3",
-                 "--trials", "2", "--seed", "1",
-                 "--out", str(out), "--json", str(rpt)])
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:5] == ["op", "route", "k", "trials", "mean_seconds"]
-    assert len(rows) == 1 + 2 * 2
-    assert load_json(rpt)["rows"] == 4
 
 
 def test_console_script_runs():
