@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore import QMatrix, mat_mul
+from ..qcore import QMatrix, _route_mul, mat_mul
 from ..geninv import pinv
 from .ppm import ColorImage, image_to_qmat, qmat_to_image
 
@@ -133,7 +133,7 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
             f"blurred data height {b.shape[0]} does not match operator {op.h}")
     if truth is not None:
         _require_comparable((truth.h, truth.w), b.shape)
-    x_hat = mat_mul(pinv(op.a, method="svd", route=route), b)
+    x_hat = _route_mul(route)(pinv(op.a, method="svd", route=route), b)
     img = qmat_to_image(x_hat, clamp=True)
     return img, (metrics(truth, img) if truth is not None else None)
 

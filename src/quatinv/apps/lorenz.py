@@ -53,27 +53,35 @@ class FilterSystem:
 def lorenz_simulate(T: float, dt: float, alpha: float = 10.0,
                     beta: float = 8.0 / 3.0, rho: float = 28.0,
                     start=(1.0, 1.0, 1.0)) -> np.ndarray:
-    """Fixed-step RK4 trajectory with N = floor(T/dt) + 1 samples."""
+    """Fixed-step RK4 trajectory with N = floor(T/dt) + 1 samples.
+
+    Raises ``ValueError`` when the step is too large for RK4 to stay finite.
+    """
     if dt <= 0:
         raise ValueError(f"step must be positive, got dt={dt}")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got T={T}")
 
-    def deriv(v):
-        x, y, z = v
-        return np.array([alpha * (y - x), x * (rho - z) - y, x * y - beta * z])
+    def deriv(x, y, z):
+        return alpha * (y - x), x * (rho - z) - y, x * y - beta * z
 
-    n_steps = math.floor(T / dt)
-    traj = np.empty((n_steps + 1, 3))
-    traj[0] = start
-    v = np.array(start, dtype=float)
-    for i in range(n_steps):
-        k1 = deriv(v)
-        k2 = deriv(v + 0.5 * dt * k1)
-        k3 = deriv(v + 0.5 * dt * k2)
-        k4 = deriv(v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        traj[i + 1] = v
+    # RK4 on Python floats: the same IEEE operations in the same order as on
+    # three-element arrays, without an array per stage
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, y, z = (float(c) for c in start)
+    rows = [(x, y, z)]
+    for _ in range(math.floor(T / dt)):
+        a1, b1, c1 = deriv(x, y, z)
+        a2, b2, c2 = deriv(x + half * a1, y + half * b1, z + half * c1)
+        a3, b3, c3 = deriv(x + half * a2, y + half * b2, z + half * c2)
+        a4, b4, c4 = deriv(x + dt * a3, y + dt * b3, z + dt * c3)
+        x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        rows.append((x, y, z))
+    traj = np.array(rows)
+    if not np.isfinite(traj).all():
+        raise ValueError(f"RK4 diverged at dt={dt}: take a smaller step")
     return traj
 
 

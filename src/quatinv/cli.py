@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 the requested inverse does not exist (a diagnostic
 JSON is still produced); 2 usage, input-format or numerical errors (one line
-on stderr, no traceback).  All machine-readable
+on stderr, no traceback), a floating-point overflow, invalid value or
+division by zero in numpy included.  All machine-readable
 output is JSON (``--json``) or the documented CSV/PPM/.qmat files; stdout
 carries a short human summary.
 
@@ -28,6 +29,8 @@ import json
 import os
 import sys
 from itertools import islice
+
+import numpy as np
 
 from .qcore import (
     QMatrix,
@@ -394,7 +397,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a numpy overflow (or an invalid value or division by zero) stops
+        # the command rather than printing a warning and going on with Inf
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except InverseExistenceError as exc:
         _emit_json(args, {"op": args.command, "exists": False,
                           "reason": str(exc)})
@@ -403,6 +409,10 @@ def main(argv=None) -> int:
     except (QmatFormatError, PpmFormatError, ValueError, OSError,
             RuntimeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"{args.command}: error: floating-point overflow or invalid "
+              f"value ({exc.args[-1]})", file=sys.stderr)
         return 2
 
 

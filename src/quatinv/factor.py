@@ -26,6 +26,12 @@ cluster; on direct it is the full result sliced.  The zero-block
 {1}-inverse (the Moore-Penrose inverse of its argument) takes the compact
 SVD; free blocks need the full one.
 
+One direct QR kernel serves two callers.  ``full_rank_decompose`` runs it
+with every column free to pivot and the rank rule as its stop.  The square
+solve W^-1 B (for a W whose full rank is already decided) runs it on
+[W | B] with the pivots restricted to W's columns, so the reflectors carry B
+along and the same back substitution returns the solution.
+
 Both must agree to rounding; the test suite enforces this.
 """
 
@@ -41,6 +47,7 @@ from .qcore import (
     _route_mul,
     conj_transpose,
     from_crep,
+    hstack_q,
     mat_mul,
     symmetrize_crep,
     to_crep,
@@ -449,19 +456,24 @@ def _pivot(x1, x2):
     return j, math.sqrt(w[j])
 
 
-def _qr_direct(a: QMatrix):
+def _qr_direct(a: QMatrix, npiv: int | None = None):
     """Column-pivoted quaternion Householder QR on the component pair.
 
-    Returns the column permutation, the rank r and X = R11^{-1} R12 as a
-    pair, found by back substitution with the pivots' quaternion inverses.
+    Every reflector acts on all n columns.  By default any column may pivot
+    and the QR stops by the rank rule.  Given ``npiv``, only the first npiv
+    columns pivot, and they are taken as independent (their rank was decided
+    elsewhere): the QR runs through all of them, stopping only on an exactly
+    zero remainder.  Returns the column permutation, the rank r and
+    X = R11^{-1} R12 as a pair, found by back substitution with the pivots'
+    quaternion inverses.
     """
     m, n = a.shape
     b1, b2 = a.q1.copy(), a.q2.copy()
     perm = np.arange(n)
     r = stop = 0
-    for k in range(min(m, n)):
-        j, big = _pivot(b1[k:, k:], b2[k:, k:])
-        if k == 0:
+    for k in range(min(m, n if npiv is None else npiv)):
+        j, big = _pivot(b1[k:, k:npiv], b2[k:, k:npiv])
+        if k == 0 and npiv is None:
             stop = _rank_threshold(big, m, n)
         if big <= stop:
             break
@@ -478,6 +490,21 @@ def _qr_direct(a: QMatrix):
         x1[k], x2[k] = _scalar_times(np.conj(p1) / n2, -p2 / n2,
                                      b1[k, r:] - z1, b2[k, r:] - z2)
     return perm, r, QMatrix(x1, x2)
+
+
+def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
+    """W^{-1} B for a square W of full rank, from the pivoted QR of [W | B].
+
+    The pivots run over W's columns only, so the reflectors carry B to
+    Q* B and the back substitution gives R11^{-1} Q* B = P^T W^{-1} B.
+    Raises ``np.linalg.LinAlgError`` if W turns out exactly singular.
+    """
+    n = w.ncols
+    perm, r, x = _qr_direct(hstack_q([w, b]), npiv=n)
+    if r < n:
+        raise np.linalg.LinAlgError("Singular matrix")
+    back = np.argsort(perm[:n])  # row k of X belongs to W's column perm[k]
+    return QMatrix(x.q1[back], x.q2[back])
 
 
 def _qr_crep(a: QMatrix):
@@ -596,23 +623,28 @@ def one_inverse(w: QMatrix, k: QMatrix | None = None,
     return _free_block_inverse(qsvd(w, method=method), k, l, m, method)
 
 
+def _free_blocks(k, l, m, s: int, qdim: int, pdim: int):
+    """The free blocks (K, L, M) of a rank-s q-by-p input, a None block as
+    zeros; ``ValueError`` for a block of another shape."""
+    blocks = []
+    for name, blk, want in (("K", k, (s, qdim - s)),
+                            ("L", l, (pdim - s, s)),
+                            ("M", m, (pdim - s, qdim - s))):
+        if blk is None:
+            blk = QMatrix.zeros(*want)
+        elif blk.shape != want:
+            raise ValueError(
+                f"free block {name} has shape {blk.shape}, expected {want}")
+        blocks.append(blk)
+    return blocks
+
+
 def _free_block_inverse(res: QSvdResult, k, l, m, method: str) -> QMatrix:
     # V [[diag(sigma_{1..s})^{-1}, K], [L, M]] U* from the full SVD res of w,
     # with a None block taken as zero
     qdim, pdim = res.u.shape[0], res.v.shape[0]
     s = res.rank
-    if k is None:
-        k = QMatrix.zeros(s, qdim - s)
-    if l is None:
-        l = QMatrix.zeros(pdim - s, s)
-    if m is None:
-        m = QMatrix.zeros(pdim - s, qdim - s)
-    for name, blk, want in (("K", k, (s, qdim - s)),
-                            ("L", l, (pdim - s, s)),
-                            ("M", m, (pdim - s, qdim - s))):
-        if blk.shape != want:
-            raise ValueError(
-                f"free block {name} has shape {blk.shape}, expected {want}")
+    k, l, m = _free_blocks(k, l, m, s, qdim, pdim)
     mid1 = np.zeros((pdim, qdim), dtype=complex)
     mid2 = np.zeros((pdim, qdim), dtype=complex)
     if s:

@@ -22,7 +22,16 @@ Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route
 is checked on entry, and all five outer-inverse constructors (and both
 Moore-Penrose realizations) evaluate the expression through one private
-core, differing only in S, T and the small inverse they hand it.
+core, differing only in S and T, the free blocks, and whether a singular
+TAS means the inverse does not exist.  The core has one rule: when TAS is
+square and rank(TAS) equals its order, its only {1}-inverse is (TAS)^-1, and
+X = S solve(TAS, T) comes from one factorization of TAS on the route's own
+arithmetic (an LU of (TAS)^C on crep, the pivoted quaternion QR of
+[TAS | T] on direct), with no SVD of TAS.  That covers the Moore-Penrose
+inverse of a square invertible A, every W-prescribed constructor (Drazin
+and group inverses included) and any outer inverse whose TAS is square and
+nonsingular; a rectangular or singular TAS takes its {1}-inverse from its
+SVD.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ import numpy as np
 
 from .factor import (
     _free_block_inverse,
+    _free_blocks,
+    _solve_direct,
     full_rank_decompose,
     one_inverse,
     qsvd,
@@ -43,9 +54,9 @@ from .factor import (
 from .qcore import (
     QMatrix,
     _route_mul,
+    _row_times_crep,
     conj_transpose,
     fro_norm,
-    from_crep,
     hstack_q,
     mat_mul,
     symmetrize_crep,
@@ -145,41 +156,46 @@ def _report(a, x, ranks, side, route, classification=None, penrose=False,
         ranks=ranks, side=side, route=route)
 
 
-def _urquhart(a, s, t, route, invert):
-    # X = S (TAS)^(1) T, where invert(W, rank W) returns the small inverse,
-    # or None when the requested inverse does not exist; returns (X, rank W)
+def _urquhart(a, s, t, route, free_blocks=None, need_inverse=False):
+    # X = S (TAS)^(1) T; returns (X, rank W).  A square W = TAS of full rank
+    # has one {1}-inverse, W^-1, so X = S (W^-1 T) from one factorization of
+    # W (explicit free blocks must then be empty).  Any other W: with
+    # need_inverse X is None (the prescribed-space inverse does not exist),
+    # else the {1}-inverse comes from the SVD of W, free_blocks as in
+    # outer_right
     mm = _route_mul(route)
     w = mm(mm(t, a), s)
     w_rank = rank(w)
-    w1 = invert(w, w_rank)
-    return (None if w1 is None else mm(mm(s, w1), t)), w_rank
+    if w.nrows == w.ncols == w_rank:
+        if free_blocks is not None and not isinstance(
+                free_blocks, np.random.Generator):
+            _free_blocks(*free_blocks, w_rank, *w.shape)
+        return _solve_core(s, w, t, route), w_rank
+    if need_inverse:
+        return None, w_rank
+    return mm(mm(s, _svd_one_inverse(w, route, free_blocks)), t), w_rank
 
 
-def _svd_inverse(route, free_blocks=None):
-    # the {1}-inverse of W from its SVD; free_blocks as in outer_right.  Random
-    # blocks are drawn at the rank of the one SVD they are placed in, which
-    # on a near tie can differ from w_rank
-    def invert(w, w_rank):
-        if isinstance(free_blocks, np.random.Generator):
-            res = qsvd(w, method=route)
-            blocks = random_free_blocks(*w.shape, res.rank, free_blocks)
-            return _free_block_inverse(res, *blocks, route)
-        return one_inverse(w, *(free_blocks or (None,) * 3), method=route)
-    return invert
+def _solve_core(s, w, t, route):
+    # S W^-1 T for a square W of full rank, from one factorization of W in
+    # the route's own arithmetic: on crep an LU solve with W^C, whose
+    # restored solution meets S in one GEMM of S's first block row [S1, S2];
+    # on direct the pivoted QR of [W | T]
+    if route == "direct":
+        return mat_mul(s, _solve_direct(w, t))
+    y = np.linalg.solve(to_crep(w).data, to_crep(t).data)
+    return _row_times_crep(s, symmetrize_crep(y, *t.shape))
 
 
-def _full_rank_inverse(route, r):
-    # the inverse of the r-by-r matrix W = G A F, None when W is singular;
-    # the crep route inverts W^C by LAPACK and so never runs qsvd
-    def invert(w, w_rank):
-        if w_rank < r:
-            return None
-        if r == 0:
-            return QMatrix.zeros(0, 0)
-        if route == "direct":
-            return one_inverse(w, method="direct")
-        return from_crep(symmetrize_crep(np.linalg.inv(to_crep(w).data), r, r))
-    return invert
+def _svd_one_inverse(w, route, free_blocks):
+    # the {1}-inverse of W from its SVD.  Random blocks are drawn at the rank
+    # of the one SVD they are placed in, which on a near tie can differ from
+    # rank(W)
+    if isinstance(free_blocks, np.random.Generator):
+        res = qsvd(w, method=route)
+        blocks = random_free_blocks(*w.shape, res.rank, free_blocks)
+        return _free_block_inverse(res, *blocks, route)
+    return one_inverse(w, *(free_blocks or (None,) * 3), method=route)
 
 
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
@@ -198,8 +214,7 @@ def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
     if t1.ncols != m:
         raise ValueError(f"T1 has {t1.ncols} columns, expected {m}")
     ranks = {"nu": rank(a), "s": rank(s1), "t": rank(t1)}
-    x, ranks["w"] = _urquhart(a, s1, t1, route,
-                              _svd_inverse(route, free_blocks))
+    x, ranks["w"] = _urquhart(a, s1, t1, route, free_blocks)
     return _report(a, x, ranks, "right", route)
 
 
@@ -217,8 +232,7 @@ def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
     if t2.nrows != n:
         raise ValueError(f"T2 has {t2.nrows} rows, expected {n}")
     ranks = {"nu": rank(a), "s": rank(s2), "t": rank(t2)}
-    x, ranks["w"] = _urquhart(a, t2, s2, route,
-                              _svd_inverse(route, free_blocks))
+    x, ranks["w"] = _urquhart(a, t2, s2, route, free_blocks)
     return _report(a, x, ranks, "left", route)
 
 
@@ -240,7 +254,7 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     if t.shape != (n, m):
         raise ValueError(f"T has shape {t.shape}, expected {(n, m)}")
     ranks = {"nu": rank(a), "s": rank(s), "t": rank(t)}
-    x, ranks["w"] = _urquhart(a, s, t, route, _svd_inverse(route, free_blocks))
+    x, ranks["w"] = _urquhart(a, s, t, route, free_blocks)
     right = _classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
     left = _classify(ranks["nu"], ranks["t"], ranks["s"], ranks["w"])
     cls = {
@@ -263,8 +277,7 @@ def _w_report(a, side, route, fact, penrose=False):
     # both W-variants invert the same small matrix G A F; they differ in the
     # factorization form and in which spaces (right vs left) the factors pin
     ranks = {"nu": rank(a), "s": fact.r, "t": fact.r}
-    x, ranks["w"] = _urquhart(a, fact.f, fact.g, route,
-                              _full_rank_inverse(route, fact.r))
+    x, ranks["w"] = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
     if x is not None:
         return _report(a, x, ranks, side, route, penrose=penrose)
     return _report(
@@ -331,7 +344,7 @@ def pinv_report(a: QMatrix, method: str = "svd",
     if method == "svd":
         # outer_right(a, A*, A*), with the Penrose residuals from its products
         ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar)}
-        x, ranks["w"] = _urquhart(a, astar, astar, route, _svd_inverse(route))
+        x, ranks["w"] = _urquhart(a, astar, astar, route)
         return _report(a, x, ranks, "right", route, penrose=True)
     if method == "frd":
         fact = full_rank_decompose(astar, side="column-form", route=route)

@@ -231,9 +231,14 @@ def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.ncols != b.nrows:
         raise ValueError(
             f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    row = np.hstack([a.q1, a.q2]) @ to_crep(b).data
-    n = b.ncols
-    return QMatrix(row[:, :n], row[:, n:])
+    return _row_times_crep(a, to_crep(b))
+
+
+def _row_times_crep(a: QMatrix, b: CRep) -> QMatrix:
+    # A B as the first block row [A1, A2] of A^C times B^C, for a B that is
+    # already held in its complex representation
+    row = np.hstack([a.q1, a.q2]) @ b.data
+    return QMatrix(row[:, :b.n], row[:, b.n:])
 
 
 def _route_mul(route: str):

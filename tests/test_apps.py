@@ -233,6 +233,22 @@ def test_deblur_routes_agree():
     assert np.max(np.abs(direct.planes() - crep.planes())) <= 5e-9
 
 
+def test_deblur_crep_route_makes_no_pair_product(monkeypatch):
+    # the crep route applies pinv(A) to B with its own product
+    truth = rand_image(16, 12, seed=10, lo=0.1, hi=0.9)
+    op = build_blur(2, 8, sigma=3.0, r=1, s=3)
+    b = blur(op, truth)
+    want, _ = deblur_quaternion(op, b, route="crep")
+
+    def pair_product(x, y):
+        raise AssertionError("pair product on the crep route")
+
+    monkeypatch.setattr(deblur_mod, "mat_mul", pair_product)
+    got, m = deblur_quaternion(op, b, truth=truth, route="crep")
+    assert np.array_equal(got.planes(), want.planes())
+    assert m.rr <= 1e-6
+
+
 @pytest.mark.parametrize("b_shape,truth_shape", [((16, 16), (16, 12)),
                                                   ((8, 8), (8, 8))],
                          ids=["16x12", "8x8"])
@@ -421,6 +437,40 @@ def test_rk4_one_step_standard_frozen():
     assert traj[1, 2] == pytest.approx(0.96345561528257517, abs=1e-15)
 
 
+def rk4_on_arrays(T, dt, alpha=10.0, beta=8.0 / 3.0, rho=28.0,
+                  start=(1.0, 1.0, 1.0)):
+    """The RK4 of lorenz_simulate on three-element numpy arrays."""
+    def deriv(v):
+        x, y, z = v
+        return np.array([alpha * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+    n_steps = math.floor(T / dt)
+    traj = np.empty((n_steps + 1, 3))
+    traj[0] = start
+    v = np.array(start, dtype=float)
+    for i in range(n_steps):
+        k1 = deriv(v)
+        k2 = deriv(v + 0.5 * dt * k1)
+        k3 = deriv(v + 0.5 * dt * k2)
+        k4 = deriv(v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj[i + 1] = v
+    return traj
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((10.0, 0.05), {}),
+    ((50.0, 0.06), {}),
+    ((7.3, 0.013), {"alpha": 9.5, "beta": 2.5, "rho": 30.0,
+                    "start": (-3.0, 2.5, 20.0)}),
+], ids=["T10-dt0.05", "T50-dt0.06", "custom-start-and-params"])
+def test_rk4_on_floats_is_bit_identical_to_arrays(args, kwargs):
+    traj = lorenz_simulate(*args, **kwargs)
+    want = rk4_on_arrays(*args, **kwargs)
+    assert traj.dtype == want.dtype and traj.shape == want.shape
+    assert np.array_equal(traj, want)
+
+
 def test_lorenz_sample_counts():
     assert lorenz_simulate(T=10.0, dt=0.05).shape == (201, 3)
     assert lorenz_simulate(T=50.0, dt=0.06).shape == (834, 3)
@@ -436,6 +486,11 @@ def test_lorenz_rejects_bad_steps():
         lorenz_simulate(T=1.0, dt=0.0)
     with pytest.raises(ValueError):
         lorenz_simulate(T=-1.0, dt=0.1)
+
+
+def test_lorenz_rejects_a_diverging_step():
+    with pytest.raises(ValueError, match="RK4 diverged"):
+        lorenz_simulate(T=200.0, dt=0.5)
 
 
 def test_rk4_step_halving_is_fourth_order():

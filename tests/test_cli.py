@@ -254,6 +254,40 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch,
     assert err == "drazin: error: rank sequence failed to stabilize\n"
 
 
+HUGE = "QMAT 2 2\n" + "\n".join(
+    " ".join(f"{'-' if (i + j) % 3 == 0 else ''}1e300" for j in range(4))
+    for i in range(4)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pinv"], ["pinv", "--method", "frd"], ["outer", "--s", "{a}", "--t", "{a}"],
+    ["outer-w", "--w", "{a}"], ["drazin"], ["group"], ["frd"], ["svd"],
+], ids=lambda argv: " ".join(arg for arg in argv if arg != "{a}"))
+def test_overflow_exits_2_on_one_line(argv, tmp_path, capsys):
+    # finite entries near 1e300 overflow inside the products and norms
+    path = tmp_path / "huge.qmat"
+    path.write_text(HUGE)
+    argv = [arg.format(a=path) for arg in argv]
+    assert main(argv + ["--in", str(path), "--json", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"{argv[0]}: error: ")
+    assert "overflow" in err or "non-finite" in err
+
+
+def test_overflow_in_the_console_prints_no_warning(tmp_path):
+    path = tmp_path / "huge.qmat"
+    path.write_text(HUGE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatinv.cli", "pinv", "--in", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("pinv: error: floating-point overflow or invalid "
+                           "value (overflow encountered in matmul)\n")
+
+
 # the shared flags each subcommand reads; every other one is refused
 FLAGS_READ = {
     "pinv": {"--route", "--tol", "--out", "--json"},

@@ -5,6 +5,7 @@ from quatinv.factor import (
     FullRankFactorization,
     _bidiagonalize,
     _pairs,
+    _solve_direct,
     full_rank_decompose,
     one_inverse,
     qsvd,
@@ -650,6 +651,28 @@ def test_frd_direct_never_forms_the_complex_representation(side, monkeypatch):
     fact = full_rank_decompose(a, side=side, route="direct")
     assert fact.r == 4
     assert qallclose(mat_mul(fact.f, fact.g), a, 1e-13)
+
+
+def test_direct_solve_pivots_only_among_w_columns():
+    # W's first column is small and B's columns are large, so a QR free to
+    # pivot over [W | B] would take a column of B first
+    rng = np.random.default_rng(60)
+    w = random_qmat(5, 5, rng)
+    w = hstack_q([QMatrix(1e-3 * w.q1[:, :1], 1e-3 * w.q2[:, :1]),
+                  QMatrix(w.q1[:, 1:], w.q2[:, 1:])])
+    b = random_qmat(5, 3, rng) * 1e3
+    x = _solve_direct(w, b)
+    assert x.shape == (5, 3)
+    assert qallclose(mat_mul(w, x), b, 1e-12)
+    wc, bc = to_crep(w).data, to_crep(b).data
+    assert qallclose(x, QMatrix(*np.split(np.linalg.solve(wc, bc)[:5], 2, 1)),
+                     1e3 * np.linalg.cond(wc) * EPS)
+
+
+def test_direct_solve_rejects_an_exactly_singular_w():
+    w = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_direct(w, QMatrix.eye(2))
 
 
 def test_frd_routes_agree():

@@ -495,6 +495,206 @@ def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
     assert len(calls) == 2
 
 
+# ------------------------------------------- square nonsingular W = TAS
+#
+# A square W of full rank has W^-1 as its only {1}-inverse, and X = S W^-1 T
+# comes from one LU (crep) or pivoted QR (direct) of W, with no SVD of W.
+
+EPS = np.finfo(float).eps
+
+
+def crep(x):
+    return np.block([[x.q1, x.q2], [-np.conj(x.q2), np.conj(x.q1)]])
+
+
+def crep_oracle(a, s, t):
+    """S (TAS)^-1 T and kappa(TAS), by numpy on the complex representation."""
+    wc = crep(t) @ crep(a) @ crep(s)
+    return crep(s) @ np.linalg.solve(wc, crep(t)), np.linalg.cond(wc)
+
+
+def rel_gap(x, y):
+    return float(np.linalg.norm(x - y) / np.linalg.norm(y))
+
+
+def graded(k, kappa, rng):
+    """U diag(sigma) V* of order k, sigma graded from 1 down to 1/kappa."""
+    from test_factor import rand_unitary
+
+    sigma = QMatrix.from_real(np.diag(np.logspace(0, -np.log10(kappa), k)))
+    return mat_mul(mat_mul(rand_unitary(k, rng), sigma),
+                   conj_transpose(rand_unitary(k, rng)))
+
+
+def qsvd_spy(monkeypatch):
+    from quatinv import factor
+
+    calls = []
+    inner = factor.qsvd
+
+    def spy(a, method="crep", full=True):
+        calls.append(a.shape)
+        return inner(a, method=method, full=full)
+
+    monkeypatch.setattr(factor, "qsvd", spy)
+    monkeypatch.setattr(geninv, "qsvd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_square_solve_matches_the_crep_oracle(route):
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        a = random_qmat(7, 6, rng)
+        s, t = random_qmat(6, 4, rng), random_qmat(4, 7, rng)
+        rep = outer_right(a, s, t, route=route)
+        oracle, kappa = crep_oracle(a, s, t)
+        assert rep.ranks["w"] == 4
+        assert rep.classification["range_matches"]
+        assert rep.classification["nullspace_matches"]
+        assert rel_gap(crep(rep.x), oracle) <= 4 * 4 * kappa * EPS
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_square_solve_error_grows_with_kappa_times_eps(kappa):
+    # unitary S and T keep kappa(W) = kappa(A); both routes and their gap
+    # stay within c kappa eps all the way to kappa = 1e10
+    from test_factor import rand_unitary
+
+    rng = np.random.default_rng(int(np.log10(kappa)))
+    k = 8
+    a = graded(k, kappa, rng)
+    s, t = rand_unitary(k, rng), rand_unitary(k, rng)
+    oracle, kappa_w = crep_oracle(a, s, t)
+    assert kappa_w == pytest.approx(kappa, rel=1e-3)
+    bound = 2 * k * kappa_w * EPS
+    xs = [outer_right(a, s, t, route=route).x for route in ("direct", "crep")]
+    for x in xs:
+        assert rel_gap(crep(x), oracle) <= bound
+    assert rel_gap(crep(xs[0]), crep(xs[1])) <= bound
+
+
+def test_square_solve_route_parity_for_every_constructor():
+    # every constructor, each with a square nonsingular W here, agrees
+    # across the two routes
+    rng = np.random.default_rng(51)
+    a = random_qmat(5, 5, rng)
+    s, t = random_qmat(5, 3, rng), random_qmat(3, 5, rng)
+    w = random_qmat(5, 5, rng)
+    for build in (lambda r: outer_right(a, s, t, route=r).x,
+                  lambda r: outer_left(a, t, s, route=r).x,
+                  lambda r: outer_w_right(a, w, route=r).x,
+                  lambda r: outer_w_left(a, w, route=r).x,
+                  lambda r: pinv(a, method="svd", route=r),
+                  lambda r: pinv(a, method="frd", route=r),
+                  lambda r: drazin(a, route=r),
+                  lambda r: group_inverse(a, route=r)):
+        x, y = build("direct"), build("crep")
+        assert fro_norm(x - y) <= 1e-11 * fro_norm(x)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_square_nonsingular_w_runs_no_qsvd(route, monkeypatch):
+    calls = qsvd_spy(monkeypatch)
+    rng = np.random.default_rng(52)
+    a = random_qmat(6, 5, rng)
+    outer_right(a, random_qmat(5, 3, rng), random_qmat(3, 6, rng), route=route)
+    pinv_report(random_qmat(4, 4, rng), route=route)
+    outer_w_right(a, random_qmat(5, 6, rng), route=route)
+    drazin(random_qmat(4, 4, rng), route=route)
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_singular_or_rectangular_w_runs_one_qsvd(route, monkeypatch):
+    calls = qsvd_spy(monkeypatch)
+    rng = np.random.default_rng(53)
+    a = rand_rank_deficient(6, 5, 2, rng)
+    # W 3x3 of rank 2, then W 2x3
+    outer_right(a, random_qmat(5, 3, rng), random_qmat(3, 6, rng), route=route)
+    assert calls == [(3, 3)]
+    outer_right(a, random_qmat(5, 3, rng), random_qmat(2, 6, rng), route=route)
+    assert calls == [(3, 3), (2, 3)]
+    # pinv of a rectangular A: W = A*AA* is 5x6
+    pinv_report(random_qmat(6, 5, rng), route=route)
+    assert calls == [(3, 3), (2, 3), (5, 6)]
+
+
+def test_direct_square_solve_never_forms_a_crep(monkeypatch):
+    # rank() still reads A^C, so it is replaced by a numpy oracle here; the
+    # factorization, the solve and the products must not call to_crep
+    from quatinv import factor
+
+    rng = np.random.default_rng(54)
+    a, w = random_qmat(5, 5, rng), random_qmat(5, 5, rng)
+    want = (pinv_report(a, route="direct").x,
+            outer_w_right(a, w, route="direct").x)
+
+    def forbidden(x):
+        raise AssertionError("to_crep on the direct route")
+
+    def numpy_rank(x):
+        if 0 in x.shape:
+            return 0
+        sig = np.linalg.svd(crep(x), compute_uv=False)[0::2]
+        return int(np.count_nonzero(sig > max(x.shape) * EPS * sig[0]))
+
+    for mod in (qcore, factor, geninv):
+        monkeypatch.setattr(mod, "to_crep", forbidden, raising=False)
+    monkeypatch.setattr(geninv, "rank", numpy_rank)
+    got = (pinv_report(a, route="direct").x,
+           outer_w_right(a, w, route="direct").x)
+    for x, y in zip(got, want):
+        assert np.array_equal(x.q1, y.q1) and np.array_equal(x.q2, y.q2)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_empty_and_zero_w(route):
+    rng = np.random.default_rng(55)
+    a = random_qmat(4, 3, rng)
+    # a 0x0 W has rank 0, its order: X = S W^-1 T is the 3x4 zero
+    rep = outer_right(a, QMatrix.zeros(3, 0), QMatrix.zeros(0, 4), route=route)
+    assert rep.exists and rep.ranks["w"] == 0
+    assert rep.x.shape == (3, 4) and fro_norm(rep.x) == 0.0
+    # a zero W = 0 (G A F is 0x0)
+    rep = outer_w_right(a, QMatrix.zeros(3, 4), route=route)
+    assert rep.exists and rep.ranks == {"nu": 3, "s": 0, "t": 0, "w": 0}
+    assert rep.x.shape == (3, 4) and fro_norm(rep.x) == 0.0
+    # a square zero W = TAS goes through the SVD: X = 0
+    rep = outer_right(a, QMatrix.zeros(3, 2), random_qmat(2, 4, rng),
+                      route=route)
+    assert rep.ranks["w"] == 0 and fro_norm(rep.x) == 0.0
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_report_of_invertible_a_is_its_inverse(route):
+    rng = np.random.default_rng(56)
+    a = random_qmat(6, 6, rng)
+    rep = pinv_report(a, route=route)
+    inv = np.linalg.inv(crep(a))
+    # the composed formula inverts A*AA*: kappa(A)^3
+    kappa = np.linalg.cond(crep(a))
+    assert rel_gap(crep(rep.x), inv) <= 6 * kappa ** 3 * EPS
+    assert rep.ranks == {"nu": 6, "s": 6, "t": 6, "w": 6}
+    assert all(rep.classification.values())
+    assert all(v <= 1e-10 for v in rep.residuals.values())
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_free_blocks_on_a_nonsingular_w_must_be_empty(route):
+    rng = np.random.default_rng(57)
+    a = random_qmat(4, 4, rng)
+    eye = QMatrix.eye(4)
+    empty = (QMatrix.zeros(4, 0), QMatrix.zeros(0, 4), QMatrix.zeros(0, 0))
+    x = outer_right(a, eye, eye, route=route, free_blocks=empty).x
+    assert fro_norm(x - outer_right(a, eye, eye, route=route).x) == 0.0
+    for bad in ((QMatrix.zeros(4, 1), None, None),
+                (None, QMatrix.zeros(1, 4), None),
+                (None, None, QMatrix.zeros(1, 1))):
+        with pytest.raises(ValueError, match="free block"):
+            outer_right(a, eye, eye, route=route, free_blocks=bad)
+
+
 CONSTRUCTORS = {
     "outer_right": lambda a, route: outer_right(a, a, a, route=route),
     "outer_left": lambda a, route: outer_left(a, a, a, route=route),
