@@ -20,11 +20,9 @@ from .deblur import (
 )
 from .lorenz import (
     FilterSystem,
-    LorenzRun,
     build_filter_system,
     default_order,
     lorenz_simulate,
-    simulate_run,
     write_filter_csv,
     write_trajectory_csv,
 )
@@ -44,10 +42,8 @@ __all__ = [
     "real_block_restore",
     "metrics",
     "deblur_report",
-    "LorenzRun",
     "FilterSystem",
     "lorenz_simulate",
-    "simulate_run",
     "default_order",
     "build_filter_system",
     "write_trajectory_csv",

@@ -18,27 +18,13 @@ from ..qcore import QMatrix, fro_norm, mat_mul
 from ..geninv import pinv_solve
 
 __all__ = [
-    "LorenzRun",
     "FilterSystem",
     "lorenz_simulate",
-    "simulate_run",
     "default_order",
     "build_filter_system",
     "write_trajectory_csv",
     "write_filter_csv",
 ]
-
-
-@dataclass(frozen=True)
-class LorenzRun:
-    alpha: float
-    beta: float
-    rho: float
-    dt: float
-    T: float
-    trajectory: np.ndarray  # (N, 3), N = floor(T/dt) + 1
-    delay_samples: int      # one time unit, round(1/dt)
-    noise_sigma: float
 
 
 @dataclass(frozen=True)
@@ -83,14 +69,6 @@ def lorenz_simulate(T: float, dt: float, alpha: float = 10.0,
     if not np.isfinite(traj).all():
         raise ValueError(f"RK4 diverged at dt={dt}: take a smaller step")
     return traj
-
-
-def simulate_run(T: float, dt: float, alpha: float = 10.0,
-                 beta: float = 8.0 / 3.0, rho: float = 28.0,
-                 noise_sigma: float = 0.01) -> LorenzRun:
-    traj = lorenz_simulate(T, dt, alpha, beta, rho)
-    return LorenzRun(alpha, beta, rho, dt, T, traj,
-                     round(1.0 / dt), noise_sigma)
 
 
 def default_order(n_samples: int, delay_samples: int) -> int:

@@ -64,6 +64,11 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# the hand-written kernels form squared norms, which overflow or underflow
+# unless the largest component magnitude lies in [_SAFE_MIN, _SAFE_MAX]
+# (LAPACK's xGESVD bounds, sqrt(tiny) / eps and its reciprocal)
+_SAFE_MIN = math.sqrt(np.finfo(float).tiny) / _EPS
+_SAFE_MAX = 1.0 / _SAFE_MIN
 
 
 def _rank_threshold(lead: float, m: int, n: int) -> float:
@@ -76,6 +81,20 @@ def _require_finite(a: QMatrix, op: str) -> None:
     # LAPACK would only report "SVD did not converge" on NaN/Inf input
     if not (np.isfinite(a.q1).all() and np.isfinite(a.q2).all()):
         raise ValueError(f"{op}: input has non-finite entries (NaN or Inf)")
+
+
+def _scale_to_safe(a: QMatrix, ncols: int | None = None):
+    """(A 2^k, k), as xGESVD scales its input: k = 0 when the largest
+    component magnitude of A's first ncols columns (all by default) is 0 or
+    in the safe range, else the exact power of two that brings it to
+    [1/2, 1)."""
+    big = max(float(np.abs(t[:, :ncols]).max(initial=0.0))
+              for t in (a.q1.real, a.q1.imag, a.q2.real, a.q2.imag))
+    if big == 0.0 or _SAFE_MIN <= big <= _SAFE_MAX:
+        return a, 0
+    # a subnormal big is brought only to 2^1023 big, still inside the range
+    k = min(-math.frexp(big)[1], 1023)
+    return a * math.ldexp(1.0, k), k
 
 
 def _crep_rank(s: np.ndarray, m: int, n: int) -> int:
@@ -92,7 +111,7 @@ def rank(a: QMatrix) -> int:
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    return _crep_rank(np.linalg.svd(to_crep(a).data, compute_uv=False), m, n)
+    return _crep_rank(np.linalg.svd(to_crep(a), compute_uv=False), m, n)
 
 
 # =========================================================== quaternion SVD
@@ -141,6 +160,8 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
     Raises ``ValueError`` for an input with NaN or Inf entries, and
     ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK does not converge.
     """
+    if method not in ("crep", "direct"):
+        raise ValueError(f"unknown qsvd method {method!r}")
     _require_finite(a, "qsvd")
     m, n = a.shape
     if m == 0 or n == 0:
@@ -150,8 +171,6 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
                           QMatrix.zeros(n, 0), 0)
     if method == "crep":
         return _qsvd_crep(a, full)
-    if method != "direct":
-        raise ValueError(f"unknown qsvd method {method!r}")
     res = _qsvd_direct(a)
     if full:
         return res
@@ -227,7 +246,7 @@ def _pairs(cands: np.ndarray, half: int, count: int,
 
 def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
     m, n = a.shape
-    c = to_crep(a).data  # exactly symplectic by construction
+    c = to_crep(a)  # exactly symplectic by construction
     uhat, shat, vhat_h = np.linalg.svd(c, full_matrices=full)
     r = _crep_rank(shat, m, n)
     svals = np.zeros(2 * n)
@@ -415,6 +434,7 @@ def _qsvd_direct(a: QMatrix) -> QSvdResult:
     if m < n:
         res = _qsvd_direct(conj_transpose(a))
         return QSvdResult(res.v, res.sigma, res.u, res.rank)
+    a, k = _scale_to_safe(a)
     u0, d, e, v0 = _bidiagonalize(a)
     # the bidiagonal is real: its SVD is plain real LAPACK work
     ur, sigma, vrt = np.linalg.svd(np.diag(d) + np.diag(e, 1))
@@ -425,6 +445,8 @@ def _qsvd_direct(a: QMatrix) -> QSvdResult:
     u2[:, :n] = u0.q2[:, :n] @ ur
     v = QMatrix(v0.q1 @ vrt.T, v0.q2 @ vrt.T)
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma[0], m, n)))
+    if k:
+        sigma = np.ldexp(sigma, -k)
     return QSvdResult(QMatrix(u1, u2), sigma, v, r)
 
 
@@ -435,17 +457,13 @@ def _qsvd_direct(a: QMatrix) -> QSvdResult:
 class FullRankFactorization:
     """A = F @ G with F (m, r) full column rank and G (r, n) full row rank.
 
-    ``r == 0`` designates the empty factorization of the zero matrix; callers
-    must check :attr:`is_empty` before dividing by anything.
+    ``r == 0`` designates the empty factorization of the zero matrix, with
+    F (m, 0) and G (0, n).
     """
 
     f: QMatrix
     g: QMatrix
     r: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.r == 0
 
 
 def _pivot(x1, x2):
@@ -465,9 +483,12 @@ def _qr_direct(a: QMatrix, npiv: int | None = None):
     elsewhere): the QR runs through all of them, stopping only on an exactly
     zero remainder.  Returns the column permutation, the rank r and
     X = R11^{-1} R12 as a pair, found by back substitution with the pivots'
-    quaternion inverses.
+    quaternion inverses.  None of them depends on A's scale, so A is first
+    brought to the safe range, by the scale of the columns that may pivot:
+    the others only ride along, and X holds them relative to those.
     """
     m, n = a.shape
+    a = _scale_to_safe(a, npiv)[0]
     b1, b2 = a.q1.copy(), a.q2.copy()
     perm = np.arange(n)
     r = stop = 0
@@ -513,7 +534,7 @@ def _qr_crep(a: QMatrix):
     on the paired rows as the rank-2 complex update I - tau v^C (v^C)*.
     X comes from a complex solve with the 2r-by-2r R11^C."""
     m, n = a.shape
-    c = to_crep(a).data.copy()
+    c = to_crep(_scale_to_safe(a)[0]).copy()
     perm = np.arange(n)
     r = stop = 0
     for k in range(min(m, n)):
@@ -536,7 +557,7 @@ def _qr_crep(a: QMatrix):
     rows = np.r_[:r, m:m + r]
     x = np.linalg.solve(c[np.ix_(rows, np.r_[:r, n:n + r])],
                         c[np.ix_(rows, np.r_[r:n, n + r:2 * n])])
-    return perm, r, from_crep(symmetrize_crep(x, r, n - r))
+    return perm, r, from_crep(symmetrize_crep(x))
 
 
 def full_rank_decompose(a: QMatrix, side: str = "column-form",
@@ -564,13 +585,12 @@ def full_rank_decompose(a: QMatrix, side: str = "column-form",
     Raises ``ValueError`` for an input with NaN or Inf entries.
     """
     _require_finite(a, "full_rank_decompose")
-    kind = side.split("-")[0]
-    if kind == "row":
+    if side == "row-form":
         fact = full_rank_decompose(conj_transpose(a), side="column-form",
                                    route=route)
         return FullRankFactorization(
             conj_transpose(fact.g), conj_transpose(fact.f), fact.r)
-    if kind != "column":
+    if side != "column-form":
         raise ValueError(f"unknown side {side!r}")
     if route == "direct":
         perm, r, x = _qr_direct(a)

@@ -9,9 +9,12 @@ expression
 is an outer inverse with right range R_r(S) exactly when
 rank(TAS) = rank(S), and right null space N_r(T) exactly when
 rank(TAS) = rank(T); it is a {1}-inverse exactly when rank(TAS) = rank(A).
-Every constructor therefore returns an :class:`InverseReport` carrying the
-computed matrix together with the four ranks, the flags they imply, and the
-defining residuals, rather than a bare matrix.
+The prescribed-space constructors (``outer_right``, ``outer_left``,
+``outer_both``, ``outer_w_right``, ``outer_w_left``) and ``pinv_report``
+therefore return an :class:`InverseReport` carrying the computed matrix
+together with the four ranks, the flags they imply, and the defining
+residuals.  ``pinv``, ``pinv_solve``, ``drazin`` and ``group_inverse``
+return the bare matrix.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -183,8 +186,8 @@ def _solve_core(s, w, t, route):
     # on direct the pivoted QR of [W | T]
     if route == "direct":
         return mat_mul(s, _solve_direct(w, t))
-    y = np.linalg.solve(to_crep(w).data, to_crep(t).data)
-    return _row_times_crep(s, symmetrize_crep(y, *t.shape))
+    y = np.linalg.solve(to_crep(w), to_crep(t))
+    return _row_times_crep(s, symmetrize_crep(y))
 
 
 def _svd_one_inverse(w, route, free_blocks):

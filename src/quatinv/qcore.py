@@ -1,4 +1,4 @@
-"""Quaternion scalars, dense quaternion matrices, and the complex representation.
+"""Dense quaternion matrices and their complex representation.
 
 A quaternion ``zeta = w + x*i + y*j + z*k`` multiplies by the Hamilton rules
 ``i*j = -j*i = k``, ``j*k = -k*j = i``, ``k*i = -i*k = j``, ``i*i = j*j = k*k = -1``.
@@ -20,16 +20,12 @@ symplectic constraint ``J_m C = conj(C) J_n`` with ``J_k = [[0, I],[-I, 0]]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Quaternion",
     "QMatrix",
-    "CRep",
     "QmatFormatError",
-    "quat_mul",
     "mat_mul",
     "crep_mul",
     "conj_transpose",
@@ -46,49 +42,6 @@ __all__ = [
 
 #: absolute symplectic-constraint tolerance is CREP_TOL * max(1, ||C||_F)
 CREP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar quaternion ``w + x*i + y*j + z*k`` with real components."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return quat_mul(self, other)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product of two scalar quaternions.
-
-    Satisfies ``|p*q| = |p|*|q|`` and is associative but not commutative.
-    """
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
 
 
 def _as_complex(a) -> np.ndarray:
@@ -165,11 +118,6 @@ class QMatrix:
         return (self.q1.real.copy(), self.q1.imag.copy(),
                 self.q2.real.copy(), self.q2.imag.copy())
 
-    def __getitem__(self, idx) -> Quaternion:
-        i, j = idx
-        return Quaternion(self.q1[i, j].real, self.q1[i, j].imag,
-                          self.q2[i, j].real, self.q2[i, j].imag)
-
     def abs2(self) -> np.ndarray:
         """Entrywise squared quaternion modulus, a real (m, n) array."""
         return (self.q1.real**2 + self.q1.imag**2
@@ -199,10 +147,6 @@ class QMatrix:
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         return mat_mul(self, other)
-
-    @property
-    def H(self) -> "QMatrix":
-        return conj_transpose(self)
 
     def __repr__(self) -> str:
         return f"QMatrix(shape={self.shape})"
@@ -234,17 +178,22 @@ def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return _row_times_crep(a, to_crep(b))
 
 
-def _row_times_crep(a: QMatrix, b: CRep) -> QMatrix:
+def _row_times_crep(a: QMatrix, bc: np.ndarray) -> QMatrix:
     # A B as the first block row [A1, A2] of A^C times B^C, for a B that is
-    # already held in its complex representation
-    row = np.hstack([a.q1, a.q2]) @ b.data
-    return QMatrix(row[:, :b.n], row[:, b.n:])
+    # already held in its complex representation bc
+    _, n = _crep_dims(bc)
+    row = np.hstack([a.q1, a.q2]) @ bc
+    return QMatrix(row[:, :n], row[:, n:])
 
 
 def _route_mul(route: str):
     # the product of a route ("direct" or "crep"), read from the module
     # globals at call time so wrappers installed on those names are seen
-    return mat_mul if route == "direct" else crep_mul
+    if route == "direct":
+        return mat_mul
+    if route == "crep":
+        return crep_mul
+    raise ValueError(f"unknown route {route!r}")
 
 
 def conj_transpose(a: QMatrix) -> QMatrix:
@@ -257,27 +206,24 @@ def fro_norm(a: QMatrix) -> float:
     return math.sqrt(float(np.sum(a.abs2())))
 
 
-@dataclass(frozen=True)
-class CRep:
-    """Complex representation: 2m-by-2n complex data for an m-by-n quaternion matrix."""
-
-    data: np.ndarray
-    m: int
-    n: int
+def _crep_dims(c: np.ndarray) -> tuple:
+    # (m, n) of the quaternion matrix a 2m-by-2n complex array represents
+    if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2:
+        raise ValueError(f"expected a 2m-by-2n array, got shape {c.shape}")
+    return c.shape[0] // 2, c.shape[1] // 2
 
 
-def to_crep(a: QMatrix) -> CRep:
-    m, n = a.shape
+def to_crep(a: QMatrix) -> np.ndarray:
+    """The read-only 2m-by-2n complex representation ``A^C`` of A."""
     data = np.block([[a.q1, a.q2], [-np.conj(a.q2), np.conj(a.q1)]])
     data.setflags(write=False)
-    return CRep(data, m, n)
+    return data
 
 
-def symplectic_residual(c: np.ndarray, m: int, n: int) -> float:
+def symplectic_residual(c: np.ndarray) -> float:
     """Frobenius norm of ``J_m C - conj(C) J_n`` computed blockwise."""
     c = np.asarray(c)
-    if c.shape != (2 * m, 2 * n):
-        raise ValueError(f"expected shape {(2*m, 2*n)}, got {c.shape}")
+    m, n = _crep_dims(c)
     c1, c2 = c[:m, :n], c[:m, n:]
     c3, c4 = c[m:, :n], c[m:, n:]
     # J_m C = [[C3, C4], [-C1, -C2]];  conj(C) J_n = [[-conj C2, conj C1],
@@ -289,43 +235,45 @@ def symplectic_residual(c: np.ndarray, m: int, n: int) -> float:
     return math.sqrt(sum(float(np.sum(np.abs(t) ** 2)) for t in (r1, r2, r3, r4)))
 
 
-def from_crep(c: CRep) -> QMatrix:
+def from_crep(c: np.ndarray) -> QMatrix:
     """Extract the quaternion matrix from a (valid) complex representation.
 
     Raises
     ------
     ValueError
-        If the symplectic constraint ``J_m C = conj(C) J_n`` is violated
-        beyond ``CREP_TOL * max(1, ||C||_F)`` — the data is not the complex
+        If C is not 2m-by-2n, or if the symplectic constraint
+        ``J_m C = conj(C) J_n`` is violated beyond
+        ``CREP_TOL * max(1, ||C||_F)`` — the data is not the complex
         representation of any quaternion matrix.
     """
-    res = symplectic_residual(c.data, c.m, c.n)
-    scale = max(1.0, float(np.linalg.norm(c.data)))
+    c = np.asarray(c)
+    m, n = _crep_dims(c)
+    res = symplectic_residual(c)
+    scale = max(1.0, float(np.linalg.norm(c)))
     if res > CREP_TOL * scale:
         raise ValueError(
             f"symplectic constraint violated: residual {res:.3e} exceeds "
             f"{CREP_TOL:.0e} * {scale:.3e}")
-    return QMatrix(c.data[: c.m, : c.n], c.data[: c.m, c.n:])
+    return QMatrix(c[:m, :n], c[:m, n:])
 
 
-def symmetrize_crep(c0, m: int, n: int) -> CRep:
+def symmetrize_crep(c0) -> np.ndarray:
     """Project a 2m-by-2n complex matrix onto the symplectic-constraint set.
 
-    Returns ``C = (C0 + J_m^T conj(C0) J_n) / 2``, which satisfies
-    ``J_m C = conj(C) J_n`` exactly (to rounding) and fixes every matrix that
-    already satisfies the constraint.  Used to restore quaternion structure
-    after an unstructured complex computation.
+    Returns the read-only ``C = (C0 + J_m^T conj(C0) J_n) / 2``, which
+    satisfies ``J_m C = conj(C) J_n`` exactly (to rounding) and fixes every
+    matrix that already satisfies the constraint.  Used to restore
+    quaternion structure after an unstructured complex computation.
     """
     c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != (2 * m, 2 * n):
-        raise ValueError(f"expected shape {(2*m, 2*n)}, got {c0.shape}")
+    m, n = _crep_dims(c0)
     d1, d2 = np.conj(c0[:m, :n]), np.conj(c0[:m, n:])
     d3, d4 = np.conj(c0[m:, :n]), np.conj(c0[m:, n:])
     # J_m^T conj(C0) J_n = [[d4, -d3], [-d2, d1]]
     twisted = np.block([[d4, -d3], [-d2, d1]])
     data = 0.5 * (c0 + twisted)
     data.setflags(write=False)
-    return CRep(data, m, n)
+    return data
 
 
 def random_qmat(m: int, n: int, rng: np.random.Generator) -> QMatrix:

@@ -19,7 +19,6 @@ from quatinv.apps import (
     qmat_to_image,
     read_ppm,
     real_block_restore,
-    simulate_run,
     write_filter_csv,
     write_ppm,
     write_trajectory_csv,
@@ -499,13 +498,6 @@ def test_rk4_step_halving_is_fourth_order():
     err1 = np.linalg.norm(lorenz_simulate(T=0.5, dt=0.01)[-1] - ref)
     err2 = np.linalg.norm(lorenz_simulate(T=0.5, dt=0.005)[-1] - ref)
     assert 12.0 <= err1 / err2 <= 20.0
-
-
-def test_simulate_run_bundles_delay():
-    run = simulate_run(T=2.0, dt=0.05, noise_sigma=0.02)
-    assert run.delay_samples == 20
-    assert run.trajectory.shape == (41, 3)
-    assert run.beta == pytest.approx(8.0 / 3.0)
 
 
 # ---- filter system ----

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -261,7 +262,7 @@ HUGE = "QMAT 2 2\n" + "\n".join(
 
 @pytest.mark.parametrize("argv", [
     ["pinv"], ["pinv", "--method", "frd"], ["outer", "--s", "{a}", "--t", "{a}"],
-    ["outer-w", "--w", "{a}"], ["drazin"], ["group"], ["frd"], ["svd"],
+    ["outer-w", "--w", "{a}"], ["drazin"], ["group"],
 ], ids=lambda argv: " ".join(arg for arg in argv if arg != "{a}"))
 def test_overflow_exits_2_on_one_line(argv, tmp_path, capsys):
     # finite entries near 1e300 overflow inside the products and norms
@@ -274,6 +275,25 @@ def test_overflow_exits_2_on_one_line(argv, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith(f"{argv[0]}: error: ")
     assert "overflow" in err or "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["frd", "svd"])
+def test_huge_input_decomposes_on_both_routes(command, tmp_path, capsys):
+    # the factorizations alone need no squares of the entries beyond what
+    # scaling by a power of two keeps finite, so both routes succeed and
+    # agree on the rank
+    path = tmp_path / "huge.qmat"
+    path.write_text(HUGE)
+    ranks = {}
+    for route in ("direct", "crep"):
+        rpt = tmp_path / f"{route}.json"
+        assert main([command, "--in", str(path), "--route", route,
+                     "--json", str(rpt)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        ranks[route] = load_json(rpt)["rank"]
+        assert f"rank {ranks[route]}" in out
+    assert ranks == {"direct": 2, "crep": 2}
 
 
 def test_overflow_in_the_console_prints_no_warning(tmp_path):
@@ -462,3 +482,14 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "quatinv" in proc.stdout
+
+
+@pytest.mark.parametrize("name", [
+    "quatinv.qcore", "quatinv.factor", "quatinv.geninv", "quatinv.apps",
+    "quatinv.apps.deblur", "quatinv.apps.lorenz", "quatinv.apps.ppm",
+    "quatinv.cli",
+])
+def test_every_exported_name_is_defined(name):
+    # a stale __all__ entry would otherwise fail only ``import *``
+    module = importlib.import_module(name)
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []

@@ -37,7 +37,7 @@ def unitary_defect(u):
 
 
 def crep_sigma(a):
-    s = np.linalg.svd(to_crep(a).data, compute_uv=False)
+    s = np.linalg.svd(to_crep(a), compute_uv=False)
     return 0.5 * (s[0::2] + s[1::2])
 
 
@@ -620,7 +620,7 @@ def test_frd_zero_matrix_is_empty():
             for side in ("column-form", "row-form"):
                 fact = full_rank_decompose(QMatrix.zeros(m, n), side=side,
                                            route=route)
-                assert fact.is_empty
+                assert fact.r == 0
                 assert fact.f.shape == (m, 0)
                 assert fact.g.shape == (0, n)
                 assert fro_norm(mat_mul(fact.f, fact.g)) == 0.0
@@ -664,7 +664,7 @@ def test_direct_solve_pivots_only_among_w_columns():
     x = _solve_direct(w, b)
     assert x.shape == (5, 3)
     assert qallclose(mat_mul(w, x), b, 1e-12)
-    wc, bc = to_crep(w).data, to_crep(b).data
+    wc, bc = to_crep(w), to_crep(b)
     assert qallclose(x, QMatrix(*np.split(np.linalg.solve(wc, bc)[:5], 2, 1)),
                      1e3 * np.linalg.cond(wc) * EPS)
 
@@ -771,4 +771,78 @@ def test_one_inverse_methods_agree():
 
 def test_empty_factorization_dataclass():
     fact = FullRankFactorization(QMatrix.zeros(2, 0), QMatrix.zeros(0, 3), 0)
-    assert fact.is_empty
+    assert fact.r == 0
+    assert mat_mul(fact.f, fact.g).shape == (2, 3)
+
+
+# ------------------------------------------------- argument checks, scale
+
+SHAPES = [(0, 3), (3, 0), (0, 0), (3, 2)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_unknown_route_raises_on_every_shape(shape):
+    # an empty input is no excuse to skip the route check
+    a = QMatrix.zeros(*shape)
+    for full in (True, False):
+        with pytest.raises(ValueError, match="unknown qsvd method 'bogus'"):
+            qsvd(a, method="bogus", full=full)
+    with pytest.raises(ValueError, match="unknown qsvd method 'bogus'"):
+        one_inverse(a, method="bogus")
+    for side in ("column-form", "row-form"):
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            full_rank_decompose(a, side=side, route="bogus")
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_side_must_be_spelled_exactly(shape):
+    a = QMatrix.zeros(*shape)
+    for side in ("row", "column", "column-junk", "row-form-x", "Row-Form"):
+        with pytest.raises(ValueError, match="unknown side"):
+            full_rank_decompose(a, side=side)
+
+
+SCALES = [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300]
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("scale", SCALES)
+def test_qsvd_sigma_is_scale_safe(scale, route):
+    # the squared norms of the direct kernels once overflowed at 1e160 and
+    # underflowed below 1e-154; sigma must scale with the input
+    rng = np.random.default_rng(89)
+    for a in (QMatrix.from_real([[1.0, -1.0], [1.0, 1.0]]),
+              random_qmat(5, 4, rng), random_qmat(3, 6, rng)):
+        want = qsvd(a, method=route).sigma
+        for full in (True, False):
+            res = qsvd(a * scale, method=route, full=full)
+            assert res.rank == want.size
+            np.testing.assert_allclose(res.sigma / scale, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("scale", SCALES)
+def test_frd_rank_is_scale_safe(scale, route):
+    rng = np.random.default_rng(97)
+    a = rand_rank_deficient(5, 4, 4, rng) * scale
+    b = rand_rank_deficient(6, 5, 3, rng) * scale
+    for x in (a, b):
+        for side in ("column-form", "row-form"):
+            fact = full_rank_decompose(x, side=side, route=route)
+            assert fact.r == rank(x)
+    # F keeps A's own columns, at A's own scale
+    fact = full_rank_decompose(a, route=route)
+    np.testing.assert_array_equal(fact.f.q1, a.q1)
+
+
+@pytest.mark.parametrize("sw, sb", [(1.0, 1e200), (1.0, 1e-200), (1e200, 1.0),
+                                    (1e-200, 1.0), (1e200, 1e150),
+                                    (1e-200, 1e-200)])
+def test_direct_square_solve_is_scale_safe(sw, sb):
+    # the scale comes from W's columns alone: B only rides along, and
+    # W^-1 B scales as sb / sw
+    rng = np.random.default_rng(101)
+    w, b = random_qmat(4, 4, rng), random_qmat(4, 2, rng)
+    want = _solve_direct(w, b)
+    x = _solve_direct(w * sw, b * sb)
+    assert qallclose(x * (sw / sb), want, 1e-13)

@@ -99,7 +99,7 @@ def kappa_eps(a):
     """max(m, n) kappa eps with kappa = sigma_1 / sigma_r of the paired
     complex spectrum (1 for rank 0), and the rank r."""
     r = qsvd(a, method="crep").rank
-    s = np.linalg.svd(to_crep(a).data, compute_uv=False)
+    s = np.linalg.svd(to_crep(a), compute_uv=False)
     sigma = 0.5 * (s[0::2] + s[1::2])
     kappa = sigma[0] / sigma[r - 1] if r else 1.0
     return max(a.shape) * kappa * EPS, r
