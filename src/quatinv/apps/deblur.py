@@ -134,7 +134,7 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
     if truth is not None:
         _require_comparable((truth.h, truth.w), b.shape)
     x_hat = _route_mul(route)(pinv(op.a, method="svd", route=route), b)
-    img = qmat_to_image(x_hat, clamp=True)
+    img = qmat_to_image(x_hat)
     return img, (metrics(truth, img) if truth is not None else None)
 
 
@@ -254,8 +254,7 @@ def metrics(x: ColorImage, x_hat: ColorImage) -> RestorationMetrics:
 
 def deblur_report(op: BlurOperator, truth: ColorImage,
                   quat_metrics: RestorationMetrics,
-                  real_metrics: RestorationMetrics | None,
-                  seed: int | None) -> dict:
+                  real_metrics: RestorationMetrics | None) -> dict:
     """JSON-ready summary of one deblurring run."""
     report = {
         "psnr_db": quat_metrics.psnr,
@@ -268,6 +267,5 @@ def deblur_report(op: BlurOperator, truth: ColorImage,
         "params": {"p": op.p, "q": op.q, "sigma": op.sigma,
                    "r": op.r, "s": op.s,
                    "height": truth.h, "width": truth.w},
-        "seed": seed,
     }
     return report

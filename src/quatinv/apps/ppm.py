@@ -69,21 +69,14 @@ def image_to_qmat(img: ColorImage) -> QMatrix:
     return QMatrix(1j * img.r, img.g + 1j * img.b)
 
 
-def qmat_to_image(x: QMatrix, clamp: bool = True) -> ColorImage:
+def qmat_to_image(x: QMatrix) -> ColorImage:
     """Project onto the imaginary parts, discarding the real component.
 
     The real part is dropped by construction; sampling back to a displayable
-    image clamps into [0, 1] unless ``clamp`` is disabled (in which case the
-    caller must guarantee the range).
+    image clamps each channel into [0, 1].
     """
-    r = x.q1.imag.copy()
-    g = x.q2.real.copy()
-    b = x.q2.imag.copy()
-    if clamp:
-        r = np.clip(r, 0.0, 1.0)
-        g = np.clip(g, 0.0, 1.0)
-        b = np.clip(b, 0.0, 1.0)
-    return ColorImage(r, g, b)
+    return ColorImage(*(np.clip(t, 0.0, 1.0)
+                        for t in (x.q1.imag, x.q2.real, x.q2.imag)))
 
 
 def _tokens(data: bytes):

@@ -16,19 +16,16 @@ error (exit 2):
   pinv, outer, outer-w     yes              yes    yes    yes
   drazin, group, frd, svd  yes                     yes    yes
   rank                                                    yes
-  deblur, lorenz-filter    yes      yes            yes    yes
+  deblur                   yes                     yes    yes
+  lorenz-filter            yes      yes            yes    yes
   =======================  =======  ======  =====  =====  ======
-
-``--seed`` falls back to the QUATINV_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -43,10 +40,7 @@ from .qcore import (
 from .factor import full_rank_decompose, qsvd, rank as qrank
 from .geninv import (
     InverseExistenceError,
-    _drazin_from_power,
-    _group_with_index,
-    _normalized_powers,
-    mat_index,
+    _spectral,
     outer_both,
     outer_left,
     outer_right,
@@ -72,18 +66,6 @@ from .apps import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QUATINV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"QUATINV_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _emit_json(args, payload) -> None:
@@ -179,9 +161,7 @@ def _spectral_payload(op, a, k, route, extra_residuals):
 
 def cmd_drazin(args) -> int:
     a = read_qmat(args.infile)
-    k = mat_index(a)
-    pow_k = next(islice(_normalized_powers(a), k, None))
-    x = _drazin_from_power(a, pow_k, args.route)
+    k, pow_k, x = _spectral(a, args.route)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
     res = {
@@ -197,8 +177,7 @@ def cmd_drazin(args) -> int:
 
 def cmd_group(args) -> int:
     a = read_qmat(args.infile)
-    k = mat_index(a)
-    x = _group_with_index(a, k, args.route)
+    k, _, x = _spectral(a, args.route, group=True)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
     res = {
@@ -250,7 +229,6 @@ def cmd_svd(args) -> int:
 
 
 def cmd_deblur(args) -> int:
-    seed = _resolve_seed(args)  # a bad QUATINV_SEED must fail before any write
     img = read_ppm(args.image)
     op = build_blur(args.p, args.q, args.sigma, args.r, args.s)
     b = blur(op, img)
@@ -263,7 +241,7 @@ def cmd_deblur(args) -> int:
             write_ppm(args.real_out, real_img)
     if args.out:
         write_ppm(args.out, restored)
-    _emit_json(args, deblur_report(op, img, quat_m, real_m, seed))
+    _emit_json(args, deblur_report(op, img, quat_m, real_m))
     print(f"deblur {img.h}x{img.w}: PSNR {quat_m.psnr:.2f} dB, "
           f"SSIM {quat_m.ssim:.4f}, RR {quat_m.rr:.3e}")
     return 0
@@ -274,16 +252,15 @@ def cmd_lorenz_filter(args) -> int:
     delay = round(1.0 / args.dt)
     order = args.order if args.order is not None \
         else default_order(traj.shape[0], delay)
-    seed = _resolve_seed(args)
     fs = build_filter_system(traj, args.dt, delay, args.noise_sigma,
-                             order, seed=seed, route=args.route)
+                             order, seed=args.seed, route=args.route)
     if args.out:
         write_trajectory_csv(args.out + ".trajectory.csv", traj, args.dt)
         write_filter_csv(args.out + ".filter.csv", fs, args.dt)
     _emit_json(args, {"op": "lorenz-filter", "T": args.T, "dt": args.dt,
                       "n_samples": int(traj.shape[0]),
                       "delay_samples": delay, "order": order,
-                      "noise_sigma": args.noise_sigma, "seed": seed,
+                      "noise_sigma": args.noise_sigma, "seed": args.seed,
                       "relative_error": fs.e})
     print(f"lorenz-filter: C is {order + 1}x{order + 1}, e = {fs.e:.6e}")
     return 0
@@ -305,8 +282,8 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     route = _flag("--route", choices=["direct", "crep"], default="direct",
                   help="quaternion arithmetic or complex representation")
-    seed = _flag("--seed", type=int, default=None,
-                 help="RNG seed (default: QUATINV_SEED or 0)")
+    seed = _flag("--seed", type=int, default=0,
+                 help="seed of the measurement noise (default: 0)")
     tol = _flag("--tol", type=float, default=1e-8,
                 help="tolerance for within_tol; a worst residual "
                 "above it prints a warning on stderr")
@@ -319,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes exactly the shared flags its cmd_* reads
     checked = [source, route, tol, out, report]  # pinv, outer, outer-w
     plain = [source, route, out, report]         # drazin, group, frd, svd
-    seeded = [route, seed, out, report]          # deblur, lorenz-filter
 
     parser = _Parser(
         prog="quatinv",
@@ -364,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quaternion singular value decomposition")
     p.set_defaults(func=cmd_svd)
 
-    p = sub.add_parser("deblur", parents=seeded,
+    p = sub.add_parser("deblur", parents=[route, out, report],
                        help="blur + pseudoinverse restore a PPM image")
     p.add_argument("--image", required=True)
     p.add_argument("--p", type=int, required=True)
@@ -378,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the real-block restoration here (PPM)")
     p.set_defaults(func=cmd_deblur)
 
-    p = sub.add_parser("lorenz-filter", parents=seeded,
+    p = sub.add_parser("lorenz-filter", parents=[route, seed, out, report],
                        help="quaternion FIR filter on a Lorenz trajectory")
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.05)

@@ -43,8 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    _EPS,
     QMatrix,
     _route_mul,
+    _scale_to_safe,
     conj_transpose,
     from_crep,
     hstack_q,
@@ -63,13 +65,6 @@ __all__ = [
     "random_free_blocks",
 ]
 
-_EPS = np.finfo(float).eps
-# the hand-written kernels form squared norms, which overflow or underflow
-# unless the largest component magnitude lies in [_SAFE_MIN, _SAFE_MAX]
-# (LAPACK's xGESVD bounds, sqrt(tiny) / eps and its reciprocal)
-_SAFE_MIN = math.sqrt(np.finfo(float).tiny) / _EPS
-_SAFE_MAX = 1.0 / _SAFE_MIN
-
 
 def _rank_threshold(lead: float, m: int, n: int) -> float:
     # the one rank rule: a value counts when it is above max(m, n) eps times
@@ -81,20 +76,6 @@ def _require_finite(a: QMatrix, op: str) -> None:
     # LAPACK would only report "SVD did not converge" on NaN/Inf input
     if not (np.isfinite(a.q1).all() and np.isfinite(a.q2).all()):
         raise ValueError(f"{op}: input has non-finite entries (NaN or Inf)")
-
-
-def _scale_to_safe(a: QMatrix, ncols: int | None = None):
-    """(A 2^k, k), as xGESVD scales its input: k = 0 when the largest
-    component magnitude of A's first ncols columns (all by default) is 0 or
-    in the safe range, else the exact power of two that brings it to
-    [1/2, 1)."""
-    big = max(float(np.abs(t[:, :ncols]).max(initial=0.0))
-              for t in (a.q1.real, a.q1.imag, a.q2.real, a.q2.imag))
-    if big == 0.0 or _SAFE_MIN <= big <= _SAFE_MAX:
-        return a, 0
-    # a subnormal big is brought only to 2^1023 big, still inside the range
-    k = min(-math.frexp(big)[1], 1023)
-    return a * math.ldexp(1.0, k), k
 
 
 def _crep_rank(s: np.ndarray, m: int, n: int) -> int:

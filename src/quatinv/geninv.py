@@ -14,7 +14,10 @@ The prescribed-space constructors (``outer_right``, ``outer_left``,
 therefore return an :class:`InverseReport` carrying the computed matrix
 together with the four ranks, the flags they imply, and the defining
 residuals.  ``pinv``, ``pinv_solve``, ``drazin`` and ``group_inverse``
-return the bare matrix.
+return the bare matrix: they call the core directly and compute no rank of
+A and no residual.  The Drazin and group inverses come from one walk over
+the normalized powers of A, which finds the index k, ranking each power
+once, and prescribes W = A^k (W = I for an invertible A).
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -39,8 +42,8 @@ SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .qcore import (
     QMatrix,
     _route_mul,
     _row_times_crep,
+    _scale_to_safe,
     conj_transpose,
     fro_norm,
     hstack_q,
@@ -276,11 +280,14 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     return _report(a, x, ranks, "both", route, classification=cls)
 
 
-def _w_report(a, side, route, fact, penrose=False):
-    # both W-variants invert the same small matrix G A F; they differ in the
-    # factorization form and in which spaces (right vs left) the factors pin
-    ranks = {"nu": rank(a), "s": fact.r, "t": fact.r}
-    x, ranks["w"] = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+_SINGULAR = ("prescribed-space inverse does not exist: "
+             "G*A*F is singular (rank {} < {})")
+
+
+def _w_report(a, side, route, r, x, w_rank, penrose=False):
+    # the W-variants, and pinv by "frd", invert the small matrix G A F of
+    # W = F G of rank r; x is None when G A F is singular
+    ranks = {"nu": rank(a), "s": r, "t": r, "w": w_rank}
     if x is not None:
         return _report(a, x, ranks, side, route, penrose=penrose)
     return _report(
@@ -288,9 +295,7 @@ def _w_report(a, side, route, fact, penrose=False):
         classification=dict.fromkeys(
             ("is_one_inverse", "is_outer", "range_matches",
              "nullspace_matches", "is_12_unique"), False),
-        penrose=penrose,
-        reason="prescribed-space inverse does not exist: "
-               f"G*A*F is singular (rank {ranks['w']} < {fact.r})")
+        penrose=penrose, reason=_SINGULAR.format(w_rank, r))
 
 
 def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseReport:
@@ -307,7 +312,8 @@ def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseRepo
     if w1.shape != (n, m):
         raise ValueError(f"W1 has shape {w1.shape}, expected {(n, m)}")
     fact = full_rank_decompose(w1, side="column-form", route=route)
-    return _w_report(a, "right", route, fact)
+    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    return _w_report(a, "right", route, fact.r, x, w_rank)
 
 
 def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseReport:
@@ -322,7 +328,8 @@ def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseRepor
     if w2.shape != (n, m):
         raise ValueError(f"W2 has shape {w2.shape}, expected {(n, m)}")
     fact = full_rank_decompose(w2, side="row-form", route=route)
-    return _w_report(a, "left", route, fact)
+    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    return _w_report(a, "left", route, fact.r, x, w_rank)
 
 
 # ======================================================= classical inverses
@@ -333,6 +340,26 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
     return _defining_residuals(a, x, penrose=True)
 
 
+def _moore_penrose(a, method, route):
+    # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T: S = T =
+    # A* by "svd" (r is None); S = F, T = G of A* = F G of rank r by "frd",
+    # X None when GAF is singular.  The formula cubes A's scale, so an A
+    # whose cube would leave the safe range runs scaled by 2^e to [1/2, 1)
+    _check_route(route)
+    a, e = _scale_to_safe(a, power=3)
+    s = t = conj_transpose(a)
+    r = None
+    if method == "frd":
+        fact = full_rank_decompose(s, side="column-form", route=route)
+        s, t, r = fact.f, fact.g, fact.r
+    elif method != "svd":
+        raise ValueError(f"unknown pinv method {method!r}")
+    x, w_rank = _urquhart(a, s, t, route, need_inverse=r is not None)
+    if e and x is not None:
+        x = x * math.ldexp(1.0, e)
+    return x, w_rank, r
+
+
 def pinv_report(a: QMatrix, method: str = "svd",
                 route: str = "direct") -> InverseReport:
     """Moore-Penrose inverse with the full report and Penrose residuals.
@@ -340,24 +367,29 @@ def pinv_report(a: QMatrix, method: str = "svd",
     method selects the formula realization: "svd" evaluates
     A* (A*AA*)^(1) A* through the SVD-based {1}-inverse; "frd" factors A*
     and inverts the small matrix (the W-prescribed construction with
-    W = A*).  Combined with route this gives four realizations.
+    W = A*).  Combined with route this gives four realizations.  Ranks and
+    residuals are those of the caller's A, also when the formula ran on A
+    scaled by a power of two.
     """
-    _check_route(route)
-    astar = conj_transpose(a)
-    if method == "svd":
-        # outer_right(a, A*, A*), with the Penrose residuals from its products
-        ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar)}
-        x, ranks["w"] = _urquhart(a, astar, astar, route)
+    x, w_rank, r = _moore_penrose(a, method, route)
+    if r is None:  # outer_right(a, A*, A*)
+        astar = conj_transpose(a)
+        ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar),
+                 "w": w_rank}
         return _report(a, x, ranks, "right", route, penrose=True)
-    if method == "frd":
-        fact = full_rank_decompose(astar, side="column-form", route=route)
-        return _w_report(a, "right", route, fact, penrose=True)
-    raise ValueError(f"unknown pinv method {method!r}")
+    return _w_report(a, "right", route, r, x, w_rank, penrose=True)
 
 
 def pinv(a: QMatrix, method: str = "svd", route: str = "direct") -> QMatrix:
-    """Moore-Penrose inverse of a quaternion matrix (zero maps to zero)."""
-    return pinv_report(a, method=method, route=route).x
+    """Moore-Penrose inverse of a quaternion matrix (zero maps to zero).
+
+    The X of :func:`pinv_report` alone; raises
+    :class:`InverseExistenceError` when "frd" meets a singular G*A*F.
+    """
+    x, w_rank, r = _moore_penrose(a, method, route)
+    if x is None:
+        raise InverseExistenceError(_SINGULAR.format(w_rank, r))
+    return x
 
 
 def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
@@ -382,17 +414,37 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     return mm(sv.v, QMatrix(inv_s * y.q1, inv_s * y.q2))
 
 
-def _normalized_powers(a: QMatrix):
-    # A^0 = I, A^1, A^2, ... (A square), each power after A^0 rescaled to
-    # unit Frobenius norm, which leaves its ranks and spaces unchanged
+def _spectral(a: QMatrix, route, group: bool = False):
+    # (k, P, X) for square A: k = Ind(A) from one walk that ranks each of
+    # A^1, ..., A^{k+1} once, rescaled to unit Frobenius norm (central, so
+    # ranks and spaces stay); P = A^k so rescaled, I for k = 0; X the outer
+    # inverse with W = P (the Drazin inverse), None when route is None.
+    # With group, Ind(A) > 1 raises before X is built
+    if a.nrows != a.ncols:
+        raise ValueError(f"the index needs a square matrix, got {a.shape}")
     b = a * (1.0 / max(1.0, fro_norm(a)))
-    p = QMatrix.eye(a.nrows)
-    while True:
-        yield p
-        p = mat_mul(p, b)
-        nrm = fro_norm(p)
+    p, p_rank = QMatrix.eye(a.nrows), a.nrows
+    for k in range(a.nrows + 1):
+        nxt = mat_mul(p, b)
+        nrm = fro_norm(nxt)
         if nrm > 0.0:
-            p = p * (1.0 / nrm)
+            nxt = nxt * (1.0 / nrm)
+        nxt_rank = rank(nxt)
+        if nxt_rank == p_rank:
+            break
+        p, p_rank = nxt, nxt_rank
+    else:
+        raise RuntimeError("rank sequence failed to stabilize")  # unreachable
+    if group and k > 1:
+        raise InverseExistenceError(
+            f"group inverse does not exist: Ind(A) = {k} > 1")
+    if route is None:
+        return k, p, None
+    fact = full_rank_decompose(p, side="column-form", route=route)
+    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    if x is None:  # mathematically impossible; numerically defensive
+        raise InverseExistenceError(_SINGULAR.format(w_rank, fact.r))
+    return k, p, x
 
 
 def mat_index(a: QMatrix) -> int:
@@ -401,18 +453,7 @@ def mat_index(a: QMatrix) -> int:
     Powers are renormalized by their Frobenius norm at every step; positive
     real scaling is central, so ranks are unaffected.
     """
-    m, n = a.shape
-    if m != n:
-        raise ValueError(f"index needs a square matrix, got {a.shape}")
-    if n == 0:
-        return 0
-    prev = n  # rank(A^0)
-    for k, p in enumerate(islice(_normalized_powers(a), 1, n + 2)):
-        r = rank(p)  # rank(A^{k+1})
-        if r == prev:
-            return k
-        prev = r
-    raise RuntimeError("rank sequence failed to stabilize")  # unreachable
+    return _spectral(a, None)[0]
 
 
 def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
@@ -423,45 +464,18 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
     Satisfies A^{k+1} X = A^k, XAX = X, AX = XA.
     """
     _check_route(route)
-    m, n = a.shape
-    if m != n:
-        raise ValueError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    power = next(islice(_normalized_powers(a), mat_index(a), None))
-    return _drazin_from_power(a, power, route)
-
-
-def _drazin_from_power(a: QMatrix, power: QMatrix, route: str) -> QMatrix:
-    # the Drazin inverse of square A, given A^k (k = mat_index(A)) up to a
-    # positive real scale
-    rep = outer_w_right(a, power, route=route)
-    if not rep.exists:  # mathematically impossible; numerically defensive
-        raise InverseExistenceError(rep.reason)
-    return rep.x
+    return _spectral(a, route)[2]
 
 
 def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     """Group inverse: Drazin inverse restricted to Ind(A) <= 1.
 
-    Invertible inputs (index 0) return the ordinary inverse; index >= 2
-    raises :class:`InverseExistenceError` since the group inverse requires
-    rank(A^2) = rank(A).
+    Invertible inputs (index 0) return the ordinary inverse, solved from
+    W = A^0 = I; index >= 2 raises :class:`InverseExistenceError` since the
+    group inverse requires rank(A^2) = rank(A).
     """
     _check_route(route)
-    m, n = a.shape
-    if m != n:
-        raise ValueError(f"group inverse needs a square matrix, got {a.shape}")
-    return _group_with_index(a, mat_index(a), route)
-
-
-def _group_with_index(a: QMatrix, k: int, route: str) -> QMatrix:
-    # the group inverse of square A, given k = mat_index(A)
-    if k > 1:
-        raise InverseExistenceError(
-            f"group inverse does not exist: Ind(A) = {k} > 1")
-    rep = outer_w_right(a, a, route=route)
-    if not rep.exists:
-        raise InverseExistenceError(rep.reason)
-    return rep.x
+    return _spectral(a, route, group=True)[2]
 
 
 # ==================================================== subspace equality

@@ -43,6 +43,15 @@ __all__ = [
 #: absolute symplectic-constraint tolerance is CREP_TOL * max(1, ||C||_F)
 CREP_TOL = 1e-10
 
+_EPS = np.finfo(float).eps
+# the hand-written kernels form squared norms, which overflow or underflow
+# unless the largest component magnitude lies in [_SAFE_MIN, _SAFE_MAX]
+# (LAPACK's xGESVD bounds, sqrt(tiny) / eps and its reciprocal)
+_SAFE_MIN = math.sqrt(np.finfo(float).tiny) / _EPS
+_SAFE_MAX = 1.0 / _SAFE_MIN
+# a sum of squares below this has lost digits to gradual underflow
+_TINY_SUM = np.finfo(float).tiny / _EPS
+
 
 def _as_complex(a) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
@@ -202,8 +211,32 @@ def conj_transpose(a: QMatrix) -> QMatrix:
 
 
 def fro_norm(a: QMatrix) -> float:
-    """Frobenius norm ``sqrt(sum |q_ij|^2)``; equals ``sqrt(||A^C||_F^2 / 2)``."""
-    return math.sqrt(float(np.sum(a.abs2())))
+    """Frobenius norm ``sqrt(sum |q_ij|^2)``; equals ``sqrt(||A^C||_F^2 / 2)``.
+
+    A sum of squares that overflows, or falls below tiny/eps where the
+    squares lose digits, is summed again on A scaled by a power of two.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(a.abs2()))
+        if total == math.inf or total < _TINY_SUM:
+            a, k = _scale_to_safe(a)
+            return math.ldexp(math.sqrt(float(np.sum(a.abs2()))), -k)
+    return math.sqrt(total)
+
+
+def _scale_to_safe(a: QMatrix, ncols: int | None = None, power: int = 1):
+    """(A 2^k, k), as xGESVD scales its input: k = 0 when the largest
+    component magnitude of A's first ncols columns (all by default) is 0 or
+    its power-th power is in the safe range, else the exact power of two
+    that brings it to [1/2, 1)."""
+    big = max(float(np.abs(t[:, :ncols]).max(initial=0.0))
+              for t in (a.q1.real, a.q1.imag, a.q2.real, a.q2.imag))
+    if big == 0.0 or (_SAFE_MIN ** (1.0 / power) <= big
+                      <= _SAFE_MAX ** (1.0 / power)):
+        return a, 0
+    # a subnormal big is brought only to 2^1023 big, still inside the range
+    k = min(-math.frexp(big)[1], 1023)
+    return a * math.ldexp(1.0, k), k
 
 
 def _crep_dims(c: np.ndarray) -> tuple:

@@ -284,12 +284,11 @@ def test_deblur_report_fields():
     b = blur(op, truth)
     _, qm = deblur_quaternion(op, b, truth=truth)
     rm = metrics(truth, real_block_restore(op, b))
-    report = deblur_report(op, truth, qm, rm, seed=42)
+    report = deblur_report(op, truth, qm, rm)
     assert set(report) == {"psnr_db", "ssim", "rr", "corr_orig", "corr_quat",
-                           "corr_real", "params", "seed"}
-    assert report["seed"] == 42
+                           "corr_real", "params"}
     assert len(report["corr_quat"]) == 3
-    report2 = deblur_report(op, truth, qm, None, seed=None)
+    report2 = deblur_report(op, truth, qm, None)
     assert report2["corr_real"] is None
 
 

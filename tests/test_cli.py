@@ -1,7 +1,11 @@
+import argparse
 import importlib
+import itertools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,10 +248,10 @@ def test_runtime_error_exits_2_without_traceback(tmp_path, monkeypatch,
                                                  capsys):
     import quatinv.cli as cli
 
-    def unstable(a):
+    def unstable(a, route, group=False):
         raise RuntimeError("rank sequence failed to stabilize")
 
-    monkeypatch.setattr(cli, "mat_index", unstable)
+    monkeypatch.setattr(cli, "_spectral", unstable)
     path = tmp_path / "A.qmat"
     write_qmat(path, random_qmat(3, 3, np.random.default_rng(5)))
     assert main(["drazin", "--in", str(path)]) == 2
@@ -261,11 +265,10 @@ HUGE = "QMAT 2 2\n" + "\n".join(
 
 
 @pytest.mark.parametrize("argv", [
-    ["pinv"], ["pinv", "--method", "frd"], ["outer", "--s", "{a}", "--t", "{a}"],
-    ["outer-w", "--w", "{a}"], ["drazin"], ["group"],
+    ["outer", "--s", "{a}", "--t", "{a}"], ["outer-w", "--w", "{a}"],
 ], ids=lambda argv: " ".join(arg for arg in argv if arg != "{a}"))
 def test_overflow_exits_2_on_one_line(argv, tmp_path, capsys):
-    # finite entries near 1e300 overflow inside the products and norms
+    # finite entries near 1e300 overflow inside the products
     path = tmp_path / "huge.qmat"
     path.write_text(HUGE)
     argv = [arg.format(a=path) for arg in argv]
@@ -296,15 +299,37 @@ def test_huge_input_decomposes_on_both_routes(command, tmp_path, capsys):
     assert ranks == {"direct": 2, "crep": 2}
 
 
+@pytest.mark.parametrize("argv", [
+    ["pinv"], ["pinv", "--method", "frd"], ["drazin"], ["group"],
+], ids=" ".join)
+def test_huge_input_inverts_on_both_routes(argv, tmp_path, capsys):
+    # the composed pinv runs on A scaled by a power of two and the index
+    # walk normalizes by a scale-safe norm, so X = A^-1 on both routes
+    path = tmp_path / "huge.qmat"
+    path.write_text(HUGE)
+    a = read_qmat(path)
+    for route in ("direct", "crep"):
+        out = tmp_path / f"{route}.qmat"
+        assert main(argv + ["--in", str(path), "--route", route,
+                            "--out", str(out), "--json",
+                            str(tmp_path / "r")]) == 0
+        _, err = capsys.readouterr()
+        # pinv's residuals are absolute, so at 1e300 they warn
+        assert "error" not in err
+        ax = mat_mul(a, read_qmat(out))
+        assert fro_norm(ax - QMatrix.eye(2)) <= 1e-13
+
+
 def test_overflow_in_the_console_prints_no_warning(tmp_path):
     path = tmp_path / "huge.qmat"
     path.write_text(HUGE)
     proc = subprocess.run(
-        [sys.executable, "-m", "quatinv.cli", "pinv", "--in", str(path)],
+        [sys.executable, "-m", "quatinv.cli", "outer", "--in", str(path),
+         "--s", str(path), "--t", str(path)],
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == ("pinv: error: floating-point overflow or invalid "
+    assert proc.stderr == ("outer: error: floating-point overflow or invalid "
                            "value (overflow encountered in matmul)\n")
 
 
@@ -318,7 +343,7 @@ FLAGS_READ = {
     "frd": {"--route", "--out", "--json"},
     "svd": {"--route", "--out", "--json"},
     "rank": {"--json"},
-    "deblur": {"--route", "--seed", "--out", "--json"},
+    "deblur": {"--route", "--out", "--json"},
     "lorenz-filter": {"--route", "--seed", "--out", "--json"},
 }
 SHARED_FLAGS = {"--route": "crep", "--seed": "1", "--tol": "0.001",
@@ -344,6 +369,56 @@ def test_subcommand_takes_only_the_flags_it_reads(command, capsys):
                 parser.parse_args(base + [flag, value])
             assert exc.value.code == 2
     capsys.readouterr()
+
+
+def shared_flags_by_subcommand():
+    """{subcommand: the shared flags its parser accepts} from build_parser."""
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: set(p._option_string_actions) & set(SHARED_FLAGS)
+            for name, p in sub.choices.items()}
+
+
+def marked_flags(header, rows):
+    """{subcommand: flags marked in its row} of a shared-flag table."""
+    flags = [cell.strip("`") for cell in header[1:]]
+    assert set(flags) == set(SHARED_FLAGS)
+    table = {}
+    for cells in rows:
+        for name in cells[0].replace("`", "").split(", "):
+            table[name] = {flag for flag, cell in zip(flags, cells[1:])
+                           if cell}
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith("| subcommand |"))
+    cells = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in itertools.takewhile(lambda line: line.startswith("|"),
+                                             lines[first:])]
+    # cells[1] is the "---" rule under the header
+    table = marked_flags(cells[0], cells[2:])
+    assert table == shared_flags_by_subcommand()
+
+
+def test_docstring_flag_table_matches_the_parser():
+    import quatinv.cli as cli
+
+    lines = cli.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.strip().startswith("=")]
+    # a simple table's columns begin where the runs of "=" begin
+    starts = [m.start() for m in re.finditer("=+", lines[rules[0]])]
+
+    def cut(line):
+        return [line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+
+    table = marked_flags(cut(lines[rules[0] + 1]),
+                         [cut(line) for line in lines[rules[1] + 1:rules[2]]])
+    assert table == shared_flags_by_subcommand()
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -380,7 +455,7 @@ def test_deblur_cli(tmp_path):
     assert code == 0
     report = load_json(rpt)
     assert set(report) == {"psnr_db", "ssim", "rr", "corr_orig", "corr_quat",
-                           "corr_real", "params", "seed"}
+                           "corr_real", "params"}
     assert report["psnr_db"] >= 40.0
     assert report["rr"] <= 1e-6
     assert np.array(report["corr_real"]).shape == (3, 3)
@@ -421,20 +496,6 @@ def test_deblur_rejects_height_mismatch(tmp_path, capsys):
     assert "12" in err and "16" in err
 
 
-def test_deblur_bad_env_seed_writes_nothing(tmp_path, monkeypatch, capsys):
-    rng = np.random.default_rng(4)
-    ppm = tmp_path / "in.ppm"
-    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))
-    out, real, rpt = (tmp_path / f for f in ("q.ppm", "r.ppm", "m.json"))
-    monkeypatch.setenv("QUATINV_SEED", "not-a-number")
-    code = main(["deblur", "--image", str(ppm), "--p", "2", "--q", "8",
-                 "--compare-real", "--out", str(out), "--real-out", str(real),
-                 "--json", str(rpt)])
-    assert code == 2
-    assert "QUATINV_SEED" in capsys.readouterr().err
-    assert not (out.exists() or real.exists() or rpt.exists())
-
-
 def test_lorenz_filter_cli(tmp_path):
     rpt = tmp_path / "f.json"
     prefix = str(tmp_path / "run")
@@ -461,19 +522,6 @@ def test_same_seed_same_json(tmp_path):
     main(base + ["--seed", "10", "--json", str(r3)])
     assert r1.read_text() == r2.read_text()
     assert r1.read_text() != r3.read_text()
-
-
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["lorenz-filter", "--T", "3", "--dt", "0.1",
-            "--noise-sigma", "0.05"]
-    monkeypatch.setenv("QUATINV_SEED", "11")
-    main(base + ["--json", str(r1)])
-    monkeypatch.delenv("QUATINV_SEED")
-    main(base + ["--seed", "11", "--json", str(r2)])
-    assert r1.read_text() == r2.read_text()
-    monkeypatch.setenv("QUATINV_SEED", "not-a-number")
-    assert main(base + ["--json", str(r1)]) == 2
 
 
 def test_console_script_runs():

@@ -926,3 +926,120 @@ def test_classification_soundness():
             assert rep.residuals["outer"] <= 1e-10 * max(1.0, fro_norm(rep.x))
         if rep.classification["is_one_inverse"]:
             assert rep.residuals["one"] <= 1e-10 * max(1.0, fro_norm(a))
+
+
+# ------------------------------------- bare inverses compute only X
+#
+# pinv, drazin and group_inverse build no report: no rank(A), no residuals
+
+
+def rank_spy(monkeypatch):
+    ranked = []
+    inner = geninv.rank
+
+    def spy(x):
+        ranked.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(geninv, "rank", spy)
+    return ranked
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (5, 5)], ids=str)
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_svd_ranks_only_w(shape, route, monkeypatch):
+    rng = np.random.default_rng(60)
+    a = random_qmat(*shape, rng)
+    want = pinv_report(a, route=route).x
+    ranked = rank_spy(monkeypatch)
+    x = pinv(a, route=route)
+    # W = A*AA*, n by m
+    assert [r.shape for r in ranked] == [shape[::-1]]
+    assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
+
+
+@pytest.mark.parametrize("method", ["svd", "frd"])
+@pytest.mark.parametrize("shape", [(6, 4), (5, 5)], ids=str)
+def test_crep_pinv_makes_no_pair_product(method, shape, monkeypatch):
+    rng = np.random.default_rng(61)
+    a = random_qmat(*shape, rng)
+    calls = []
+
+    def spy(x, y):
+        calls.append((x.shape, y.shape))
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(geninv, "mat_mul", spy)
+    monkeypatch.setattr(qcore, "mat_mul", spy)
+    pinv(a, method=method, route="crep")
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_drazin_ranks_each_power_once_and_never_a(route, monkeypatch):
+    rng = np.random.default_rng(62)
+    # ||A|| > 1, so no normalized power can equal A
+    a = block_diag_q(random_qmat(3, 3, rng) * 4.0, NILP)
+    k = mat_index(a)
+    ranked = rank_spy(monkeypatch)
+    x = drazin(a, route=route)
+    # A^1, ..., A^{k+1}, then G A F of the frd of A^k (rank 3)
+    assert k == 2 and len(ranked) == k + 2
+    assert [r.shape for r in ranked[-1:]] == [(3, 3)]
+    assert not any(np.array_equal(r.q1, a.q1) and np.array_equal(r.q2, a.q2)
+                   for r in ranked)
+    assert all(v <= 1e-10 for v in drazin_residuals(a, x, k))
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e7, 1e8])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_group_inverse_of_invertible_a_is_solved_at_kappa_eps(kappa, route):
+    # Ind(A) = 0, so W = A^0 = I and X = A^-1 from one factorization of A
+    n = 6
+    for seed in range(3):
+        a = graded(n, kappa, np.random.default_rng(seed))
+        x = group_inverse(a, route=route)
+        inv = np.linalg.inv(crep(a))
+        assert rel_gap(crep(x), inv) <= 8 * n * kappa * EPS
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_frd_raises_on_a_singular_gaf(route):
+    # A = F G with F = A*, G = I: G A F = A A* squares kappa = 1e10 past
+    # the rank cut, so the frd realization finds no inverse
+    a = graded(6, 1e10, np.random.default_rng(63))
+    rep = pinv_report(a, method="frd", route=route)
+    assert not rep.exists and "G*A*F is singular" in rep.reason
+    with pytest.raises(InverseExistenceError) as exc:
+        pinv(a, method="frd", route=route)
+    assert str(exc.value) == rep.reason
+
+
+SCALES = [1e110, 1e-110, 1e200, 1e-200, 1e300, 1e-300]
+
+
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("method", ["svd", "frd"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_composed_pinv_is_scale_safe(s, method, route):
+    # the formula cubes A's scale; pinv(sA) = pinv(A) / s all the same
+    rng = np.random.default_rng(64)
+    a = random_qmat(4, 3, rng)
+    x0 = crep(pinv(a, method, route))
+    kappa = np.linalg.cond(crep(a))
+    x = crep(pinv(a * s, method, route)) * s
+    assert rel_gap(x, x0) <= 4 * kappa ** 3 * EPS
+    rep = pinv_report(a * s, method, route)
+    assert rep.exists and all(rep.classification.values())
+    assert rep.ranks == {"nu": 3, "s": 3, "t": 3, "w": 3}
+    assert all(np.isfinite(v) for v in rep.residuals.values())
+    assert np.array_equal(crep(rep.x), crep(pinv(a * s, method, route)))
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300])
+def test_mat_index_is_scale_safe(s):
+    rng = np.random.default_rng(65)
+    invertible = random_qmat(4, 4, rng)
+    nilpotent_block = block_diag_q(random_qmat(2, 2, rng), NILP)
+    assert mat_index(invertible * s) == 0
+    assert mat_index(nilpotent_block * s) == 2

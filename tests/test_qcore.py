@@ -172,6 +172,21 @@ def test_fro_norm_crep_relation():
     assert fro_norm(a) ** 2 == pytest.approx(0.5 * cnorm**2, rel=1e-14)
 
 
+@pytest.mark.parametrize("s", [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300])
+def test_fro_norm_is_scale_safe(s):
+    # the squares of 1e±160 already overflow or lose digits; the norm of a
+    # scaled matrix scales with it all the same, and raises no warning
+    a = random_qmat(4, 4, np.random.default_rng(10))
+    scaled = a * s
+    with np.errstate(all="raise"):
+        assert fro_norm(scaled) / s == pytest.approx(fro_norm(a), rel=1e-15)
+
+
+def test_fro_norm_in_range_is_the_plain_sum():
+    a = random_qmat(5, 3, np.random.default_rng(11)) * 1e-100
+    assert fro_norm(a) == math.sqrt(float(np.sum(a.abs2())))
+
+
 def test_crep_of_j():
     jmat = QMatrix.from_components([[0]], [[0]], [[1]], [[0]])
     np.testing.assert_array_equal(to_crep(jmat),
