@@ -2,7 +2,8 @@
 
 An image X = R*i + G*j + B*k lives in H^{h x w} with zero real part; the
 channels ride on the three imaginary units.  Files use the portable pixmap
-formats P6 (binary) and P3 (ASCII) with maxval 255, mapped linearly to [0,1].
+formats with maxval 255, mapped linearly to [0,1]: the reader takes P6
+(binary) and P3 (ASCII), the writer writes P6.
 """
 
 from __future__ import annotations
@@ -150,16 +151,10 @@ def read_ppm(path) -> ColorImage:
     return ColorImage(pix[:, :, 0], pix[:, :, 1], pix[:, :, 2])
 
 
-def write_ppm(path, img: ColorImage, binary: bool = True) -> None:
-    """Write P6 (default) or P3; samples are clipped and scaled to 0..255."""
+def write_ppm(path, img: ColorImage) -> None:
+    """Write P6; samples are clipped and scaled to 0..255."""
     pix = np.stack([img.r, img.g, img.b], axis=-1)
     raw = np.rint(np.clip(pix, 0.0, 1.0) * 255.0).astype(np.uint8)
-    header = f"{'P6' if binary else 'P3'}\n{img.w} {img.h}\n255\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(raw.tobytes())
-        else:
-            for row in raw.reshape(img.h, img.w * 3):
-                fh.write(" ".join(str(int(v)) for v in row).encode("ascii"))
-                fh.write(b"\n")
+        fh.write(f"P6\n{img.w} {img.h}\n255\n".encode("ascii"))
+        fh.write(raw.tobytes())

@@ -77,11 +77,17 @@ def _emit_json(args, payload) -> None:
         print(text)
 
 
-def _report_payload(op, rep, tol):
-    name, worst = max(rep.residuals.items(), key=lambda kv: kv[1],
+def _report_payload(op, a, rep, tol):
+    # --tol judges one = ||AXA - A|| and outer = ||XAX - X|| relative to
+    # ||A|| and ||X||, whose scale they carry (a zero norm divides nothing);
+    # p3 and p4 (AX and XA Hermitian) carry no scale and are taken as they are
+    norms = {"one": fro_norm(a), "outer": fro_norm(rep.x)}
+    scaled = {k: v / norms[k] if norms.get(k) else v
+              for k, v in rep.residuals.items()}
+    name, worst = max(scaled.items(), key=lambda kv: kv[1],
                       default=("", 0.0))
     if not worst <= tol:  # a NaN residual warns too
-        print(f"{op}: warning: worst residual {name} = {worst:.3e} "
+        print(f"{op}: warning: worst scaled residual {name} = {worst:.3e} "
               f"exceeds --tol {tol:g}", file=sys.stderr)
     return {
         "op": op,
@@ -106,7 +112,7 @@ def cmd_pinv(args) -> int:
     a = read_qmat(args.infile)
     rep = pinv_report(a, method=args.method, route=args.route)
     _maybe_write(args, rep.x)
-    payload = _report_payload("pinv", rep, args.tol)
+    payload = _report_payload("pinv", a, rep, args.tol)
     payload["method"] = args.method
     _emit_json(args, payload)
     print(f"pinv {a.shape[0]}x{a.shape[1]} method={args.method} "
@@ -126,7 +132,7 @@ def cmd_outer(args) -> int:
     else:
         rep = outer_both(a, s, t, route=args.route)
     _maybe_write(args, rep.x)
-    _emit_json(args, _report_payload("outer", rep, args.tol))
+    _emit_json(args, _report_payload("outer", a, rep, args.tol))
     flags = ", ".join(k for k, v in rep.classification.items() if v is True)
     print(f"outer side={args.side}: {flags or 'no classification flags set'}")
     return 0
@@ -137,7 +143,7 @@ def cmd_outer_w(args) -> int:
     w = read_qmat(args.w)
     ctor = outer_w_right if args.side == "right" else outer_w_left
     rep = ctor(a, w, route=args.route)
-    payload = _report_payload("outer-w", rep, args.tol)
+    payload = _report_payload("outer-w", a, rep, args.tol)
     if not rep.exists:
         _emit_json(args, payload)
         print(f"outer-w: {rep.reason}", file=sys.stderr)
@@ -285,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=0,
                  help="seed of the measurement noise (default: 0)")
     tol = _flag("--tol", type=float, default=1e-8,
-                help="tolerance for within_tol; a worst residual "
-                "above it prints a warning on stderr")
+                help="tolerance for within_tol on the residuals one/||A|| "
+                "and outer/||X|| (p3, p4 as they are); a worst one above "
+                "it prints a warning on stderr")
     out = _flag("--out", default=None,
                 help="output file (or prefix for multi-file commands)")
     report = _flag("--json", default=None,

@@ -1,4 +1,4 @@
-"""Rank, full rank decomposition, quaternion SVD, and the free-block {1}-inverse.
+"""Rank, full rank decomposition, quaternion SVD, and the {1}-inverses.
 
 Two computational routes are kept genuinely separate throughout:
 
@@ -22,9 +22,9 @@ Two computational routes are kept genuinely separate throughout:
 pairs above the rank cut); both decide r by the same rule.  On crep the
 compact SVD is LAPACK's thin SVD, whose top 2r right vectors are paired and
 mapped to the left side as C w / sigma, with no completion of the null
-cluster; on direct it is the full result sliced.  The zero-block
-{1}-inverse (the Moore-Penrose inverse of its argument) takes the compact
-SVD; free blocks need the full one.
+cluster; on direct it is the full result sliced.  Every {1}-inverse,
+W+ + Z - W+ W Z W W+ for a free matrix Z of W*'s shape, takes the compact
+SVD alone; the full one serves only callers that want unitary factors.
 
 One direct QR kernel serves two callers.  ``full_rank_decompose`` runs it
 with every column free to pivot and the rank rule as its stop.  The square
@@ -62,7 +62,6 @@ __all__ = [
     "qsvd",
     "full_rank_decompose",
     "one_inverse",
-    "random_free_blocks",
 ]
 
 
@@ -593,69 +592,32 @@ def full_rank_decompose(a: QMatrix, side: str = "column-form",
 # ========================================================== {1}-inverse
 
 
-def random_free_blocks(q: int, p: int, s: int, rng: np.random.Generator):
-    """Uniform-[0,1) free blocks (K, L, M) for a rank-s q-by-p input."""
-    from .qcore import random_qmat
-
-    return (random_qmat(s, q - s, rng),
-            random_qmat(p - s, s, rng),
-            random_qmat(p - s, q - s, rng))
-
-
-def one_inverse(w: QMatrix, k: QMatrix | None = None,
-                l: QMatrix | None = None, m: QMatrix | None = None,
+def one_inverse(w: QMatrix, z: QMatrix | None = None,
                 method: str = "crep") -> QMatrix:
-    """A {1}-inverse of w from its SVD and arbitrary free blocks.
+    """A {1}-inverse of w from its compact SVD and a free matrix z.
 
-    With ``w = U diag(sigma) V*`` of rank s, every choice of K (s, q-s),
-    L (p-s, s), M (p-s, q-s) gives
+    With ``w = U_r diag(sigma) V_r*`` the compact SVD of w (rank r) and
+    W+ = V_r diag(sigma)^-1 U_r* its Moore-Penrose inverse, the {1}-inverses
+    of w are exactly
 
-        w^(1) = V [[diag(sigma_{1..s})^{-1}, K], [L, M]] U*
+        w^(1) = W+ + Z - W+ W Z W W+ = W+ + Z - V_r (V_r* Z U_r) U_r*
 
-    and ``w @ w^(1) @ w == w`` holds for all of them.  A block left as None
-    is zero.  With all three None this is the Moore-Penrose inverse of w,
-    V_s diag(sigma_{1..s})^{-1} U_s*, built from the compact SVD in one
-    product; given any block, the full SVD is used.
+    for Z of w*'s shape (Ben-Israel & Greville, *Generalized Inverses*, 2nd
+    ed., Ch. 1 Sec. 2; the proof needs only associativity and W W+ W = W,
+    so it holds for quaternions).  z None is Z = 0, which gives W+.  The
+    projectors V_r V_r* and U_r U_r* are the same on both routes, so one z
+    gives the same {1}-inverse on each.  Raises ``ValueError`` for a z of
+    another shape than (w.ncols, w.nrows).
     """
-    if k is None and l is None and m is None:
-        res = qsvd(w, method=method, full=False)
-        vs = QMatrix(res.v.q1 / res.sigma, res.v.q2 / res.sigma)
-        return _route_mul(method)(vs, conj_transpose(res.u))
-    return _free_block_inverse(qsvd(w, method=method), k, l, m, method)
-
-
-def _free_blocks(k, l, m, s: int, qdim: int, pdim: int):
-    """The free blocks (K, L, M) of a rank-s q-by-p input, a None block as
-    zeros; ``ValueError`` for a block of another shape."""
-    blocks = []
-    for name, blk, want in (("K", k, (s, qdim - s)),
-                            ("L", l, (pdim - s, s)),
-                            ("M", m, (pdim - s, qdim - s))):
-        if blk is None:
-            blk = QMatrix.zeros(*want)
-        elif blk.shape != want:
-            raise ValueError(
-                f"free block {name} has shape {blk.shape}, expected {want}")
-        blocks.append(blk)
-    return blocks
-
-
-def _free_block_inverse(res: QSvdResult, k, l, m, method: str) -> QMatrix:
-    # V [[diag(sigma_{1..s})^{-1}, K], [L, M]] U* from the full SVD res of w,
-    # with a None block taken as zero
-    qdim, pdim = res.u.shape[0], res.v.shape[0]
-    s = res.rank
-    k, l, m = _free_blocks(k, l, m, s, qdim, pdim)
-    mid1 = np.zeros((pdim, qdim), dtype=complex)
-    mid2 = np.zeros((pdim, qdim), dtype=complex)
-    if s:
-        mid1[:s, :s] = np.diag(1.0 / res.sigma[:s])
-    mid1[:s, s:] = k.q1
-    mid2[:s, s:] = k.q2
-    mid1[s:, :s] = l.q1
-    mid2[s:, :s] = l.q2
-    mid1[s:, s:] = m.q1
-    mid2[s:, s:] = m.q2
-    mid = QMatrix(mid1, mid2)
+    if z is not None and z.shape != (w.ncols, w.nrows):
+        raise ValueError(
+            f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
+    res = qsvd(w, method=method, full=False)
     mm = _route_mul(method)
-    return mm(mm(res.v, mid), conj_transpose(res.u))
+    uh = conj_transpose(res.u)
+    vs = QMatrix(res.v.q1 / res.sigma, res.v.q2 / res.sigma)
+    x = mm(vs, uh)
+    if z is None:
+        return x
+    core = mm(mm(conj_transpose(res.v), z), res.u)
+    return x + z - mm(mm(res.v, core), uh)

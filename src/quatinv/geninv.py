@@ -28,16 +28,17 @@ Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route
 is checked on entry, and all five outer-inverse constructors (and both
 Moore-Penrose realizations) evaluate the expression through one private
-core, differing only in S and T, the free blocks, and whether a singular
-TAS means the inverse does not exist.  The core has one rule: when TAS is
-square and rank(TAS) equals its order, its only {1}-inverse is (TAS)^-1, and
-X = S solve(TAS, T) comes from one factorization of TAS on the route's own
-arithmetic (an LU of (TAS)^C on crep, the pivoted quaternion QR of
-[TAS | T] on direct), with no SVD of TAS.  That covers the Moore-Penrose
-inverse of a square invertible A, every W-prescribed constructor (Drazin
-and group inverses included) and any outer inverse whose TAS is square and
-nonsingular; a rectangular or singular TAS takes its {1}-inverse from its
-SVD.
+core, differing only in S and T, the free matrix z that picks the
+{1}-inverse of TAS, and whether a singular TAS means the inverse does not
+exist.  The core has one rule: when TAS is square and rank(TAS) equals its
+order, its only {1}-inverse is (TAS)^-1, and X = S solve(TAS, T) comes
+from one factorization of TAS on the route's own arithmetic (an LU of
+(TAS)^C on crep, the pivoted quaternion QR of [TAS | T] on direct), with
+no SVD of TAS.  That covers the Moore-Penrose inverse of a square
+invertible A, every W-prescribed constructor (Drazin and group inverses
+included) and any outer inverse whose TAS is square and nonsingular; a
+rectangular or singular W = TAS takes its {1}-inverse W+ + Z - W+ W Z W W+
+from its compact SVD.
 """
 
 from __future__ import annotations
@@ -48,13 +49,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factor import (
-    _free_block_inverse,
-    _free_blocks,
     _solve_direct,
     full_rank_decompose,
     one_inverse,
     qsvd,
-    random_free_blocks,
     rank,
 )
 from .qcore import (
@@ -163,24 +161,24 @@ def _report(a, x, ranks, side, route, classification=None, penrose=False,
         ranks=ranks, side=side, route=route)
 
 
-def _urquhart(a, s, t, route, free_blocks=None, need_inverse=False):
-    # X = S (TAS)^(1) T; returns (X, rank W).  A square W = TAS of full rank
-    # has one {1}-inverse, W^-1, so X = S (W^-1 T) from one factorization of
-    # W (explicit free blocks must then be empty).  Any other W: with
-    # need_inverse X is None (the prescribed-space inverse does not exist),
-    # else the {1}-inverse comes from the SVD of W, free_blocks as in
-    # outer_right
+def _urquhart(a, s, t, route, z=None, need_inverse=False):
+    # X = S (TAS)^(1) T; returns (X, rank W).  z picks the {1}-inverse of
+    # W = TAS as in one_inverse and must have W*'s shape.  A square W of
+    # full rank has one {1}-inverse, W^-1 (W^-1 + Z - W^-1 W Z W W^-1 =
+    # W^-1), so X = S (W^-1 T) from one factorization of W and z is unused.
+    # Any other W: with need_inverse X is None (the prescribed-space inverse
+    # does not exist), else the {1}-inverse comes from the compact SVD of W
     mm = _route_mul(route)
     w = mm(mm(t, a), s)
+    if z is not None and z.shape != (w.ncols, w.nrows):
+        raise ValueError(
+            f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
     w_rank = rank(w)
     if w.nrows == w.ncols == w_rank:
-        if free_blocks is not None and not isinstance(
-                free_blocks, np.random.Generator):
-            _free_blocks(*free_blocks, w_rank, *w.shape)
         return _solve_core(s, w, t, route), w_rank
     if need_inverse:
         return None, w_rank
-    return mm(mm(s, _svd_one_inverse(w, route, free_blocks)), t), w_rank
+    return mm(mm(s, one_inverse(w, z, method=route)), t), w_rank
 
 
 def _solve_core(s, w, t, route):
@@ -194,25 +192,18 @@ def _solve_core(s, w, t, route):
     return _row_times_crep(s, symmetrize_crep(y))
 
 
-def _svd_one_inverse(w, route, free_blocks):
-    # the {1}-inverse of W from its SVD.  Random blocks are drawn at the rank
-    # of the one SVD they are placed in, which on a near tie can differ from
-    # rank(W)
-    if isinstance(free_blocks, np.random.Generator):
-        res = qsvd(w, method=route)
-        blocks = random_free_blocks(*w.shape, res.rank, free_blocks)
-        return _free_block_inverse(res, *blocks, route)
-    return one_inverse(w, *(free_blocks or (None,) * 3), method=route)
-
-
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
-                free_blocks=None) -> InverseReport:
+                z: QMatrix | None = None) -> InverseReport:
     """Outer inverse with prescribed right range R_r(S1) / null space N_r(T1).
 
     Builds X = S1 (T1 A S1)^(1) T1 and classifies it by the rank of T1*A*S1
-    against rank(S1), rank(T1), and rank(A).  ``free_blocks`` feeds the
-    {1}-inverse: None for zero blocks, a (K, L, M) triple, or a Generator to
-    draw them at random (the classification is invariant to the choice).
+    against rank(S1), rank(T1), and rank(A).  ``z`` picks the {1}-inverse
+    W+ + Z - W+ W Z W W+ of W = T1 A S1, as in
+    :func:`quatinv.factor.one_inverse`: None gives W+, and any other z must
+    have W*'s shape (S1.ncols, T1.nrows).  One z gives the same X on both
+    routes.  The classification does not depend on z, and when
+    rank(W) = rank(S1) = rank(T1) neither does X.  A square W of full rank
+    has W^-1 as its only {1}-inverse, so z is checked and then unused.
     """
     _check_route(route)
     m, n = a.shape
@@ -221,16 +212,17 @@ def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
     if t1.ncols != m:
         raise ValueError(f"T1 has {t1.ncols} columns, expected {m}")
     ranks = {"nu": rank(a), "s": rank(s1), "t": rank(t1)}
-    x, ranks["w"] = _urquhart(a, s1, t1, route, free_blocks)
+    x, ranks["w"] = _urquhart(a, s1, t1, route, z)
     return _report(a, x, ranks, "right", route)
 
 
 def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
-               free_blocks=None) -> InverseReport:
+               z: QMatrix | None = None) -> InverseReport:
     """Outer inverse with prescribed left range R_l(S2) / null space N_l(T2).
 
     Mirror of :func:`outer_right`: X = T2 (S2 A T2)^(1) S2, classified by
-    rank(S2 A T2) against rank(S2), rank(T2), rank(A).
+    rank(S2 A T2) against rank(S2), rank(T2), rank(A); ``z`` picks the
+    {1}-inverse of S2 A T2 and has shape (T2.ncols, S2.nrows).
     """
     _check_route(route)
     m, n = a.shape
@@ -239,12 +231,12 @@ def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
     if t2.nrows != n:
         raise ValueError(f"T2 has {t2.nrows} rows, expected {n}")
     ranks = {"nu": rank(a), "s": rank(s2), "t": rank(t2)}
-    x, ranks["w"] = _urquhart(a, t2, s2, route, free_blocks)
+    x, ranks["w"] = _urquhart(a, t2, s2, route, z)
     return _report(a, x, ranks, "left", route)
 
 
 def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
-               free_blocks=None) -> InverseReport:
+               z: QMatrix | None = None) -> InverseReport:
     """Outer inverse prescribing right spaces from (S, T) and left from (T, S).
 
     Same expression X = S (TAS)^(1) T; the right-side conditions compare
@@ -252,7 +244,8 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     swapped.  When rank(TAS) = rank(S) = rank(T) both sides match and X is
     the unique outer inverse with all four prescribed spaces; the combined
     flags report each side plus their conjunction, and ``sides_disagree``
-    marks the asymmetric cases.
+    marks the asymmetric cases.  ``z`` picks the {1}-inverse of TAS as in
+    :func:`outer_right`.
     """
     _check_route(route)
     m, n = a.shape
@@ -261,7 +254,7 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     if t.shape != (n, m):
         raise ValueError(f"T has shape {t.shape}, expected {(n, m)}")
     ranks = {"nu": rank(a), "s": rank(s), "t": rank(t)}
-    x, ranks["w"] = _urquhart(a, s, t, route, free_blocks)
+    x, ranks["w"] = _urquhart(a, s, t, route, z)
     right = _classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
     left = _classify(ranks["nu"], ranks["t"], ranks["s"], ranks["w"])
     cls = {
@@ -482,7 +475,9 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
 
 
 def right_range_equal(x: QMatrix, s: QMatrix) -> bool:
-    """R_r(X) == R_r(S): column concatenation adds no rank on either side."""
+    """R_r(X) == R_r(S): column concatenation adds no rank on either side.
+    Equal column spans have equal left annihilators, so this is also
+    ``left_null_equal``: N_l(X) == N_l(S)."""
     if x.nrows != s.nrows:
         raise ValueError(f"row counts differ: {x.nrows} vs {s.nrows}")
     rx, rs = rank(x), rank(s)
@@ -490,24 +485,13 @@ def right_range_equal(x: QMatrix, s: QMatrix) -> bool:
 
 
 def right_null_equal(x: QMatrix, t: QMatrix) -> bool:
-    """N_r(X) == N_r(T): equivalent to equal row spans, checked by stacking."""
+    """N_r(X) == N_r(T): equivalent to equal row spans, checked by stacking.
+    Equal row spans are equal left ranges, so this is also
+    ``left_range_equal``: R_l(X) == R_l(T)."""
     if x.ncols != t.ncols:
         raise ValueError(f"column counts differ: {x.ncols} vs {t.ncols}")
     rx, rt = rank(x), rank(t)
     return rx == rt == rank(vstack_q([t, x]))
 
 
-def left_range_equal(x: QMatrix, s: QMatrix) -> bool:
-    """R_l(X) == R_l(S): the left (row-type) ranges, checked by stacking."""
-    if x.ncols != s.ncols:
-        raise ValueError(f"column counts differ: {x.ncols} vs {s.ncols}")
-    rx, rs = rank(x), rank(s)
-    return rx == rs == rank(vstack_q([s, x]))
-
-
-def left_null_equal(x: QMatrix, t: QMatrix) -> bool:
-    """N_l(X) == N_l(T): equal column spans, checked by concatenation."""
-    if x.nrows != t.nrows:
-        raise ValueError(f"row counts differ: {x.nrows} vs {t.nrows}")
-    rx, rt = rank(x), rank(t)
-    return rx == rt == rank(hstack_q([t, x]))
+left_range_equal, left_null_equal = right_null_equal, right_range_equal

@@ -309,8 +309,9 @@ def symmetrize_crep(c0) -> np.ndarray:
     return data
 
 
-def random_qmat(m: int, n: int, rng: np.random.Generator) -> QMatrix:
-    """Random quaternion matrix with all four components uniform on [0, 1)."""
+def random_qmat(m: int, n: int, rng) -> QMatrix:
+    """Random quaternion matrix, all four components uniform on [0, 1) from
+    the numpy generator rng."""
     return QMatrix.from_components(*(rng.random((m, n)) for _ in range(4)))
 
 
@@ -337,12 +338,10 @@ class QmatFormatError(ValueError):
     """Raised for malformed .qmat files."""
 
 
-def write_qmat(path, a: QMatrix, comments=()) -> None:
+def write_qmat(path, a: QMatrix) -> None:
     w, x, y, z = a.components()
     m, n = a.shape
     with open(path, "w", encoding="ascii") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
         fh.write(f"QMAT {m} {n}\n")
         for i in range(m):
             for j in range(n):

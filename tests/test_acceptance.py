@@ -137,10 +137,12 @@ def test_criterion_3_outer_inverse_uniqueness():
         s = int(rng.integers(1, 4))
         a = random_qmat(m, n, rng)
         # rectangular S1, T1 of rank s < p, q so the rank-s small matrix
-        # T1 A S1 has genuinely free blocks in its {1}-inverses
+        # T1 A S1 has many {1}-inverses, each picked by a free matrix z of
+        # its conjugate transpose's shape
         s1 = low_rank(n, s + 1, s, rng)
         t1 = low_rank(s + 2, m, s, rng)
-        reps = [outer_right(a, s1, t1, free_blocks=rng) for _ in range(2)]
+        reps = [outer_right(a, s1, t1, z=random_qmat(s + 1, s + 2, rng))
+                for _ in range(2)]
         # rank conditions: rank(T1 A S1) = rank(S1) = rank(T1)
         assert all(r.classification["range_matches"]
                    and r.classification["nullspace_matches"] for r in reps)

@@ -78,13 +78,18 @@ def test_ppm_p6_round_trip(tmp_path):
 
 
 def test_ppm_p3_round_trip(tmp_path):
+    # the writer writes P6 only; a P3 file, written here as text, reads back
+    # to the same samples
     img = rand_image(4, 6, seed=3)
     p6 = tmp_path / "a.ppm"
     p3 = tmp_path / "b.ppm"
-    write_ppm(p6, img, binary=True)
-    write_ppm(p3, img, binary=False)
+    write_ppm(p6, img)
+    raw = np.rint(np.stack([img.r, img.g, img.b], axis=-1) * 255.0)
+    rows = (" ".join(str(int(v)) for v in row)
+            for row in raw.reshape(img.h, img.w * 3))
+    p3.write_text(f"P3\n{img.w} {img.h}\n255\n" + "\n".join(rows) + "\n")
     assert np.array_equal(read_ppm(p3).planes(), read_ppm(p6).planes())
-    assert p3.read_bytes().startswith(b"P3")
+    assert p6.read_bytes().startswith(b"P6")
 
 
 def test_ppm_header_comments(tmp_path):

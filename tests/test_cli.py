@@ -107,24 +107,35 @@ def residual_command(command, tmp_path):
     return ["outer-w", "--in", p["A"], "--w", p["W"]]
 
 
+def scaled_residuals(residuals, a, x):
+    # the residuals --tol judges: one/||A|| and outer/||X||, p3 and p4 as
+    # they are
+    norms = {"one": fro_norm(a), "outer": fro_norm(x)}
+    return {k: v / norms[k] if norms.get(k) else v
+            for k, v in residuals.items()}
+
+
 @pytest.mark.parametrize("command", ["pinv", "outer", "outer-w"])
 @pytest.mark.parametrize("tol", [1e-300, None])
 def test_residual_above_tol_warns_on_stderr(command, tol, tmp_path, capsys):
     args = residual_command(command, tmp_path)
-    rpt = tmp_path / "r.json"
+    rpt, out = tmp_path / "r.json", tmp_path / "X.qmat"
     tol_args = [] if tol is None else ["--tol", str(tol)]
-    assert main(args + tol_args + ["--json", str(rpt)]) == 0
+    assert main(args + tol_args + ["--json", str(rpt), "--out", str(out)]) == 0
     report = load_json(rpt)
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if "warning:" in line]
-    worst = max(report["residuals"], key=report["residuals"].get)
+    scaled = scaled_residuals(report["residuals"], read_qmat(args[2]),
+                              read_qmat(out))
+    worst = max(scaled, key=scaled.get)
     if tol is None:  # the default 1e-8 holds
         assert report["within_tol"] is True
         assert warnings == []
     else:
         assert report["within_tol"] is False
         assert len(warnings) == 1
-        assert f"worst residual {worst} =" in warnings[0]
+        assert f"worst scaled residual {worst} = {scaled[worst]:.3e}" \
+            in warnings[0]
         assert "--tol 1e-300" in warnings[0]
 
 
@@ -314,8 +325,11 @@ def test_huge_input_inverts_on_both_routes(argv, tmp_path, capsys):
                             "--out", str(out), "--json",
                             str(tmp_path / "r")]) == 0
         _, err = capsys.readouterr()
-        # pinv's residuals are absolute, so at 1e300 they warn
-        assert "error" not in err
+        # --tol judges one and outer relative to ||A|| and ||X||, so a
+        # correct inverse of a 1e300 matrix is within it
+        assert err == ""
+        if argv[0] == "pinv":
+            assert load_json(tmp_path / "r")["within_tol"] is True
         ax = mat_mul(a, read_qmat(out))
         assert fro_norm(ax - QMatrix.eye(2)) <= 1e-13
 
@@ -392,9 +406,11 @@ def marked_flags(header, rows):
     return table
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_flag_table_matches_the_parser():
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8").splitlines()
+    lines = README.read_text(encoding="utf-8").splitlines()
     first = next(i for i, line in enumerate(lines)
                  if line.startswith("| subcommand |"))
     cells = [[cell.strip() for cell in line.strip("|").split("|")]
@@ -419,6 +435,17 @@ def test_docstring_flag_table_matches_the_parser():
     table = marked_flags(cut(lines[rules[0] + 1]),
                          [cut(line) for line in lines[rules[1] + 1:rules[2]]])
     assert table == shared_flags_by_subcommand()
+
+
+def test_readme_python_examples_run(capsys):
+    # every python block of README.md runs as written, so a change of the
+    # library's API cannot leave the tour stale
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(
+        encoding="utf-8"), flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "'p3'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -9,7 +9,6 @@ from quatinv.factor import (
     full_rank_decompose,
     one_inverse,
     qsvd,
-    random_free_blocks,
     rank,
 )
 from quatinv.qcore import (
@@ -442,7 +441,8 @@ def test_compact_qsvd_wide_and_tall_rank_deficient(method, m, n, r):
 
 @pytest.mark.parametrize("method", ["crep", "direct"])
 def test_zero_block_one_inverse_uses_the_compact_svd(method, monkeypatch):
-    # one compact qsvd; on crep that is one thin complex SVD and no QR
+    # one compact qsvd, with or without z; on crep that is one thin complex
+    # SVD and no QR
     import quatinv.factor as factor
 
     w = rand_rank_deficient(9, 6, 3, np.random.default_rng(5))
@@ -464,13 +464,11 @@ def test_zero_block_one_inverse_uses_the_compact_svd(method, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(np.linalg, "qr", qr_spy)
     one_inverse(w, method=method)
-    assert modes == [False]
+    one_inverse(w, z=random_qmat(6, 9, np.random.default_rng(6)),
+                method=method)
+    assert modes == [False, False]
     if method == "crep":
-        assert thin == [True]
-    # any block given takes the full SVD
-    modes.clear()
-    one_inverse(w, m=QMatrix.zeros(3, 6), method=method)
-    assert modes == [True]
+        assert thin == [True, True]
 
 
 @pytest.mark.parametrize("method", ["crep", "direct"])
@@ -730,16 +728,14 @@ def test_one_inverse_of_invertible_is_inverse():
 
 
 def test_one_inverse_free_blocks_property():
-    # fifty random draws of (K, L, M): every draw is a {1}-inverse
+    # fifty random draws of the free matrix z: every draw is a {1}-inverse
     rng = np.random.default_rng(61)
     for trial in range(50):
         qd = int(rng.integers(2, 6))
         pd = int(rng.integers(2, 6))
         r = int(rng.integers(1, min(qd, pd) + 1))
         w = rand_rank_deficient(qd, pd, r, rng)
-        s = rank(w)
-        k, l, m = random_free_blocks(qd, pd, s, rng)
-        x = one_inverse(w, k, l, m)
+        x = one_inverse(w, random_qmat(pd, qd, rng))
         scale = max(1.0, fro_norm(w))
         assert fro_norm(mat_mul(mat_mul(w, x), w) - w) <= 1e-10 * scale
 
@@ -748,16 +744,36 @@ def test_one_inverse_distinct_draws_differ():
     rng = np.random.default_rng(67)
     w = rand_rank_deficient(4, 3, 2, rng)
     x0 = one_inverse(w)
-    k, l, m = random_free_blocks(4, 3, 2, rng)
-    x1 = one_inverse(w, k, l, m)
+    x1 = one_inverse(w, random_qmat(3, 4, rng))
     assert fro_norm(x0 - x1) > 1e-3
 
 
 def test_one_inverse_rejects_bad_block_shape():
+    # z has the shape of w*, whatever the rank, and nothing else
     rng = np.random.default_rng(71)
     w = rand_rank_deficient(4, 3, 2, rng)
-    with pytest.raises(ValueError):
-        one_inverse(w, k=QMatrix.zeros(1, 1))
+    for shape in ((1, 1), (4, 3), (3, 3), (2, 2)):
+        with pytest.raises(ValueError, match=r"expected \(3, 4\)"):
+            one_inverse(w, QMatrix.zeros(*shape))
+
+
+@pytest.mark.parametrize("m,n,r", [(6, 4, 2), (4, 6, 2), (5, 5, 3),
+                                   (8, 5, 1), (7, 7, 6)])
+def test_one_inverse_with_z_agrees_across_routes(m, n, r):
+    # W+ + Z - V_r (V_r* Z U_r) U_r* depends on the SVD only through W+ and
+    # the projectors V_r V_r* and U_r U_r*, which do not depend on the
+    # route's choice of singular vectors: one z, one {1}-inverse
+    rng = np.random.default_rng(100 * m + 10 * n + r)
+    for _ in range(10):
+        w = rand_rank_deficient(m, n, r, rng)
+        z = random_qmat(n, m, rng)
+        xd = one_inverse(w, z, "direct")
+        xc = one_inverse(w, z, "crep")
+        sigma = qsvd(w, method="crep", full=False).sigma
+        bound = max(m, n) * (sigma[0] / sigma[-1]) * EPS
+        assert fro_norm(xd - xc) <= 20 * bound * fro_norm(xc)
+        assert fro_norm(mat_mul(mat_mul(w, xd), w) - w) <= \
+            400 * bound * fro_norm(w)
 
 
 def test_one_inverse_methods_agree():

@@ -119,7 +119,7 @@ def test_outer_right_rank_zero_product_gives_zero():
 
 
 def test_outer_right_uniqueness_under_rank_match():
-    # with rank(TAS) = rank(S) = rank(T), every free-block draw gives the
+    # with rank(TAS) = rank(S) = rank(T), every free matrix z gives the
     # same outer inverse
     rng = np.random.default_rng(5)
     while True:
@@ -128,8 +128,8 @@ def test_outer_right_uniqueness_under_rank_match():
         t1 = random_qmat(3, 6, rng)
         if rank(mat_mul(mat_mul(t1, a), s1)) == 3:
             break
-    x1 = outer_right(a, s1, t1, free_blocks=np.random.default_rng(100)).x
-    x2 = outer_right(a, s1, t1, free_blocks=np.random.default_rng(200)).x
+    x1 = outer_right(a, s1, t1, z=random_qmat(3, 3, rng)).x
+    x2 = outer_right(a, s1, t1, z=random_qmat(3, 3, rng)).x
     assert fro_norm(x1 - x2) <= 1e-10 * fro_norm(x1)
 
 
@@ -141,16 +141,16 @@ def test_outer_right_free_blocks_change_x_when_not_unique():
     # rank(T1AS1) = 2 < 4 = rank(S1): not unique
     assert rank(mat_mul(mat_mul(t1, a), s1)) == 2
     x1 = outer_right(a, s1, t1).x
-    x2 = outer_right(a, s1, t1, free_blocks=np.random.default_rng(42)).x
+    x2 = outer_right(a, s1, t1, z=random_qmat(4, 4, rng)).x
     assert fro_norm(x1 - x2) > 1e-6
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_random_free_blocks_follow_the_rank_of_the_svd_that_uses_them(route):
+def test_z_shape_does_not_depend_on_a_near_tie_rank(route):
     # sigma_3 sits at the rank threshold 6 eps sigma_1, where rank(W) and
-    # qsvd(W, route) decide differently for this draw on the direct route
-    # (and did on crep while its SVD counted the paired values it picked);
-    # blocks sized by rank(W) would be rejected by one_inverse
+    # qsvd(W, route) can decide differently (for this draw on direct, which
+    # keeps sigma_3 and so has ||X|| ~ 1e15); z has W*'s shape whatever the
+    # rank, so any decision takes it, and W X W = W holds to eps ||W||^2 ||X||
     from test_factor import rand_unitary
 
     rng = np.random.default_rng(8)
@@ -159,16 +159,15 @@ def test_random_free_blocks_follow_the_rank_of_the_svd_that_uses_them(route):
     w = mat_mul(mat_mul(rand_unitary(6, rng), d),
                 conj_transpose(rand_unitary(6, rng)))
     eye = QMatrix.eye(6)
-    x = outer_right(w, eye, eye, route=route,
-                    free_blocks=np.random.default_rng(0)).x
+    x = outer_right(w, eye, eye, route=route, z=random_qmat(6, 6, rng)).x
     assert x.shape == (6, 6)
-    assert np.isfinite(x.q1).all() and np.isfinite(x.q2).all()
+    assert fro_norm(mat_mul(mat_mul(w, x), w) - w) <= \
+        6 * EPS * fro_norm(w) ** 2 * fro_norm(x)
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_random_free_blocks_take_one_svd(route, monkeypatch):
-    # the blocks are drawn at the rank of the SVD they are placed in, so one
-    # qsvd serves both
+    # a free matrix z takes the same one compact qsvd as z = None
     from quatinv import factor
 
     calls = []
@@ -183,12 +182,28 @@ def test_random_free_blocks_take_one_svd(route, monkeypatch):
     rng = np.random.default_rng(31)
     a = rand_rank_deficient(5, 4, 2, rng)
     s1, t1 = random_qmat(4, 3, rng), random_qmat(3, 5, rng)
-    rep = outer_right(a, s1, t1, route=route,
-                      free_blocks=np.random.default_rng(0))
-    assert calls == [True]
+    rep = outer_right(a, s1, t1, route=route, z=random_qmat(3, 3, rng))
+    assert calls == [False]
     # rank(T1 A S1) = rank(A) = 2: a {1}-inverse of A
     assert rep.classification["is_one_inverse"]
     assert rep.residuals["one"] <= 1e-10 * max(1.0, fro_norm(a))
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_z_changes_x_the_same_way_on_both_routes(route):
+    # X = S (W+ + Z - W+ W Z W W+) T is not unique here, yet one z gives one
+    # X: its projectors W+ W and W W+ do not depend on the route's SVD bases
+    rng = np.random.default_rng(32)
+    a = rand_rank_deficient(6, 5, 2, rng)
+    s1, t1 = random_qmat(5, 4, rng), random_qmat(3, 6, rng)
+    for build in (lambda r, z: outer_right(a, s1, t1, route=r, z=z),
+                  lambda r, z: outer_left(a, t1, s1, route=r, z=z)):
+        z = random_qmat(4, 3, rng)
+        x0, rep = build(route, None).x, build(route, z)
+        other = build({"direct": "crep", "crep": "direct"}[route], z).x
+        assert not rep.classification["is_12_unique"]
+        assert fro_norm(rep.x - x0) > 1e-3 * fro_norm(x0)
+        assert fro_norm(rep.x - other) <= 1e-12 * fro_norm(rep.x)
 
 
 # -------------------------------------------------------------- outer_left
@@ -681,18 +696,28 @@ def test_pinv_report_of_invertible_a_is_its_inverse(route):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_free_blocks_on_a_nonsingular_w_must_be_empty(route):
+def test_z_on_a_nonsingular_w_is_checked_and_ignored(route):
+    # W^-1 is the only {1}-inverse of a square W of full rank
+    # (W^-1 + Z - W^-1 W Z W W^-1 = W^-1), so any z of W*'s shape returns
+    # the X of z = None bit for bit, and a z of another shape is refused
+    # before the square solve
     rng = np.random.default_rng(57)
     a = random_qmat(4, 4, rng)
     eye = QMatrix.eye(4)
-    empty = (QMatrix.zeros(4, 0), QMatrix.zeros(0, 4), QMatrix.zeros(0, 0))
-    x = outer_right(a, eye, eye, route=route, free_blocks=empty).x
-    assert fro_norm(x - outer_right(a, eye, eye, route=route).x) == 0.0
-    for bad in ((QMatrix.zeros(4, 1), None, None),
-                (None, QMatrix.zeros(1, 4), None),
-                (None, None, QMatrix.zeros(1, 1))):
-        with pytest.raises(ValueError, match="free block"):
-            outer_right(a, eye, eye, route=route, free_blocks=bad)
+    s, t = random_qmat(4, 3, rng), random_qmat(3, 4, rng)
+    for build, k in ((lambda z: outer_right(a, eye, eye, route=route, z=z), 4),
+                     (lambda z: outer_left(a, eye, eye, route=route, z=z), 4),
+                     (lambda z: outer_both(a, eye, eye, route=route, z=z), 4),
+                     (lambda z: outer_right(a, s, t, route=route, z=z), 3)):
+        want = build(None)
+        assert want.ranks["w"] == k  # W is k-by-k of full rank
+        for z in (QMatrix.zeros(k, k), random_qmat(k, k, rng)):
+            x = build(z).x
+            assert np.array_equal(x.q1, want.x.q1)
+            assert np.array_equal(x.q2, want.x.q2)
+        for bad in ((k, k + 1), (k + 1, k), (1, 1), (0, 0)):
+            with pytest.raises(ValueError, match="z has shape"):
+                build(QMatrix.zeros(*bad))
 
 
 CONSTRUCTORS = {

@@ -280,7 +280,7 @@ def test_qmat_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(18)
     a = random_qmat(4, 3, rng)
     path = tmp_path / "a.qmat"
-    write_qmat(path, a, comments=["round trip fixture"])
+    write_qmat(path, a)
     b = read_qmat(path)
     np.testing.assert_array_equal(a.q1, b.q1)
     np.testing.assert_array_equal(a.q2, b.q2)
