@@ -5,11 +5,11 @@ Two computational routes are kept genuinely separate throughout:
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
   pair (quaternion Householder reflectors: bidiagonalization to a real
   bidiagonal, whose SVD is then real LAPACK work, and the column-pivoted QR
-  of the full rank decomposition).  The bidiagonalization loop applies only
-  the reflectors; one scalar pass then finds the unit-quaternion phases that
-  make the bidiagonal real, and U and V are the reflector products in
-  compact-WY form, I - Y T Y*, times one diagonal of phases.  A^C is never
-  formed.
+  of the full rank decomposition; Gaussian elimination for the square
+  solve).  The bidiagonalization loop applies only the reflectors; one
+  scalar pass then finds the unit-quaternion phases that make the bidiagonal
+  real, and U and V are the reflector products in compact-WY form,
+  I - Y T Y*, times one diagonal of phases.  A^C is never formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, and no other
   factorization, followed by exact restoration of the quaternion block
@@ -26,11 +26,11 @@ cluster; on direct it is the full result sliced.  Every {1}-inverse,
 W+ + Z - W+ W Z W W+ for a free matrix Z of W*'s shape, takes the compact
 SVD alone; the full one serves only callers that want unitary factors.
 
-One direct QR kernel serves two callers.  ``full_rank_decompose`` runs it
-with every column free to pivot and the rank rule as its stop.  The square
-solve W^-1 B (for a W whose full rank is already decided) runs it on
-[W | B] with the pivots restricted to W's columns, so the reflectors carry B
-along and the same back substitution returns the solution.
+The direct square solve W^-1 B (for a W whose full rank is already
+decided) is a blocked LU with partial pivoting of [W | B] in pair
+arithmetic, as the crep route's is LAPACK's LU of W^C.  It ends in the same
+upper-triangular back substitution as the direct QR of
+``full_rank_decompose``.
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -300,6 +300,24 @@ def _reflector(x1, x2):
     return v, 1.0 / (beta * (beta + habs))
 
 
+def _inverse(p1, p2):
+    # the quaternion inverse conj(p) / |p|^2 of the scalar (p1, p2)
+    n2 = abs(p1) ** 2 + abs(p2) ** 2
+    return np.conj(p1) / n2, -p2 / n2
+
+
+def _sub_outer(b1, b2, l, u1, u2):
+    # B -= l u in place, for a quaternion column l held as one (k, 2) array
+    # of the pair (l1, l2) and a row (u1, u2): per component one rank-2
+    # complex update, l @ [u1; -conj(u2)] and l @ [u2; conj(u1)]
+    r = np.empty((2, 2, u1.shape[-1]), dtype=complex)
+    r[0, 0], r[1, 0] = u1, u2
+    np.negative(np.conj(u2), out=r[0, 1])
+    np.conj(u1, out=r[1, 1])
+    b1 -= l @ r[0]
+    b2 -= l @ r[1]
+
+
 def _reflect_rows(b1, b2, v, tau):
     # B := (I - tau v v*) B in place on the given views.  w = tau v* B takes
     # its conjugates on the vectors: conj(conj(v2) B2), not v2 conj(B2).  The
@@ -308,8 +326,7 @@ def _reflect_rows(b1, b2, v, tau):
     cv1, cv2 = np.conj(v[:, 0]), np.conj(v[:, 1])
     w1 = tau * (cv1 @ b1 + np.conj(cv2 @ b2))
     w2 = tau * (cv1 @ b2 - np.conj(cv2 @ b1))
-    b1 -= v @ np.stack([w1, -np.conj(w2)])
-    b2 -= v @ np.stack([w2, np.conj(w1)])
+    _sub_outer(b1, b2, v, w1, w2)
 
 
 def _reflect_cols(b1, b2, v, tau):
@@ -454,27 +471,39 @@ def _pivot(x1, x2):
     return j, math.sqrt(w[j])
 
 
-def _qr_direct(a: QMatrix, npiv: int | None = None):
+def _back_substitute(b1, b2, r):
+    # R11^{-1} R12 as a pair, for R11 = B[:r, :r] upper triangular (nothing
+    # below its diagonal is read) and R12 = B[:r, r:], by back substitution
+    # with the pivots' quaternion inverses.  Each step's pair product
+    # R[k, k+1:r] X[k+1:] is _pair_mm's, with the conjugates of the solved
+    # rows kept rather than taken again at every step
+    x1, x2, c1, c2 = np.empty((4, r, b1.shape[1] - r), dtype=complex)
+    for k in reversed(range(r)):
+        v1, v2 = b1[k, k + 1:r], b2[k, k + 1:r]
+        z1 = v1 @ x1[k + 1:] - v2 @ c2[k + 1:]
+        z2 = v1 @ x2[k + 1:] + v2 @ c1[k + 1:]
+        x1[k], x2[k] = _scalar_times(*_inverse(b1[k, k], b2[k, k]),
+                                     b1[k, r:] - z1, b2[k, r:] - z2)
+        c1[k], c2[k] = np.conj(x1[k]), np.conj(x2[k])
+    return x1, x2
+
+
+def _qr_direct(a: QMatrix):
     """Column-pivoted quaternion Householder QR on the component pair.
 
-    Every reflector acts on all n columns.  By default any column may pivot
-    and the QR stops by the rank rule.  Given ``npiv``, only the first npiv
-    columns pivot, and they are taken as independent (their rank was decided
-    elsewhere): the QR runs through all of them, stopping only on an exactly
-    zero remainder.  Returns the column permutation, the rank r and
-    X = R11^{-1} R12 as a pair, found by back substitution with the pivots'
-    quaternion inverses.  None of them depends on A's scale, so A is first
-    brought to the safe range, by the scale of the columns that may pivot:
-    the others only ride along, and X holds them relative to those.
+    Returns the column permutation, the rank r and X = R11^{-1} R12 as a
+    pair, found by back substitution with the pivots' quaternion inverses.
+    None of them depends on A's scale, so A is first brought to the safe
+    range.
     """
     m, n = a.shape
-    a = _scale_to_safe(a, npiv)[0]
+    a = _scale_to_safe(a)[0]
     b1, b2 = a.q1.copy(), a.q2.copy()
     perm = np.arange(n)
     r = stop = 0
-    for k in range(min(m, n if npiv is None else npiv)):
-        j, big = _pivot(b1[k:, k:npiv], b2[k:, k:npiv])
-        if k == 0 and npiv is None:
+    for k in range(min(m, n)):
+        j, big = _pivot(b1[k:, k:], b2[k:, k:])
+        if k == 0:
             stop = _rank_threshold(big, m, n)
         if big <= stop:
             break
@@ -483,29 +512,66 @@ def _qr_direct(a: QMatrix, npiv: int | None = None):
             arr[..., [k, j]] = arr[..., [j, k]]
         _reflect_rows(b1[k:, k:], b2[k:, k:], *_reflector(b1[k:, k], b2[k:, k]))
         r = k + 1
-    x1, x2 = np.empty((2, r, n - r), dtype=complex)
-    for k in reversed(range(r)):
-        z1, z2 = _pair_mm(b1[k, k + 1:r], b2[k, k + 1:r], x1[k + 1:], x2[k + 1:])
-        p1, p2 = b1[k, k], b2[k, k]
-        n2 = abs(p1) ** 2 + abs(p2) ** 2
-        x1[k], x2[k] = _scalar_times(np.conj(p1) / n2, -p2 / n2,
-                                     b1[k, r:] - z1, b2[k, r:] - z2)
-    return perm, r, QMatrix(x1, x2)
+    return perm, r, QMatrix(*_back_substitute(b1, b2, r))
+
+
+# the panel width of the blocked LU; 16 measured fastest on 128-by-128
+# solves with one BLAS thread
+_LU_BLOCK = 16
 
 
 def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
-    """W^{-1} B for a square W of full rank, from the pivoted QR of [W | B].
+    """W^{-1} B for a square W of full rank, by the LU of [W | B] with
+    partial pivoting on rows, in pair arithmetic.
 
-    The pivots run over W's columns only, so the reflectors carry B to
-    Q* B and the back substitution gives R11^{-1} Q* B = P^T W^{-1} B.
-    Raises ``np.linalg.LinAlgError`` if W turns out exactly singular.
+    Blocked and right-looking, as LAPACK's xGETRF is.  Step k takes as pivot
+    p the row of largest |w_ik| in column k of W, swaps rows, and stores the
+    multipliers l = w_ik p^-1 (right division by the pivot) in place; inside
+    a panel of _LU_BLOCK columns it updates only the panel, by the rank-2
+    pair update of the Householder kernels.  After each panel, the panel's
+    row interchanges go to the columns on its right, U12 = L11^-1 A12 by
+    forward substitution, and A22 -= L21 U12 is one pair GEMM.  B's columns
+    ride along to L^-1 P B, so the back substitution with U gives W^-1 B
+    with no permutation to undo.  B never supplies a pivot, and W's columns
+    alone set the scale.  The growth of partial pivoting is the same risk
+    the crep route's LU of W^C (xGETRF) already carries.  Raises
+    ``np.linalg.LinAlgError`` if a pivot column is exactly zero.
     """
     n = w.ncols
-    perm, r, x = _qr_direct(hstack_q([w, b]), npiv=n)
-    if r < n:
-        raise np.linalg.LinAlgError("Singular matrix")
-    back = np.argsort(perm[:n])  # row k of X belongs to W's column perm[k]
-    return QMatrix(x.q1[back], x.q2[back])
+    a = _scale_to_safe(hstack_q([w, b]), n)[0]
+    a1, a2 = a.q1.copy(), a.q2.copy()
+    for j0 in range(0, n, _LU_BLOCK):
+        j1 = min(j0 + _LU_BLOCK, n)
+        nb = j1 - j0
+        # the panel as one (rows, nb, 2) array: a column's pair is one
+        # (rows, 2) view, the layout of l in _sub_outer
+        p = np.stack([a1[j0:, j0:j1], a2[j0:, j0:j1]], axis=-1)
+        p1, p2 = p[..., 0], p[..., 1]
+        perm = np.arange(n - j0)
+        for c in range(nb):
+            mag = np.abs(p1[c:, c]) ** 2 + np.abs(p2[c:, c]) ** 2
+            j = int(np.argmax(mag))
+            if mag[j] == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            j += c
+            p[[c, j]] = p[[j, c]]
+            perm[[c, j]] = perm[[j, c]]
+            p1[c + 1:, c], p2[c + 1:, c] = _times_scalar(
+                p1[c + 1:, c], p2[c + 1:, c], *_inverse(p1[c, c], p2[c, c]))
+            _sub_outer(p1[c + 1:, c + 1:], p2[c + 1:, c + 1:], p[c + 1:, c],
+                       p1[c, c + 1:], p2[c, c + 1:])
+        # the L of earlier panels is not read again, so it stays unswapped
+        a1[j0:, j0:j1], a2[j0:, j0:j1] = p1, p2
+        a1[j0:, j1:], a2[j0:, j1:] = a1[j0:, j1:][perm], a2[j0:, j1:][perm]
+        for c in range(nb - 1):
+            k = j0 + c
+            _sub_outer(a1[k + 1:j1, j1:], a2[k + 1:j1, j1:], p[c + 1:nb, c],
+                       a1[k, j1:], a2[k, j1:])
+        z1, z2 = _pair_mm(a1[j1:, j0:j1], a2[j1:, j0:j1],
+                          a1[j0:j1, j1:], a2[j0:j1, j1:])
+        a1[j1:, j1:] -= z1
+        a2[j1:, j1:] -= z2
+    return QMatrix(*_back_substitute(a1, a2, n))
 
 
 def _qr_crep(a: QMatrix):

@@ -32,13 +32,13 @@ core, differing only in S and T, the free matrix z that picks the
 {1}-inverse of TAS, and whether a singular TAS means the inverse does not
 exist.  The core has one rule: when TAS is square and rank(TAS) equals its
 order, its only {1}-inverse is (TAS)^-1, and X = S solve(TAS, T) comes
-from one factorization of TAS on the route's own arithmetic (an LU of
-(TAS)^C on crep, the pivoted quaternion QR of [TAS | T] on direct), with
-no SVD of TAS.  That covers the Moore-Penrose inverse of a square
-invertible A, every W-prescribed constructor (Drazin and group inverses
-included) and any outer inverse whose TAS is square and nonsingular; a
-rectangular or singular W = TAS takes its {1}-inverse W+ + Z - W+ W Z W W+
-from its compact SVD.
+from one LU with partial pivoting in the route's own arithmetic (of
+(TAS)^C by LAPACK on crep, of [TAS | T] in quaternion pair arithmetic on
+direct), with no SVD of TAS.  That covers the Moore-Penrose inverse of a
+square invertible A, every W-prescribed constructor (Drazin and group
+inverses included) and any outer inverse whose TAS is square and
+nonsingular; a rectangular or singular W = TAS takes its {1}-inverse
+W+ + Z - W+ W Z W W+ from its compact SVD.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
 
 
 def _solve_core(s, w, t, route):
-    # S W^-1 T for a square W of full rank, from one factorization of W in
-    # the route's own arithmetic: on crep an LU solve with W^C, whose
-    # restored solution meets S in one GEMM of S's first block row [S1, S2];
-    # on direct the pivoted QR of [W | T]
+    # S W^-1 T for a square W of full rank, from one LU with partial
+    # pivoting in the route's own arithmetic: on crep an LU solve with W^C,
+    # whose restored solution meets S in one GEMM of S's first block row
+    # [S1, S2]; on direct the blocked quaternion LU of [W | T]
     if route == "direct":
         return mat_mul(s, _solve_direct(w, t))
     y = np.linalg.solve(to_crep(w), to_crep(t))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quatinv.factor import (
+    _LU_BLOCK,
     FullRankFactorization,
     _bidiagonalize,
     _pairs,
@@ -652,8 +653,8 @@ def test_frd_direct_never_forms_the_complex_representation(side, monkeypatch):
 
 
 def test_direct_solve_pivots_only_among_w_columns():
-    # W's first column is small and B's columns are large, so a QR free to
-    # pivot over [W | B] would take a column of B first
+    # W's first column is small and B's columns are large: B never supplies
+    # a pivot, so the small column is eliminated first all the same
     rng = np.random.default_rng(60)
     w = random_qmat(5, 5, rng)
     w = hstack_q([QMatrix(1e-3 * w.q1[:, :1], 1e-3 * w.q2[:, :1]),
@@ -671,6 +672,61 @@ def test_direct_solve_rejects_an_exactly_singular_w():
     w = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         _solve_direct(w, QMatrix.eye(2))
+
+
+def crep_solve(w, b):
+    # the oracle: numpy's LU solve with W^C, and kappa(W)
+    wc = to_crep(w)
+    x = np.linalg.solve(wc, to_crep(b))[:w.nrows]
+    return QMatrix(*np.split(x, 2, 1)), np.linalg.cond(wc)
+
+
+@pytest.mark.parametrize("n", [0, 1, _LU_BLOCK - 1, _LU_BLOCK, _LU_BLOCK + 1,
+                               2 * _LU_BLOCK + 3])
+def test_direct_solve_matches_the_crep_oracle_at_every_block_edge(n):
+    # no panel, a partial panel (n = 1 and B - 1), one full panel, a full
+    # panel and one column, and two full panels and a partial one
+    rng = np.random.default_rng(300 + n)
+    w, b = random_qmat(n, n, rng), random_qmat(n, 3, rng)
+    x = _solve_direct(w, b)
+    assert x.shape == (n, 3)
+    if n:
+        want, kappa = crep_solve(w, b)
+        assert fro_norm(x - want) <= 4 * n * kappa * EPS * fro_norm(want)
+
+
+def test_direct_solve_interchanges_rows_at_every_step():
+    # W is L U with its rows shifted down by one (W's first row is the last
+    # of L U).  L is unit lower triangular with multipliers of modulus at
+    # most 1/2 and last row e_n, so step k pivots on L's row k, which sits
+    # one row below row k, and the row it displaces, L U's last, is exactly
+    # zero in every column but the last: a step without its interchange
+    # would meet a zero pivot
+    n = 2 * _LU_BLOCK + 3
+    rng = np.random.default_rng(61)
+    q = random_qmat(n, n, rng)
+    half = 0.5 / np.sqrt(np.max(np.abs(q.q1) ** 2 + np.abs(q.q2) ** 2))
+    l1, l2 = np.tril(q.q1, -1) * half + np.eye(n), np.tril(q.q2, -1) * half
+    l1[-1, :-1] = l2[-1, :-1] = 0.0
+    u = random_qmat(n, n, rng)
+    u = QMatrix(np.triu(u.q1) + 4 * np.eye(n), np.triu(u.q2))
+    lu = mat_mul(QMatrix(l1, l2), u)
+    w = QMatrix(np.roll(lu.q1, 1, axis=0), np.roll(lu.q2, 1, axis=0))
+    assert not np.any(w.q1[0, :-1]) and not np.any(w.q2[0, :-1])
+    b = random_qmat(n, 2, rng)
+    want, kappa = crep_solve(w, b)
+    assert fro_norm(_solve_direct(w, b) - want) <= (
+        4 * n * kappa * EPS * fro_norm(want))
+
+
+def test_direct_solve_rejects_a_zero_column_beyond_the_first_panel():
+    n = 2 * _LU_BLOCK + 3
+    rng = np.random.default_rng(62)
+    w = random_qmat(n, n, rng)
+    q1, q2 = w.q1.copy(), w.q2.copy()
+    q1[:, _LU_BLOCK + 2] = q2[:, _LU_BLOCK + 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_direct(QMatrix(q1, q2), random_qmat(n, 2, rng))
 
 
 def test_frd_routes_agree():

@@ -513,7 +513,8 @@ def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
 # ------------------------------------------- square nonsingular W = TAS
 #
 # A square W of full rank has W^-1 as its only {1}-inverse, and X = S W^-1 T
-# comes from one LU (crep) or pivoted QR (direct) of W, with no SVD of W.
+# comes from one LU with partial pivoting in the route's own arithmetic (of
+# W^C on crep, of [W | T] in pair arithmetic on direct), with no SVD of W.
 
 EPS = np.finfo(float).eps
 
@@ -573,20 +574,22 @@ def test_square_solve_matches_the_crep_oracle(route):
 @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
 def test_square_solve_error_grows_with_kappa_times_eps(kappa):
     # unitary S and T keep kappa(W) = kappa(A); both routes and their gap
-    # stay within c kappa eps all the way to kappa = 1e10
+    # stay within c kappa eps all the way to kappa = 1e10.  k = 8 is less
+    # than one panel of the direct LU, and k = 40 runs three
     from test_factor import rand_unitary
 
     rng = np.random.default_rng(int(np.log10(kappa)))
-    k = 8
-    a = graded(k, kappa, rng)
-    s, t = rand_unitary(k, rng), rand_unitary(k, rng)
-    oracle, kappa_w = crep_oracle(a, s, t)
-    assert kappa_w == pytest.approx(kappa, rel=1e-3)
-    bound = 2 * k * kappa_w * EPS
-    xs = [outer_right(a, s, t, route=route).x for route in ("direct", "crep")]
-    for x in xs:
-        assert rel_gap(crep(x), oracle) <= bound
-    assert rel_gap(crep(xs[0]), crep(xs[1])) <= bound
+    for k in (8, 40):
+        a = graded(k, kappa, rng)
+        s, t = rand_unitary(k, rng), rand_unitary(k, rng)
+        oracle, kappa_w = crep_oracle(a, s, t)
+        assert kappa_w == pytest.approx(kappa, rel=1e-3)
+        bound = 2 * k * kappa_w * EPS
+        xs = [outer_right(a, s, t, route=route).x
+              for route in ("direct", "crep")]
+        for x in xs:
+            assert rel_gap(crep(x), oracle) <= bound
+        assert rel_gap(crep(xs[0]), crep(xs[1])) <= bound
 
 
 def test_square_solve_route_parity_for_every_constructor():
