@@ -44,7 +44,6 @@ from .geninv import (
     outer_both,
     outer_left,
     outer_right,
-    outer_w_left,
     outer_w_right,
     pinv_report,
 )
@@ -80,13 +79,15 @@ def _emit_json(args, payload) -> None:
 def _report_payload(op, a, rep, tol):
     # --tol judges one = ||AXA - A|| and outer = ||XAX - X|| relative to
     # ||A|| and ||X||, whose scale they carry (a zero norm divides nothing);
-    # p3 and p4 (AX and XA Hermitian) carry no scale and are taken as they are
+    # p3 and p4 (AX and XA Hermitian) carry no scale and are taken as they are.
+    # The zero X of an inverse that does not exist is not judged
     norms = {"one": fro_norm(a), "outer": fro_norm(rep.x)}
     scaled = {k: v / norms[k] if norms.get(k) else v
               for k, v in rep.residuals.items()}
     name, worst = max(scaled.items(), key=lambda kv: kv[1],
                       default=("", 0.0))
-    if not worst <= tol:  # a NaN residual warns too
+    within = bool(worst <= tol)  # a NaN residual is not
+    if rep.exists and not within:
         print(f"{op}: warning: worst scaled residual {name} = {worst:.3e} "
               f"exceeds --tol {tol:g}", file=sys.stderr)
     return {
@@ -98,7 +99,7 @@ def _report_payload(op, a, rep, tol):
         "classification": rep.classification,
         "ranks": rep.ranks,
         "residuals": rep.residuals,
-        "within_tol": bool(worst <= tol),
+        "within_tol": rep.exists and within,
         "shape": list(rep.x.shape),
     }
 
@@ -111,9 +112,13 @@ def _maybe_write(args, x: QMatrix) -> None:
 def cmd_pinv(args) -> int:
     a = read_qmat(args.infile)
     rep = pinv_report(a, method=args.method, route=args.route)
-    _maybe_write(args, rep.x)
     payload = _report_payload("pinv", a, rep, args.tol)
     payload["method"] = args.method
+    if not rep.exists:
+        _emit_json(args, payload)
+        print(f"pinv: {rep.reason}", file=sys.stderr)
+        return 1
+    _maybe_write(args, rep.x)
     _emit_json(args, payload)
     print(f"pinv {a.shape[0]}x{a.shape[1]} method={args.method} "
           f"route={args.route}: max residual "
@@ -141,8 +146,7 @@ def cmd_outer(args) -> int:
 def cmd_outer_w(args) -> int:
     a = read_qmat(args.infile)
     w = read_qmat(args.w)
-    ctor = outer_w_right if args.side == "right" else outer_w_left
-    rep = ctor(a, w, route=args.route)
+    rep = outer_w_right(a, w, route=args.route)
     payload = _report_payload("outer-w", a, rep, args.tol)
     if not rep.exists:
         _emit_json(args, payload)
@@ -150,8 +154,7 @@ def cmd_outer_w(args) -> int:
         return 1
     _maybe_write(args, rep.x)
     _emit_json(args, payload)
-    print(f"outer-w side={args.side}: outer residual "
-          f"{rep.residuals['outer']:.3e}")
+    print(f"outer-w: outer residual {rep.residuals['outer']:.3e}")
     return 0
 
 
@@ -207,17 +210,17 @@ def cmd_rank(args) -> int:
 
 def cmd_frd(args) -> int:
     a = read_qmat(args.infile)
-    fact = full_rank_decompose(a, side=args.side, route=args.route)
+    fact = full_rank_decompose(a, route=args.route)
     if args.out:
         write_qmat(args.out + ".F.qmat", fact.f)
         write_qmat(args.out + ".G.qmat", fact.g)
     recon = fro_norm(mat_mul(fact.f, fact.g) - a)
-    _emit_json(args, {"op": "frd", "side": args.side, "route": args.route,
+    _emit_json(args, {"op": "frd", "route": args.route,
                       "rank": fact.r, "shape": list(a.shape),
                       "f_shape": list(fact.f.shape),
                       "g_shape": list(fact.g.shape),
                       "reconstruction_residual": recon})
-    print(f"frd {args.side}: rank {fact.r}, ||FG-A|| = {recon:.3e}")
+    print(f"frd: rank {fact.r}, ||FG-A|| = {recon:.3e}")
     return 0
 
 
@@ -323,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_outer)
 
     p = sub.add_parser("outer-w", parents=checked,
-                       help="outer inverse with both spaces prescribed by W")
-    p.add_argument("--w", required=True)
-    p.add_argument("--side", choices=["right", "left"], default="right")
+                       help="outer inverse with all four spaces of W")
+    p.add_argument("--w", required=True,
+                   help="W (.qmat), n x m for an m x n A; its factorization "
+                   "W = F G gives X = F (G A F)^-1 G")
     p.set_defaults(func=cmd_outer_w)
 
     p = sub.add_parser("drazin", parents=plain, help="Drazin inverse")
@@ -339,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frd", parents=plain,
                        help="full rank decomposition A = F G")
-    p.add_argument("--side", choices=["column-form", "row-form"],
-                   default="column-form")
     p.set_defaults(func=cmd_frd)
 
     p = sub.add_parser("svd", parents=plain,

@@ -606,7 +606,7 @@ def _qr_crep(a: QMatrix):
     return perm, r, from_crep(symmetrize_crep(x))
 
 
-def full_rank_decompose(a: QMatrix, side: str = "column-form",
+def full_rank_decompose(a: QMatrix,
                         route: str = "direct") -> FullRankFactorization:
     """Full rank decomposition A = F G by column-pivoted Householder QR.
 
@@ -615,15 +615,13 @@ def full_rank_decompose(a: QMatrix, side: str = "column-form",
     norm is at most max(m, n) eps times the first pivot's (the SVD rank rule
     with this norm in place of sigma_1).  F is A's pivot columns in A's
     column order and G = [I, R11^{-1} R12] P^T, the identity on F's columns.
+    F has full column rank and G full row rank, so the one factorization
+    fixes all four of A's spaces: R_r(A) = R_r(F), N_r(A) = N_r(G),
+    R_l(A) = R_l(G) and N_l(A) = N_l(F).
 
     Parameters
     ----------
     a : QMatrix
-    side : {"column-form", "row-form"}
-        "column-form": F is built from the pivot columns of A.  "row-form":
-        the mirrored construction from the pivot rows (the QR runs on A* and
-        the factors are conjugate-transposed back), so the row factor
-        inherits A's left spaces.
     route : {"direct", "crep"}
         Arithmetic realization of the QR: quaternion reflectors on the
         component pair, or their complex representations on A^C.
@@ -631,13 +629,6 @@ def full_rank_decompose(a: QMatrix, side: str = "column-form",
     Raises ``ValueError`` for an input with NaN or Inf entries.
     """
     _require_finite(a, "full_rank_decompose")
-    if side == "row-form":
-        fact = full_rank_decompose(conj_transpose(a), side="column-form",
-                                   route=route)
-        return FullRankFactorization(
-            conj_transpose(fact.g), conj_transpose(fact.f), fact.r)
-    if side != "column-form":
-        raise ValueError(f"unknown side {side!r}")
     if route == "direct":
         perm, r, x = _qr_direct(a)
     elif route == "crep":

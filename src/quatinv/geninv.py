@@ -22,7 +22,10 @@ once, and prescribes W = A^k (W = I for an invertible A).
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
 raised) when that matrix is singular, since the target inverse then does not
-exist.
+exist.  One factorization fixes W's right and left spaces alike, and
+X = F (G A F)^-1 G does not depend on which one is used, so ``outer_w_left``
+is ``outer_w_right`` under another label.  One helper serves both, ``pinv``
+by "frd" (W = A*) and the Drazin and group inverses (W = A^k).
 
 Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route
@@ -277,9 +280,19 @@ _SINGULAR = ("prescribed-space inverse does not exist: "
              "G*A*F is singular (rank {} < {})")
 
 
-def _w_report(a, side, route, r, x, w_rank, penrose=False):
-    # the W-variants, and pinv by "frd", invert the small matrix G A F of
-    # W = F G of rank r; x is None when G A F is singular
+def _w_inverse(a, w, route):
+    # (X, rank(GAF), r) of X = F (G A F)^-1 G for the full rank
+    # decomposition W = F G of rank r; X is None when G A F is singular
+    if w.shape != (a.ncols, a.nrows):
+        raise ValueError(
+            f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
+    fact = full_rank_decompose(w, route=route)
+    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    return x, w_rank, fact.r
+
+
+def _w_report(a, side, route, x, w_rank, r, penrose=False):
+    # the W-variants, and pinv by "frd", from _w_inverse's (X, rank(GAF), r)
     ranks = {"nu": rank(a), "s": r, "t": r, "w": w_rank}
     if x is not None:
         return _report(a, x, ranks, side, route, penrose=penrose)
@@ -292,37 +305,27 @@ def _w_report(a, side, route, r, x, w_rank, penrose=False):
 
 
 def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseReport:
-    """Outer inverse with right range and null space prescribed by one matrix.
+    """Outer inverse with the right and left spaces of one matrix W1.
 
-    Factors W1 = S1 T1 (column-form full rank decomposition, so
-    R_r(W1) = R_r(S1) and N_r(W1) = N_r(T1)) and returns
-    X = S1 (T1 A S1)^{-1} T1 when the small matrix is invertible.  A singular
-    small matrix means no outer inverse with those spaces exists; the report
-    carries ``exists=False`` instead of raising.
+    Factors W1 = F G by :func:`quatinv.factor.full_rank_decompose` and
+    returns X = F (G A F)^{-1} G when G A F is invertible, so R_r(X) =
+    R_r(F), N_r(X) = N_r(G), R_l(X) = R_l(G) and N_l(X) = N_l(F): W1's four
+    spaces.  Any other full rank decomposition is (F M)(M^-1 G) for an
+    invertible r-by-r M, which cancels in X, so X is the same whichever is
+    used.  A singular G A F means no outer inverse with those spaces exists;
+    the report carries ``exists=False`` instead of raising.
     """
     _check_route(route)
-    m, n = a.shape
-    if w1.shape != (n, m):
-        raise ValueError(f"W1 has shape {w1.shape}, expected {(n, m)}")
-    fact = full_rank_decompose(w1, side="column-form", route=route)
-    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
-    return _w_report(a, "right", route, fact.r, x, w_rank)
+    return _w_report(a, "right", route, *_w_inverse(a, w1, route))
 
 
 def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseReport:
-    """Left-space mirror of :func:`outer_w_right`.
-
-    Uses the row-form full rank decomposition W2 = T2 S2 (so
-    R_l(W2) = R_l(S2), N_l(W2) = N_l(T2)) and returns
-    X = T2 (S2 A T2)^{-1} S2 when the small matrix is invertible.
+    """:func:`outer_w_right`'s report, labelled ``side="left"``: one full
+    rank decomposition fixes W2's left spaces as well as its right ones, and
+    X does not depend on which one is used.
     """
     _check_route(route)
-    m, n = a.shape
-    if w2.shape != (n, m):
-        raise ValueError(f"W2 has shape {w2.shape}, expected {(n, m)}")
-    fact = full_rank_decompose(w2, side="row-form", route=route)
-    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
-    return _w_report(a, "left", route, fact.r, x, w_rank)
+    return _w_report(a, "left", route, *_w_inverse(a, w2, route))
 
 
 # ======================================================= classical inverses
@@ -335,19 +338,19 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
 
 def _moore_penrose(a, method, route):
     # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T: S = T =
-    # A* by "svd" (r is None); S = F, T = G of A* = F G of rank r by "frd",
+    # A* by "svd" (r is None); by "frd" the W-inverse of W = A* of rank r,
     # X None when GAF is singular.  The formula cubes A's scale, so an A
     # whose cube would leave the safe range runs scaled by 2^e to [1/2, 1)
     _check_route(route)
     a, e = _scale_to_safe(a, power=3)
-    s = t = conj_transpose(a)
-    r = None
+    astar = conj_transpose(a)
     if method == "frd":
-        fact = full_rank_decompose(s, side="column-form", route=route)
-        s, t, r = fact.f, fact.g, fact.r
-    elif method != "svd":
+        x, w_rank, r = _w_inverse(a, astar, route)
+    elif method == "svd":
+        x, w_rank = _urquhart(a, astar, astar, route)
+        r = None
+    else:
         raise ValueError(f"unknown pinv method {method!r}")
-    x, w_rank = _urquhart(a, s, t, route, need_inverse=r is not None)
     if e and x is not None:
         x = x * math.ldexp(1.0, e)
     return x, w_rank, r
@@ -370,7 +373,7 @@ def pinv_report(a: QMatrix, method: str = "svd",
         ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar),
                  "w": w_rank}
         return _report(a, x, ranks, "right", route, penrose=True)
-    return _w_report(a, "right", route, r, x, w_rank, penrose=True)
+    return _w_report(a, "right", route, x, w_rank, r, penrose=True)
 
 
 def pinv(a: QMatrix, method: str = "svd", route: str = "direct") -> QMatrix:
@@ -433,10 +436,9 @@ def _spectral(a: QMatrix, route, group: bool = False):
             f"group inverse does not exist: Ind(A) = {k} > 1")
     if route is None:
         return k, p, None
-    fact = full_rank_decompose(p, side="column-form", route=route)
-    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    x, w_rank, r = _w_inverse(a, p, route)
     if x is None:  # mathematically impossible; numerically defensive
-        raise InverseExistenceError(_SINGULAR.format(w_rank, fact.r))
+        raise InverseExistenceError(_SINGULAR.format(w_rank, r))
     return k, p, x
 
 

@@ -172,7 +172,7 @@ def test_criterion_4_route_and_formula_consistency():
         w = low_rank(n, m, r, rng)
         rep_w = outer_w_right(a, w)
         assert rep_w.exists
-        fact = full_rank_decompose(w, side="column-form")
+        fact = full_rank_decompose(w)
         rep_u = outer_right(a, fact.f, fact.g)
         worst_form = max(worst_form, rel(rep_w.x, rep_u.x))
 

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,40 @@ def test_outer_w_existence_failure_exits_1(tmp_path):
     report = load_json(rpt)
     assert report["exists"] is False
     assert "singular" in report["reason"]
+
+
+@pytest.mark.parametrize("case", ["pinv-direct", "pinv-crep", "outer-w"])
+def test_missing_inverse_exits_1_with_its_reason_alone(case, tmp_path,
+                                                       capsys):
+    # the zero placeholder X of an inverse that does not exist is neither
+    # written nor judged against --tol: stderr carries the reason alone
+    if case == "outer-w":
+        p = write_inputs(tmp_path, A=QMatrix.from_real(np.diag([1.0, 0.0])),
+                         W=QMatrix.from_real(np.diag([0.0, 1.0])))
+        argv = ["outer-w", "--in", p["A"], "--w", p["W"]]
+    else:
+        # 5x4 A = U diag(1, 1, 1e-10) V* with orthonormal U and V: A* has
+        # rank 3, but G*A*F of its factorization falls below the rank cut
+        from test_factor import rand_unitary
+
+        rng = np.random.default_rng(5)
+        u, v = rand_unitary(5, rng), rand_unitary(4, rng)
+        u = QMatrix(u.q1[:, :3], u.q2[:, :3])
+        v = QMatrix(v.q1[:, :3], v.q2[:, :3])
+        sigma = QMatrix.from_real(np.diag([1.0, 1.0, 1e-10]))
+        p = write_inputs(tmp_path, A=mat_mul(mat_mul(u, sigma),
+                                             conj_transpose(v)))
+        argv = ["pinv", "--in", p["A"], "--method", "frd",
+                "--route", case.split("-")[1]]
+    rpt, out = tmp_path / "r.json", tmp_path / "X.qmat"
+    assert main(argv + ["--json", str(rpt), "--out", str(out)]) == 1
+    report = load_json(rpt)
+    assert report["exists"] is False and report["within_tol"] is False
+    assert "G*A*F is singular" in report["reason"]
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]}: {report['reason']}\n"
 
 
 def test_drazin_and_group_on_block_example(tmp_path):
@@ -446,6 +481,24 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "'p3'" in capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    # every quatinv line of README.md's sh blocks, with its backslash
+    # continuations joined, parses as written, so a removed flag cannot
+    # leave the tour stale
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(
+        encoding="utf-8"), flags=re.S | re.M)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("quatinv ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -483,9 +483,8 @@ def test_qsvd_and_rank_reject_non_finite(method, bad):
         qsvd(a, method=method)
     with pytest.raises(ValueError, match="non-finite entries"):
         rank(a)
-    for side in ("column-form", "row-form"):
-        with pytest.raises(ValueError, match="non-finite entries"):
-            full_rank_decompose(a, side=side, route=method)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        full_rank_decompose(a, route=method)
 
 
 def block_with_zero_columns(rng):
@@ -591,12 +590,11 @@ def test_frd_full_column_rank_is_exact(route):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-@pytest.mark.parametrize("side", ["column-form", "row-form"])
-def test_frd_reconstructs_and_has_full_rank_factors(route, side):
+def test_frd_reconstructs_and_has_full_rank_factors(route):
     rng = np.random.default_rng(37)
     for m, n, r in [(5, 6, 2), (6, 4, 3), (4, 4, 4), (7, 3, 1)]:
         a = rand_rank_deficient(m, n, r, rng) if r < min(m, n) else random_qmat(m, n, rng)
-        fact = full_rank_decompose(a, side=side, route=route)
+        fact = full_rank_decompose(a, route=route)
         assert fact.r == r
         assert fact.f.shape == (m, r)
         assert fact.g.shape == (r, n)
@@ -616,13 +614,11 @@ def test_frd_dependent_quaternion_columns():
 def test_frd_zero_matrix_is_empty():
     for m, n in [(3, 5), (0, 3), (3, 0), (0, 0)]:
         for route in ("direct", "crep"):
-            for side in ("column-form", "row-form"):
-                fact = full_rank_decompose(QMatrix.zeros(m, n), side=side,
-                                           route=route)
-                assert fact.r == 0
-                assert fact.f.shape == (m, 0)
-                assert fact.g.shape == (0, n)
-                assert fro_norm(mat_mul(fact.f, fact.g)) == 0.0
+            fact = full_rank_decompose(QMatrix.zeros(m, n), route=route)
+            assert fact.r == 0
+            assert fact.f.shape == (m, 0)
+            assert fact.g.shape == (0, n)
+            assert fro_norm(mat_mul(fact.f, fact.g)) == 0.0
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
@@ -637,8 +633,7 @@ def test_frd_rank_of_uniform_rank_40_product(route, seed):
     assert fro_norm(mat_mul(fact.f, fact.g) - w) <= 1e-12 * fro_norm(w)
 
 
-@pytest.mark.parametrize("side", ["column-form", "row-form"])
-def test_frd_direct_never_forms_the_complex_representation(side, monkeypatch):
+def test_frd_direct_never_forms_the_complex_representation(monkeypatch):
     import quatinv.factor
     import quatinv.qcore
 
@@ -647,7 +642,7 @@ def test_frd_direct_never_forms_the_complex_representation(side, monkeypatch):
     monkeypatch.setattr(quatinv.factor, "to_crep", refuse)
     monkeypatch.setattr(quatinv.qcore, "to_crep", refuse)
     a = rand_rank_deficient(7, 9, 4, np.random.default_rng(59))
-    fact = full_rank_decompose(a, side=side, route="direct")
+    fact = full_rank_decompose(a, route="direct")
     assert fact.r == 4
     assert qallclose(mat_mul(fact.f, fact.g), a, 1e-13)
 
@@ -744,18 +739,9 @@ def test_frd_factor_spaces_match_input():
     # and row spaces exactly
     rng = np.random.default_rng(43)
     a = rand_rank_deficient(6, 5, 3, rng)
-    for side in ("column-form", "row-form"):
-        fact = full_rank_decompose(a, side=side)
-        assert rank(hstack_q([fact.f, a])) == 3
-        assert rank(vstack_q([fact.g, a])) == 3
-
-
-def test_frd_row_form_factor_shapes():
-    rng = np.random.default_rng(47)
-    a = rand_rank_deficient(4, 6, 2, rng)
-    fact = full_rank_decompose(a, side="row-form")
-    assert fact.f.shape == (4, 2)
-    assert fact.g.shape == (2, 6)
+    fact = full_rank_decompose(a)
+    assert rank(hstack_q([fact.f, a])) == 3
+    assert rank(vstack_q([fact.g, a])) == 3
 
 
 # ----------------------------------------------------------- {1}-inverse
@@ -861,17 +847,8 @@ def test_unknown_route_raises_on_every_shape(shape):
             qsvd(a, method="bogus", full=full)
     with pytest.raises(ValueError, match="unknown qsvd method 'bogus'"):
         one_inverse(a, method="bogus")
-    for side in ("column-form", "row-form"):
-        with pytest.raises(ValueError, match="unknown route 'bogus'"):
-            full_rank_decompose(a, side=side, route="bogus")
-
-
-@pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_side_must_be_spelled_exactly(shape):
-    a = QMatrix.zeros(*shape)
-    for side in ("row", "column", "column-junk", "row-form-x", "Row-Form"):
-        with pytest.raises(ValueError, match="unknown side"):
-            full_rank_decompose(a, side=side)
+    with pytest.raises(ValueError, match="unknown route 'bogus'"):
+        full_rank_decompose(a, route="bogus")
 
 
 SCALES = [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300]
@@ -899,9 +876,8 @@ def test_frd_rank_is_scale_safe(scale, route):
     a = rand_rank_deficient(5, 4, 4, rng) * scale
     b = rand_rank_deficient(6, 5, 3, rng) * scale
     for x in (a, b):
-        for side in ("column-form", "row-form"):
-            fact = full_rank_decompose(x, side=side, route=route)
-            assert fact.r == rank(x)
+        fact = full_rank_decompose(x, route=route)
+        assert fact.r == rank(x)
     # F keeps A's own columns, at A's own scale
     fact = full_rank_decompose(a, route=route)
     np.testing.assert_array_equal(fact.f.q1, a.q1)
