@@ -132,6 +132,8 @@ def build_filter_system(traj: np.ndarray, dt: float, delay_samples: int,
 
 
 def write_trajectory_csv(path, traj: np.ndarray, dt: float) -> None:
+    """The trajectory as CSV: header ``t,x,y,z``, then one row per sample,
+    sample i at time i dt."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("t,x,y,z\n")
         for i, (x, y, z) in enumerate(np.asarray(traj, dtype=float)):

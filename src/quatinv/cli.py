@@ -109,21 +109,28 @@ def _maybe_write(args, x: QMatrix) -> None:
         write_qmat(args.out, x)
 
 
+def _finish_report(args, op, a, rep, summary, **extra) -> int:
+    # the one exit path of pinv, outer and outer-w: --out only for an X that
+    # exists, then the JSON, then the summary (0) or the reason on stderr (1)
+    payload = {**_report_payload(op, a, rep, args.tol), **extra}
+    if rep.exists:
+        _maybe_write(args, rep.x)
+    _emit_json(args, payload)
+    if not rep.exists:
+        print(f"{op}: {rep.reason}", file=sys.stderr)
+        return 1
+    print(summary)
+    return 0
+
+
 def cmd_pinv(args) -> int:
     a = read_qmat(args.infile)
     rep = pinv_report(a, method=args.method, route=args.route)
-    payload = _report_payload("pinv", a, rep, args.tol)
-    payload["method"] = args.method
-    if not rep.exists:
-        _emit_json(args, payload)
-        print(f"pinv: {rep.reason}", file=sys.stderr)
-        return 1
-    _maybe_write(args, rep.x)
-    _emit_json(args, payload)
-    print(f"pinv {a.shape[0]}x{a.shape[1]} method={args.method} "
-          f"route={args.route}: max residual "
-          f"{max(rep.residuals.values()):.3e}")
-    return 0
+    return _finish_report(
+        args, "pinv", a, rep,
+        f"pinv {a.shape[0]}x{a.shape[1]} method={args.method} "
+        f"route={args.route}: max residual "
+        f"{max(rep.residuals.values()):.3e}", method=args.method)
 
 
 def cmd_outer(args) -> int:
@@ -136,26 +143,18 @@ def cmd_outer(args) -> int:
         rep = outer_left(a, s, t, route=args.route)
     else:
         rep = outer_both(a, s, t, route=args.route)
-    _maybe_write(args, rep.x)
-    _emit_json(args, _report_payload("outer", a, rep, args.tol))
     flags = ", ".join(k for k, v in rep.classification.items() if v is True)
-    print(f"outer side={args.side}: {flags or 'no classification flags set'}")
-    return 0
+    return _finish_report(
+        args, "outer", a, rep,
+        f"outer side={args.side}: {flags or 'no classification flags set'}")
 
 
 def cmd_outer_w(args) -> int:
     a = read_qmat(args.infile)
-    w = read_qmat(args.w)
-    rep = outer_w_right(a, w, route=args.route)
-    payload = _report_payload("outer-w", a, rep, args.tol)
-    if not rep.exists:
-        _emit_json(args, payload)
-        print(f"outer-w: {rep.reason}", file=sys.stderr)
-        return 1
-    _maybe_write(args, rep.x)
-    _emit_json(args, payload)
-    print(f"outer-w: outer residual {rep.residuals['outer']:.3e}")
-    return 0
+    rep = outer_w_right(a, read_qmat(args.w), route=args.route)
+    return _finish_report(
+        args, "outer-w", a, rep,
+        f"outer-w: outer residual {rep.residuals['outer']:.3e}")
 
 
 def _spectral_payload(op, a, k, route, extra_residuals):
@@ -239,6 +238,10 @@ def cmd_svd(args) -> int:
 
 def cmd_deblur(args) -> int:
     img = read_ppm(args.image)
+    # before build_blur, whose operator holds (p q)^2 entries
+    if args.p * args.q != img.h:
+        raise ValueError(f"image height {img.h} does not match operator "
+                         f"size {args.p * args.q}")
     op = build_blur(args.p, args.q, args.sigma, args.r, args.s)
     b = blur(op, img)
     restored, quat_m = deblur_quaternion(op, b, truth=img, route=args.route)
@@ -289,6 +292,8 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``quatinv`` argument parser: one subcommand per constructor and
+    pipeline, each taking only the shared flags its command reads."""
     route = _flag("--route", choices=["direct", "crep"], default="direct",
                   help="quaternion arithmetic or complex representation")
     seed = _flag("--seed", type=int, default=0,
@@ -376,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run ``quatinv`` on argv (default ``sys.argv[1:]``) and return its
+    exit code: 0 success, 1 the requested inverse does not exist, 2 a usage,
+    input or numerical error, reported as one stderr line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -398,6 +406,10 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"{args.command}: error: floating-point overflow or invalid "
               f"value ({exc.args[-1]})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"{args.command}: error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

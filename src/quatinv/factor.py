@@ -663,13 +663,21 @@ def one_inverse(w: QMatrix, z: QMatrix | None = None,
     ed., Ch. 1 Sec. 2; the proof needs only associativity and W W+ W = W,
     so it holds for quaternions).  z None is Z = 0, which gives W+.  The
     projectors V_r V_r* and U_r U_r* are the same on both routes, so one z
-    gives the same {1}-inverse on each.  Raises ``ValueError`` for a z of
-    another shape than (w.ncols, w.nrows).
+    gives the same {1}-inverse on each.  The Urquhart core of
+    :mod:`quatinv.geninv` builds its {1}-inverse by this same formula from
+    the one compact SVD whose rank it reports.  Raises ``ValueError`` for a
+    z of another shape than (w.ncols, w.nrows).
     """
     if z is not None and z.shape != (w.ncols, w.nrows):
         raise ValueError(
             f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
-    res = qsvd(w, method=method, full=False)
+    return _one_inverse_from(qsvd(w, method=method, full=False), z, method)
+
+
+def _one_inverse_from(res: QSvdResult, z: QMatrix | None,
+                      method: str) -> QMatrix:
+    # W+ + Z - V_r (V_r* Z U_r) U_r* from the compact SVD res of W, in the
+    # route's products; z has W*'s shape or is None (Z = 0)
     mm = _route_mul(method)
     uh = conj_transpose(res.u)
     vs = QMatrix(res.v.q1 / res.sigma, res.v.q2 / res.sigma)

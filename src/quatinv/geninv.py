@@ -9,13 +9,15 @@ expression
 is an outer inverse with right range R_r(S) exactly when
 rank(TAS) = rank(S), and right null space N_r(T) exactly when
 rank(TAS) = rank(T); it is a {1}-inverse exactly when rank(TAS) = rank(A).
-The prescribed-space constructors (``outer_right``, ``outer_left``,
-``outer_both``, ``outer_w_right``, ``outer_w_left``) and ``pinv_report``
-therefore return an :class:`InverseReport` carrying the computed matrix
-together with the four ranks, the flags they imply, and the defining
-residuals.  ``pinv``, ``pinv_solve``, ``drazin`` and ``group_inverse``
-return the bare matrix: they call the core directly and compute no rank of
-A and no residual.  The Drazin and group inverses come from one walk over
+These rank conditions are the module's one subspace test: it compares no
+spaces otherwise.  The prescribed-space constructors (``outer_right``,
+``outer_left``, ``outer_both``, ``outer_w_right``, ``outer_w_left``) and
+``pinv_report`` therefore return an :class:`InverseReport` carrying the
+computed matrix together with the four ranks, the flags they imply, and the
+defining residuals; its rank(TAS) is that of the factorization that built
+X.  ``pinv``, ``pinv_solve``, ``drazin`` and ``group_inverse`` return the
+bare matrix: they call the core directly and compute no rank of A and no
+residual.  The Drazin and group inverses come from one walk over
 the normalized powers of A, which finds the index k, ranking each power
 once, and prescribes W = A^k (W = I for an invertible A).
 
@@ -41,7 +43,9 @@ direct), with no SVD of TAS.  That covers the Moore-Penrose inverse of a
 square invertible A, every W-prescribed constructor (Drazin and group
 inverses included) and any outer inverse whose TAS is square and
 nonsingular; a rectangular or singular W = TAS takes its {1}-inverse
-W+ + Z - W+ W Z W W+ from its compact SVD.
+W+ + Z - W+ W Z W W+ from its compact SVD, whose rank is the rank(TAS)
+reported (on a near tie it can differ from ``rank(TAS)``, which only decides
+whether the LU applies).
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factor import (
+    _one_inverse_from,
     _solve_direct,
     full_rank_decompose,
-    one_inverse,
     qsvd,
     rank,
 )
@@ -65,11 +69,9 @@ from .qcore import (
     _scale_to_safe,
     conj_transpose,
     fro_norm,
-    hstack_q,
     mat_mul,
     symmetrize_crep,
     to_crep,
-    vstack_q,
 )
 
 __all__ = [
@@ -87,10 +89,6 @@ __all__ = [
     "mat_index",
     "drazin",
     "group_inverse",
-    "right_range_equal",
-    "right_null_equal",
-    "left_range_equal",
-    "left_null_equal",
 ]
 
 
@@ -110,6 +108,7 @@ class InverseReport:
                       (both-sided constructors add per-side variants)
     residuals      -- absolute Frobenius defining residuals
     ranks          -- nu = rank(A), s = rank(S), t = rank(T), w = rank(TAS)
+                      as decided by the factorization that built x
     side           -- which subspaces are prescribed: right / left / both
     route          -- arithmetic used to build x
     """
@@ -165,12 +164,13 @@ def _report(a, x, ranks, side, route, classification=None, penrose=False,
 
 
 def _urquhart(a, s, t, route, z=None, need_inverse=False):
-    # X = S (TAS)^(1) T; returns (X, rank W).  z picks the {1}-inverse of
-    # W = TAS as in one_inverse and must have W*'s shape.  A square W of
-    # full rank has one {1}-inverse, W^-1 (W^-1 + Z - W^-1 W Z W W^-1 =
-    # W^-1), so X = S (W^-1 T) from one factorization of W and z is unused.
-    # Any other W: with need_inverse X is None (the prescribed-space inverse
-    # does not exist), else the {1}-inverse comes from the compact SVD of W
+    # X = S (TAS)^(1) T; returns (X, rank W), whose rank conditions are the
+    # one subspace test of _classify.  z picks the {1}-inverse of W = TAS as
+    # in one_inverse and must have W*'s shape.  rank(W) only picks the square
+    # solve: a square W of full rank has one {1}-inverse, W^-1, so X = S
+    # (W^-1 T) from one LU and z is unused.  Any other W: with need_inverse
+    # X is None (the prescribed-space inverse does not exist), else X and
+    # the rank reported both come from one compact SVD of W
     mm = _route_mul(route)
     w = mm(mm(t, a), s)
     if z is not None and z.shape != (w.ncols, w.nrows):
@@ -181,7 +181,8 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
         return _solve_core(s, w, t, route), w_rank
     if need_inverse:
         return None, w_rank
-    return mm(mm(s, one_inverse(w, z, method=route)), t), w_rank
+    sv = qsvd(w, method=route, full=False)
+    return mm(mm(s, _one_inverse_from(sv, z, route)), t), sv.rank
 
 
 def _solve_core(s, w, t, route):
@@ -472,28 +473,3 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     _check_route(route)
     return _spectral(a, route, group=True)[2]
 
-
-# ==================================================== subspace equality
-
-
-def right_range_equal(x: QMatrix, s: QMatrix) -> bool:
-    """R_r(X) == R_r(S): column concatenation adds no rank on either side.
-    Equal column spans have equal left annihilators, so this is also
-    ``left_null_equal``: N_l(X) == N_l(S)."""
-    if x.nrows != s.nrows:
-        raise ValueError(f"row counts differ: {x.nrows} vs {s.nrows}")
-    rx, rs = rank(x), rank(s)
-    return rx == rs == rank(hstack_q([s, x]))
-
-
-def right_null_equal(x: QMatrix, t: QMatrix) -> bool:
-    """N_r(X) == N_r(T): equivalent to equal row spans, checked by stacking.
-    Equal row spans are equal left ranges, so this is also
-    ``left_range_equal``: R_l(X) == R_l(T)."""
-    if x.ncols != t.ncols:
-        raise ValueError(f"column counts differ: {x.ncols} vs {t.ncols}")
-    rx, rt = rank(x), rank(t)
-    return rx == rt == rank(vstack_q([t, x]))
-
-
-left_range_equal, left_null_equal = right_null_equal, right_range_equal

@@ -339,6 +339,10 @@ class QmatFormatError(ValueError):
 
 
 def write_qmat(path, a: QMatrix) -> None:
+    """Write A as a ``.qmat`` text file: a ``QMAT m n`` header, then the m n
+    entries row by row, one line of four components (w x y z of
+    w + x i + y j + z k) each, printed with 17 significant digits so that
+    reading the file back gives A bit for bit."""
     w, x, y, z = a.components()
     m, n = a.shape
     with open(path, "w", encoding="ascii") as fh:
@@ -350,6 +354,12 @@ def write_qmat(path, a: QMatrix) -> None:
 
 
 def read_qmat(path) -> QMatrix:
+    """Read a ``.qmat`` text file as written by :func:`write_qmat`.
+
+    Blank lines and lines starting with ``#`` are skipped.  Raises
+    :class:`QmatFormatError` for a bad header, a wrong number of entries or
+    fields, and a non-numeric or non-finite (NaN, Inf) value.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = None
         for raw in fh:

@@ -576,6 +576,35 @@ def test_deblur_rejects_height_mismatch(tmp_path, capsys):
     assert "12" in err and "16" in err
 
 
+def test_deblur_oversize_operator_exits_2_before_building_it(tmp_path):
+    # p q = 1e6 against a 16-row image: the height check comes before
+    # build_blur, whose kron would ask for terabytes
+    rng = np.random.default_rng(5)
+    ppm = tmp_path / "small.ppm"
+    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatinv.cli", "deblur", "--image", str(ppm),
+         "--p", "1000", "--q", "1000"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("deblur: error: image height 16 does not match "
+                           "operator size 1000000\n")
+
+
+def test_memory_error_exits_2_on_one_line(rand_mat, monkeypatch, capsys):
+    import quatinv.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "pinv_report", exhausted)
+    assert main(["pinv", "--in", rand_mat[1]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pinv: error: out of memory (Unable to allocate 7.28 TiB "
+                   "for an array)\n")
+
+
 def test_lorenz_filter_cli(tmp_path):
     rpt = tmp_path / "f.json"
     prefix = str(tmp_path / "run")
@@ -612,12 +641,23 @@ def test_console_script_runs():
     assert "quatinv" in proc.stdout
 
 
-@pytest.mark.parametrize("name", [
-    "quatinv.qcore", "quatinv.factor", "quatinv.geninv", "quatinv.apps",
-    "quatinv.apps.deblur", "quatinv.apps.lorenz", "quatinv.apps.ppm",
-    "quatinv.cli",
-])
+MODULES = ["quatinv.qcore", "quatinv.factor", "quatinv.geninv",
+           "quatinv.apps", "quatinv.apps.deblur", "quatinv.apps.lorenz",
+           "quatinv.apps.ppm", "quatinv.cli"]
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_is_defined(name):
     # a stale __all__ entry would otherwise fail only ``import *``
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_has_a_docstring(name):
+    # the public API documents itself: help() on any exported name says
+    # what it does
+    module = importlib.import_module(name)
+    assert [attr for attr in module.__all__
+            if not (getattr(getattr(module, attr, None), "__doc__", None)
+                    or "").strip()] == []
