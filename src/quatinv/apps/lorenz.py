@@ -4,7 +4,8 @@ The three Lorenz components ride the imaginary units: the clean target is
 d(t) = x(t)*i + y(t)*j + z(t)*k and the observed input is the unit-time
 delayed c(t) = d(t-1) + n(t) with purely imaginary Gaussian noise.  Filter
 coefficients come from the pseudoinverse solution of the square Toeplitz
-system C f = d.
+system C f = d by ``pinv_solve``: one LU with partial pivoting when C has
+full rank (then pinv(C) = C^-1), the compact SVD of C when it does not.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def build_filter_system(traj: np.ndarray, dt: float, delay_samples: int,
     d_vec = _imag_rows(traj[t0:t0 + n + 1])
 
     # the data matrix can be very ill conditioned (chaotic samples on sliding
-    # windows); solve through the SVD of C itself, not a composed inverse
+    # windows); solve with C itself (its LU at full rank, else its SVD), not
+    # through a composed inverse
     f = pinv_solve(c_mat, d_vec, route=route)
     resid = mat_mul(c_mat, f) - d_vec
     d_norm = fro_norm(d_vec)

@@ -15,11 +15,14 @@ spaces otherwise.  The prescribed-space constructors (``outer_right``,
 ``pinv_report`` therefore return an :class:`InverseReport` carrying the
 computed matrix together with the four ranks, the flags they imply, and the
 defining residuals; its rank(TAS) is that of the factorization that built
-X.  ``pinv``, ``pinv_solve``, ``drazin`` and ``group_inverse`` return the
-bare matrix: they call the core directly and compute no rank of A and no
-residual.  The Drazin and group inverses come from one walk over
-the normalized powers of A, which finds the index k, ranking each power
-once, and prescribes W = A^k (W = I for an invertible A).
+X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
+call the core directly and compute no rank of A and no residual.  The
+Drazin and group inverses come from one walk over the normalized powers of
+A, which finds the index k, ranking each power once, and prescribes W = A^k
+(W = I for an invertible A).  ``pinv_solve`` returns pinv(A) B by the
+core's square rule below applied to A itself: it ranks a square A only,
+solves one of full rank by the core's LU, and otherwise applies A's compact
+SVD.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -68,6 +71,7 @@ from .qcore import (
     _row_times_crep,
     _scale_to_safe,
     conj_transpose,
+    from_crep,
     fro_norm,
     mat_mul,
     symmetrize_crep,
@@ -390,20 +394,30 @@ def pinv(a: QMatrix, method: str = "svd", route: str = "direct") -> QMatrix:
 
 
 def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
-    """Minimum-norm least-squares solution pinv(A) @ B, applied via the SVD.
+    """Minimum-norm least-squares solution pinv(A) @ B, by the core's rule.
 
-    Unlike the composed generator formula A*(A*AA*)^(1)A* — whose middle
-    matrix cubes the spectrum of A and loses small singular values of
-    ill-conditioned systems — this applies V diag(1/sigma) U* directly from
-    the compact rank-revealing SVD of A itself (only its r pairs above the
-    rank cut), so accuracy degrades only with cond(A).  Use this for solving
-    linear systems; use :func:`pinv` when the inverse matrix itself is the
-    object of study.
+    A square A whose rank equals its order has pinv(A) = A^-1, and A^-1 B
+    comes from one LU with partial pivoting in the route's own arithmetic,
+    as the core solves a square nonsingular TAS.  Any other A (rectangular,
+    which is not ranked, or rank deficient) applies V diag(1/sigma) U*
+    from the compact rank-revealing SVD of A itself (only its r pairs above
+    the rank cut).  Unlike the composed generator formula
+    A*(A*AA*)^(1)A*, whose middle matrix cubes the spectrum of A and loses
+    small singular values of ill-conditioned systems, either path loses
+    accuracy only with cond(A).  Use this for solving linear systems; use
+    :func:`pinv` when the inverse matrix itself is the object of study.
     """
     _check_route(route)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    if a.nrows == a.ncols == rank(a):
+        # _solve_core's two LU kernels: the core keeps its crep solution in
+        # complex form for the product with S, so it has no W^-1 T to share
+        if route == "direct":
+            return _solve_direct(a, b)
+        y = np.linalg.solve(to_crep(a), to_crep(b))
+        return from_crep(symmetrize_crep(y))
     sv = qsvd(a, method=route, full=False)
     mm = _route_mul(route)
     y = mm(conj_transpose(sv.u), b)

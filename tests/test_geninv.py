@@ -589,6 +589,12 @@ def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
     assert calls == []
     pinv_solve(a, b, route="direct")
     assert len(calls) == 2
+    # a square A of full rank: the LU solve, with no product on either route
+    del calls[:]
+    a = random_qmat(6, 6, rng)
+    pinv_solve(a, b, route="crep")
+    pinv_solve(a, b, route="direct")
+    assert calls == []
 
 
 # ------------------------------------------- square nonsingular W = TAS
@@ -802,6 +808,111 @@ def test_z_on_a_nonsingular_w_is_checked_and_ignored(route):
         for bad in ((k, k + 1), (k + 1, k), (1, 1), (0, 0)):
             with pytest.raises(ValueError, match="z has shape"):
                 build(QMatrix.zeros(*bad))
+
+
+# ------------------------------------------- pinv_solve by the square rule
+#
+# A square A of full rank has pinv(A) = A^-1, and pinv_solve takes A^-1 B
+# from the core's LU; any other A applies its compact SVD.  A rectangular A
+# is not ranked.
+
+
+def factor_spy(monkeypatch):
+    # the rank and qsvd calls pinv_solve makes, in order:
+    # ("rank", shape) and ("qsvd", shape, full)
+    calls = []
+    real_rank, real_qsvd = geninv.rank, geninv.qsvd
+
+    def spy_rank(a):
+        calls.append(("rank", a.shape))
+        return real_rank(a)
+
+    def spy_qsvd(a, method="crep", full=True):
+        calls.append(("qsvd", a.shape, full))
+        return real_qsvd(a, method=method, full=full)
+
+    monkeypatch.setattr(geninv, "rank", spy_rank)
+    monkeypatch.setattr(geninv, "qsvd", spy_qsvd)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_solve_factorizations(route, monkeypatch):
+    calls = factor_spy(monkeypatch)
+    rng = np.random.default_rng(58)
+    # square of full rank: one rank, then the LU
+    a, b = random_qmat(6, 6, rng), random_qmat(6, 2, rng)
+    x = pinv_solve(a, b, route=route)
+    assert calls == [("rank", (6, 6))]
+    assert rel_gap(crep(x), np.linalg.solve(crep(a), crep(b))) <= 1e-12
+    # rectangular: no rank, one compact SVD
+    del calls[:]
+    pinv_solve(random_qmat(7, 5, rng), random_qmat(7, 2, rng), route=route)
+    assert calls == [("qsvd", (7, 5), False)]
+    # square and rank deficient: one rank, then one compact SVD, and still
+    # the minimum-norm solution
+    del calls[:]
+    a = rand_rank_deficient(6, 6, 3, rng)
+    x = pinv_solve(a, b, route=route)
+    assert calls == [("rank", (6, 6)), ("qsvd", (6, 6), False)]
+    assert qallclose(x, mat_mul(pinv(a, route=route), b), 1e-9)
+
+
+def test_direct_pinv_solve_never_forms_a_crep(monkeypatch):
+    # as in test_direct_square_solve_never_forms_a_crep: rank() reads A^C,
+    # so a numpy oracle stands in for it, and the LU must not call to_crep
+    from quatinv import factor
+
+    rng = np.random.default_rng(59)
+    a, b = random_qmat(5, 5, rng), random_qmat(5, 3, rng)
+    want = pinv_solve(a, b, route="direct")
+
+    def forbidden(x):
+        raise AssertionError("to_crep on the direct route")
+
+    for mod in (qcore, factor, geninv):
+        monkeypatch.setattr(mod, "to_crep", forbidden, raising=False)
+    monkeypatch.setattr(geninv, "rank",
+                        lambda x: np.linalg.matrix_rank(crep(x)) // 2)
+    got = pinv_solve(a, b, route="direct")
+    assert np.array_equal(got.q1, want.q1) and np.array_equal(got.q2, want.q2)
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_pinv_solve_square_error_grows_with_kappa_times_eps(kappa):
+    # graded U diag(sigma) V*: the error against x_true and the route gap
+    # each stay within n kappa eps (c = 1; the largest ratio measured over
+    # six seeds per kappa was 0.034)
+    rng = np.random.default_rng(int(np.log10(kappa)))
+    for n in (8, 40):
+        a = graded(n, kappa, rng)
+        x_true = random_qmat(n, 2, rng)
+        b = mat_mul(a, x_true)
+        bound = n * np.linalg.cond(crep(a)) * EPS
+        xs = [pinv_solve(a, b, route=route) for route in ("direct", "crep")]
+        for x in xs:
+            assert rel_gap(crep(x), crep(x_true)) <= bound
+        assert rel_gap(crep(xs[0]), crep(xs[1])) <= bound
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_solve_edge_cases(route, monkeypatch):
+    calls = factor_spy(monkeypatch)
+    rng = np.random.default_rng(60)
+    # 0x0: rank 0 equals the order, and the solve returns 0 x k
+    x = pinv_solve(QMatrix.zeros(0, 0), QMatrix.zeros(0, 3), route=route)
+    assert x.shape == (0, 3)
+    # a 3x3 zero has rank 0 < 3: the SVD path, returning zero
+    del calls[:]
+    x = pinv_solve(QMatrix.zeros(3, 3), random_qmat(3, 2, rng), route=route)
+    assert calls == [("rank", (3, 3)), ("qsvd", (3, 3), False)]
+    assert x.shape == (3, 2) and fro_norm(x) == 0.0
+    # a non-finite square A is refused by its rank
+    a = random_qmat(3, 3, rng)
+    q1 = a.q1.copy()
+    q1[1, 1] = np.nan
+    with pytest.raises(ValueError, match="^rank: .*non-finite"):
+        pinv_solve(QMatrix(q1, a.q2), random_qmat(3, 1, rng), route=route)
 
 
 CONSTRUCTORS = {
