@@ -3,7 +3,12 @@
 The blur acts on images of height h = p*q by left multiplication with the
 purely imaginary operator A = A1*i + A2*j + A3*k, where A1 = T0 (x) T1 is a
 Kronecker product of two banded Toeplitz factors (Gaussian band and box band)
-and A2 = A3 = -0.5*A1.  Restoration is X_hat = pinv(A) @ B.
+and A2 = A3 = -0.5*A1.  Restoration is X_hat = pinv(A) @ B, computed by
+``pinv_solve`` as a solve, never by forming pinv(A): one LU of A when A is
+invertible (exactly when T0 and T1 are), and A's compact SVD applied to B
+when it is not (a box band that is singular at its size q).  For an
+invertible A the error grows with kappa(A) = kappa(T0) kappa(T1), not with
+a power of it.
 
 A real-valued alternative stacks the three channels and solves the 3h x 3h
 skew block system; its matrix is rank deficient for this operator family, so
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore import QMatrix, _route_mul, mat_mul
-from ..geninv import pinv
+from ..qcore import QMatrix, mat_mul
+from ..geninv import pinv_solve
 from .ppm import ColorImage, image_to_qmat, qmat_to_image
 
 __all__ = [
@@ -123,17 +128,19 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
                       route: str = "direct"):
     """Restore X_hat = pinv(A) @ B and project to channels.
 
+    X_hat comes from :func:`quatinv.geninv.pinv_solve` on ``route``: one LU
+    for an invertible blur, A's compact SVD for a singular box band.
     Returns ``(image, metrics)``; metrics are computed against ``truth`` when
     it is given and are ``None`` otherwise.  A ``truth`` that ``metrics``
     cannot score (another shape than B, or smaller than the SSIM window)
-    raises ``ValueError`` before the pseudoinverse is computed.
+    raises ``ValueError`` before X_hat is solved for.
     """
     if b.shape[0] != op.h:
         raise ValueError(
             f"blurred data height {b.shape[0]} does not match operator {op.h}")
     if truth is not None:
         _require_comparable((truth.h, truth.w), b.shape)
-    x_hat = _route_mul(route)(pinv(op.a, method="svd", route=route), b)
+    x_hat = pinv_solve(op.a, b, route=route)
     img = qmat_to_image(x_hat)
     return img, (metrics(truth, img) if truth is not None else None)
 

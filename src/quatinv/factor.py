@@ -26,11 +26,13 @@ cluster; on direct it is the full result sliced.  Every {1}-inverse,
 W+ + Z - W+ W Z W W+ for a free matrix Z of W*'s shape, takes the compact
 SVD alone; the full one serves only callers that want unitary factors.
 
-The direct square solve W^-1 B (for a W whose full rank is already
-decided) is a blocked LU with partial pivoting of [W | B] in pair
-arithmetic, as the crep route's is LAPACK's LU of W^C.  It ends in the same
-upper-triangular back substitution as the direct QR of
-``full_rank_decompose``.
+Each route has one square solve, ``_solve(w, b, route)``: W^-1 B for a W
+whose full rank is already decided, from one LU with partial pivoting.  The
+Urquhart core of :mod:`quatinv.geninv` and ``pinv_solve`` both call it.  On
+direct it is a blocked LU of [W | B] in pair arithmetic, which ends in the
+same upper-triangular back substitution as the direct QR of
+``full_rank_decompose``; on crep it is LAPACK's LU of W^C with B^C, whose
+solution is restored to quaternion structure.
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -572,6 +574,15 @@ def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
         a1[j1:, j1:] -= z1
         a2[j1:, j1:] -= z2
     return QMatrix(*_back_substitute(a1, a2, n))
+
+
+def _solve(w: QMatrix, b: QMatrix, route: str) -> QMatrix:
+    # W^-1 B for a square W of full rank, from one LU with partial pivoting
+    # in the route's own arithmetic
+    if route == "direct":
+        return _solve_direct(w, b)
+    y = np.linalg.solve(to_crep(w), to_crep(b))
+    return from_crep(symmetrize_crep(y))
 
 
 def _qr_crep(a: QMatrix):

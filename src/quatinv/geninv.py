@@ -21,8 +21,8 @@ Drazin and group inverses come from one walk over the normalized powers of
 A, which finds the index k, ranking each power once, and prescribes W = A^k
 (W = I for an invertible A).  ``pinv_solve`` returns pinv(A) B by the
 core's square rule below applied to A itself: it ranks a square A only,
-solves one of full rank by the core's LU, and otherwise applies A's compact
-SVD.
+solves one of full rank by the core's LU, and otherwise applies the
+{1}-inverse the core builds from A's compact SVD (with Z = 0, that is A+).
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -42,13 +42,16 @@ exist.  The core has one rule: when TAS is square and rank(TAS) equals its
 order, its only {1}-inverse is (TAS)^-1, and X = S solve(TAS, T) comes
 from one LU with partial pivoting in the route's own arithmetic (of
 (TAS)^C by LAPACK on crep, of [TAS | T] in quaternion pair arithmetic on
-direct), with no SVD of TAS.  That covers the Moore-Penrose inverse of a
-square invertible A, every W-prescribed constructor (Drazin and group
-inverses included) and any outer inverse whose TAS is square and
-nonsingular; a rectangular or singular W = TAS takes its {1}-inverse
-W+ + Z - W+ W Z W W+ from its compact SVD, whose rank is the rank(TAS)
-reported (on a near tie it can differ from ``rank(TAS)``, which only decides
-whether the LU applies).
+direct), with no SVD of TAS.  That LU is ``factor._solve``, the one square
+solve of each route, and ``pinv_solve`` calls it too.  The rule covers the
+Moore-Penrose inverse of a square invertible A, every W-prescribed
+constructor (Drazin and group inverses included) and any outer inverse
+whose TAS is square and nonsingular; a rectangular or singular W = TAS
+takes its {1}-inverse W+ + Z - W+ W Z W W+ from its compact SVD, whose rank
+is the rank(TAS) reported (on a near tie it can differ from ``rank(TAS)``,
+which only decides whether the LU applies).  So this module factors nothing
+and forms no complex representation itself: it composes ``factor``'s
+kernels with the route's product.
 """
 
 from __future__ import annotations
@@ -56,11 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .factor import (
     _one_inverse_from,
-    _solve_direct,
+    _solve,
     full_rank_decompose,
     qsvd,
     rank,
@@ -68,14 +69,10 @@ from .factor import (
 from .qcore import (
     QMatrix,
     _route_mul,
-    _row_times_crep,
     _scale_to_safe,
     conj_transpose,
-    from_crep,
     fro_norm,
     mat_mul,
-    symmetrize_crep,
-    to_crep,
 )
 
 __all__ = [
@@ -172,9 +169,10 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
     # one subspace test of _classify.  z picks the {1}-inverse of W = TAS as
     # in one_inverse and must have W*'s shape.  rank(W) only picks the square
     # solve: a square W of full rank has one {1}-inverse, W^-1, so X = S
-    # (W^-1 T) from one LU and z is unused.  Any other W: with need_inverse
-    # X is None (the prescribed-space inverse does not exist), else X and
-    # the rank reported both come from one compact SVD of W
+    # (W^-1 T) by factor._solve, the LU pinv_solve also takes, and z is
+    # unused.  Any other W: with need_inverse X is None (the
+    # prescribed-space inverse does not exist), else X and the rank reported
+    # both come from one compact SVD of W
     mm = _route_mul(route)
     w = mm(mm(t, a), s)
     if z is not None and z.shape != (w.ncols, w.nrows):
@@ -182,22 +180,11 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
             f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
     w_rank = rank(w)
     if w.nrows == w.ncols == w_rank:
-        return _solve_core(s, w, t, route), w_rank
+        return mm(s, _solve(w, t, route)), w_rank
     if need_inverse:
         return None, w_rank
     sv = qsvd(w, method=route, full=False)
     return mm(mm(s, _one_inverse_from(sv, z, route)), t), sv.rank
-
-
-def _solve_core(s, w, t, route):
-    # S W^-1 T for a square W of full rank, from one LU with partial
-    # pivoting in the route's own arithmetic: on crep an LU solve with W^C,
-    # whose restored solution meets S in one GEMM of S's first block row
-    # [S1, S2]; on direct the blocked quaternion LU of [W | T]
-    if route == "direct":
-        return mat_mul(s, _solve_direct(w, t))
-    y = np.linalg.solve(to_crep(w), to_crep(t))
-    return _row_times_crep(s, symmetrize_crep(y))
 
 
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
@@ -397,11 +384,12 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     """Minimum-norm least-squares solution pinv(A) @ B, by the core's rule.
 
     A square A whose rank equals its order has pinv(A) = A^-1, and A^-1 B
-    comes from one LU with partial pivoting in the route's own arithmetic,
-    as the core solves a square nonsingular TAS.  Any other A (rectangular,
-    which is not ranked, or rank deficient) applies V diag(1/sigma) U*
-    from the compact rank-revealing SVD of A itself (only its r pairs above
-    the rank cut).  Unlike the composed generator formula
+    comes from one LU with partial pivoting in the route's own arithmetic:
+    the same kernel by which the core solves a square nonsingular TAS.  Any
+    other A (rectangular, which is not ranked, or rank deficient) gets
+    A+ = V diag(1/sigma) U*, built as the core builds a {1}-inverse from
+    the compact rank-revealing SVD of A itself (only its r pairs above the
+    rank cut), then applied to B.  Unlike the composed generator formula
     A*(A*AA*)^(1)A*, whose middle matrix cubes the spectrum of A and loses
     small singular values of ill-conditioned systems, either path loses
     accuracy only with cond(A).  Use this for solving linear systems; use
@@ -412,17 +400,9 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     if a.nrows == a.ncols == rank(a):
-        # _solve_core's two LU kernels: the core keeps its crep solution in
-        # complex form for the product with S, so it has no W^-1 T to share
-        if route == "direct":
-            return _solve_direct(a, b)
-        y = np.linalg.solve(to_crep(a), to_crep(b))
-        return from_crep(symmetrize_crep(y))
+        return _solve(a, b, route)
     sv = qsvd(a, method=route, full=False)
-    mm = _route_mul(route)
-    y = mm(conj_transpose(sv.u), b)
-    inv_s = (1.0 / sv.sigma)[:, None]
-    return mm(sv.v, QMatrix(inv_s * y.q1, inv_s * y.q2))
+    return _route_mul(route)(_one_inverse_from(sv, None, route), b)
 
 
 def _spectral(a: QMatrix, route, group: bool = False):

@@ -184,14 +184,8 @@ def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.ncols != b.nrows:
         raise ValueError(
             f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return _row_times_crep(a, to_crep(b))
-
-
-def _row_times_crep(a: QMatrix, bc: np.ndarray) -> QMatrix:
-    # A B as the first block row [A1, A2] of A^C times B^C, for a B that is
-    # already held in its complex representation bc
-    _, n = _crep_dims(bc)
-    row = np.hstack([a.q1, a.q2]) @ bc
+    row = np.hstack([a.q1, a.q2]) @ to_crep(b)
+    n = b.ncols
     return QMatrix(row[:, :n], row[:, n:])
 
 
@@ -229,14 +223,20 @@ def _scale_to_safe(a: QMatrix, ncols: int | None = None, power: int = 1):
     component magnitude of A's first ncols columns (all by default) is 0 or
     its power-th power is in the safe range, else the exact power of two
     that brings it to [1/2, 1)."""
-    big = max(float(np.abs(t[:, :ncols]).max(initial=0.0))
-              for t in (a.q1.real, a.q1.imag, a.q2.real, a.q2.imag))
+    k = _safe_exponent((a.q1[:, :ncols], a.q2[:, :ncols]), power)
+    return (a * math.ldexp(1.0, k) if k else a), k
+
+
+def _safe_exponent(parts, power: int = 1) -> int:
+    # the k of _scale_to_safe for the largest real or imaginary magnitude
+    # among the complex arrays parts
+    big = max(float(np.abs(t).max(initial=0.0))
+              for c in parts for t in (c.real, c.imag))
     if big == 0.0 or (_SAFE_MIN ** (1.0 / power) <= big
                       <= _SAFE_MAX ** (1.0 / power)):
-        return a, 0
+        return 0
     # a subnormal big is brought only to 2^1023 big, still inside the range
-    k = min(-math.frexp(big)[1], 1023)
-    return a * math.ldexp(1.0, k), k
+    return min(-math.frexp(big)[1], 1023)
 
 
 def _crep_dims(c: np.ndarray) -> tuple:
@@ -271,6 +271,12 @@ def symplectic_residual(c: np.ndarray) -> float:
 def from_crep(c: np.ndarray) -> QMatrix:
     """Extract the quaternion matrix from a (valid) complex representation.
 
+    The residual and the norm are sums of squares; when either overflows,
+    both are taken again on C scaled by a power of two 2^k, as in
+    :func:`fro_norm`, and the test reads
+    res(C 2^k) > CREP_TOL * max(2^k, ||C 2^k||_F).  Squares that underflow
+    cannot change the outcome: they are far below CREP_TOL.
+
     Raises
     ------
     ValueError
@@ -281,12 +287,19 @@ def from_crep(c: np.ndarray) -> QMatrix:
     """
     c = np.asarray(c)
     m, n = _crep_dims(c)
-    res = symplectic_residual(c)
-    scale = max(1.0, float(np.linalg.norm(c)))
+    one = 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        res, nrm = symplectic_residual(c), float(np.linalg.norm(c))
+        if math.isinf(res) or math.isinf(nrm):
+            one = math.ldexp(1.0, _safe_exponent((c,)))
+            scaled = c * one
+            res = symplectic_residual(scaled)
+            nrm = float(np.linalg.norm(scaled))
+    scale = max(one, nrm)
     if res > CREP_TOL * scale:
         raise ValueError(
-            f"symplectic constraint violated: residual {res:.3e} exceeds "
-            f"{CREP_TOL:.0e} * {scale:.3e}")
+            f"symplectic constraint violated: residual {res / scale:.3e} "
+            f"relative to max(1, ||C||_F) exceeds {CREP_TOL:.0e}")
     return QMatrix(c[:m, :n], c[:m, n:])
 
 

@@ -24,6 +24,7 @@ from quatinv.apps import (
     write_trajectory_csv,
 )
 import quatinv.apps.deblur as deblur_mod
+from quatinv import geninv, qcore
 from quatinv.apps.deblur import PSNR_CAP_DB, real_block_system
 from quatinv.qcore import QMatrix, fro_norm, mat_mul, random_qmat
 
@@ -228,6 +229,29 @@ def test_deblur_round_trip_desk_scale():
     assert np.max(np.abs(restored.planes() - truth.planes())) <= 1e-8
 
 
+@pytest.mark.parametrize("p,q", [(8, 8), (16, 8)], ids=["h64", "h128"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
+    # A = kron(T0, T1) mu with the quaternion scalar mu = i - j/2 - k/2, so
+    # kappa(A) = kappa(T0) kappa(T1); the unclamped X_hat of an invertible
+    # blur is one square solve, so its error stays within h kappa(A) eps
+    truth = rand_image(p * q, 24, seed=25, lo=0.05, hi=0.95)
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    seen = []
+    show = deblur_mod.qmat_to_image
+
+    def capture(x):
+        seen.append(x)
+        return show(x)
+
+    monkeypatch.setattr(deblur_mod, "qmat_to_image", capture)
+    deblur_quaternion(op, blur(op, truth), route=route)
+    x = image_to_qmat(truth)
+    rr = fro_norm(seen[0] - x) / fro_norm(x)
+    kappa = np.linalg.cond(op.t0_blur) * np.linalg.cond(op.t1_blur)
+    assert rr <= op.h * kappa * np.finfo(float).eps
+
+
 def test_deblur_routes_agree():
     truth = rand_image(64, 6, seed=9, lo=0.1, hi=0.9)
     op = build_blur(8, 8, sigma=3.0, r=3, s=3)
@@ -238,7 +262,7 @@ def test_deblur_routes_agree():
 
 
 def test_deblur_crep_route_makes_no_pair_product(monkeypatch):
-    # the crep route applies pinv(A) to B with its own product
+    # the crep route solves for X_hat with its own arithmetic alone
     truth = rand_image(16, 12, seed=10, lo=0.1, hi=0.9)
     op = build_blur(2, 8, sigma=3.0, r=1, s=3)
     b = blur(op, truth)
@@ -248,6 +272,8 @@ def test_deblur_crep_route_makes_no_pair_product(monkeypatch):
         raise AssertionError("pair product on the crep route")
 
     monkeypatch.setattr(deblur_mod, "mat_mul", pair_product)
+    monkeypatch.setattr(geninv, "mat_mul", pair_product)
+    monkeypatch.setattr(qcore, "mat_mul", pair_product)
     got, m = deblur_quaternion(op, b, truth=truth, route="crep")
     assert np.array_equal(got.planes(), want.planes())
     assert m.rr <= 1e-6
@@ -259,11 +285,11 @@ def test_deblur_crep_route_makes_no_pair_product(monkeypatch):
 def test_deblur_rejects_truth_before_the_inverse(b_shape, truth_shape,
                                                  monkeypatch):
     # a truth of another shape than B, or one smaller than the SSIM window,
-    # is refused on entry and not after the h x h pseudoinverse
+    # is refused on entry and not after the h x h solve
     op = build_blur(b_shape[0] // 4, 4, sigma=3.0, r=3, s=2)
     b = blur(op, rand_image(*b_shape, seed=23))
     calls = []
-    monkeypatch.setattr(deblur_mod, "pinv",
+    monkeypatch.setattr(deblur_mod, "pinv_solve",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError):
         deblur_quaternion(op, b, truth=rand_image(*truth_shape, seed=24))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import itertools
 import json
@@ -661,3 +662,32 @@ def test_every_exported_name_has_a_docstring(name):
     assert [attr for attr in module.__all__
             if not (getattr(getattr(module, attr, None), "__doc__", None)
                     or "").strip()] == []
+
+
+PACKAGE = Path(importlib.import_module("quatinv.qcore").__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(PACKAGE)) for p in SOURCES])
+def test_every_imported_name_is_used(path):
+    # a name a module imports is read somewhere in it or re-exported by its
+    # __all__; a leftover import is dead code that still couples modules
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    assert {name: line for name, line in imported.items()
+            if name not in used} == {}

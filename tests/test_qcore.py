@@ -209,6 +209,23 @@ def test_from_crep_rejects_non_symplectic():
         from_crep(corrupted)
 
 
+@pytest.mark.parametrize("s", [1e200, 1e-300])
+def test_from_crep_is_scale_safe(s):
+    # the symplectic test squares entries, and 1e200 squared overflows: it
+    # runs on C scaled by a power of two, and a valid C still round-trips
+    # bit for bit while a broken one is still refused
+    a = random_qmat(3, 4, np.random.default_rng(19)) * s
+    with np.errstate(all="raise"):
+        back = from_crep(to_crep(a))
+        np.testing.assert_array_equal(back.q1, a.q1)
+        np.testing.assert_array_equal(back.q2, a.q2)
+        if s > 1.0:
+            corrupted = to_crep(a).copy()
+            corrupted[3, 0] += s  # breaks -conj(Q2) linkage
+            with pytest.raises(ValueError, match="symplectic"):
+                from_crep(corrupted)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (2, 2, 2)], ids=str)
 def test_crep_helpers_reject_a_shape_that_is_not_2m_by_2n(shape):
     c = np.zeros(shape, dtype=complex)
