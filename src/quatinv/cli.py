@@ -157,45 +157,25 @@ def cmd_outer_w(args) -> int:
         f"outer-w: outer residual {rep.residuals['outer']:.3e}")
 
 
-def _spectral_payload(op, a, k, route, extra_residuals):
-    return {
-        "op": op,
-        "route": route,
-        "index": k,
-        "shape": list(a.shape),
-        "residuals": extra_residuals,
-    }
-
-
-def cmd_drazin(args) -> int:
+def _cmd_spectral(args, group: bool) -> int:
+    # drazin and group: X from the one index walk, then three residuals
+    op = "group" if group else "drazin"
     a = read_qmat(args.infile)
-    k, pow_k, x = _spectral(a, args.route)
+    k, pow_k, x = _spectral(a, args.route, group=group)
     _maybe_write(args, x)
     ax, xa = mat_mul(a, x), mat_mul(x, a)
-    res = {
-        "outer": fro_norm(mat_mul(xa, x) - x),
-        "commute": fro_norm(ax - xa),
-        "power": fro_norm(mat_mul(a, mat_mul(pow_k, x)) - pow_k),
-    }
-    _emit_json(args, _spectral_payload("drazin", a, k, args.route, res))
-    print(f"drazin: index {k}, residuals outer={res['outer']:.3e} "
-          f"commute={res['commute']:.3e} power={res['power']:.3e}")
-    return 0
-
-
-def cmd_group(args) -> int:
-    a = read_qmat(args.infile)
-    k, _, x = _spectral(a, args.route, group=True)
-    _maybe_write(args, x)
-    ax, xa = mat_mul(a, x), mat_mul(x, a)
-    res = {
-        "outer": fro_norm(mat_mul(xa, x) - x),
-        "commute": fro_norm(ax - xa),
-        "one": fro_norm(mat_mul(ax, a) - a),
-    }
-    _emit_json(args, _spectral_payload("group", a, k, args.route, res))
-    print(f"group: residuals one={res['one']:.3e} "
-          f"commute={res['commute']:.3e}")
+    res = {"outer": fro_norm(mat_mul(xa, x) - x), "commute": fro_norm(ax - xa)}
+    if group:
+        res["one"] = fro_norm(mat_mul(ax, a) - a)
+        summary = (f"residuals one={res['one']:.3e} "
+                   f"commute={res['commute']:.3e}")
+    else:
+        res["power"] = fro_norm(mat_mul(a, mat_mul(pow_k, x)) - pow_k)
+        summary = (f"index {k}, residuals outer={res['outer']:.3e} "
+                   f"commute={res['commute']:.3e} power={res['power']:.3e}")
+    _emit_json(args, {"op": op, "route": args.route, "index": k,
+                      "shape": list(a.shape), "residuals": res})
+    print(f"{op}: {summary}")
     return 0
 
 
@@ -338,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_outer_w)
 
     p = sub.add_parser("drazin", parents=plain, help="Drazin inverse")
-    p.set_defaults(func=cmd_drazin)
+    p.set_defaults(func=lambda args: _cmd_spectral(args, group=False))
 
     p = sub.add_parser("group", parents=plain, help="group inverse")
-    p.set_defaults(func=cmd_group)
+    p.set_defaults(func=lambda args: _cmd_spectral(args, group=True))
 
     p = sub.add_parser("rank", parents=[source, report], help="numerical rank")
     p.set_defaults(func=cmd_rank)

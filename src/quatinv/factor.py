@@ -12,11 +12,11 @@ Two computational routes are kept genuinely separate throughout:
   I - Y T Y*, times one diagonal of phases.  A^C is never formed.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, and no other
-  factorization, followed by exact restoration of the quaternion block
-  structure; one routine pairs the singular vectors of either side, picking
-  the pairs its walk misses by largest residual, with the residual norms
-  downdated pick by pick; the pivoted QR applies each reflector to paired
-  rows of A^C).
+  factorization; a complex solution is read back once, as the quaternion
+  matrix whose representation is its symplectic projection; one routine
+  pairs the singular vectors of either side, picking the pairs its walk
+  misses by largest residual, with the residual norms downdated pick by
+  pick; the pivoted QR applies each reflector to paired rows of A^C).
 
 ``qsvd`` has a full mode (unitary U and V) and a compact one (only the r
 pairs above the rank cut); both decide r by the same rule.  On crep the
@@ -32,7 +32,7 @@ Urquhart core of :mod:`quatinv.geninv` and ``pinv_solve`` both call it.  On
 direct it is a blocked LU of [W | B] in pair arithmetic, which ends in the
 same upper-triangular back substitution as the direct QR of
 ``full_rank_decompose``; on crep it is LAPACK's LU of W^C with B^C, whose
-solution is restored to quaternion structure.
+solution is read through the symplectic projection.
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -47,13 +47,12 @@ import numpy as np
 from .qcore import (
     _EPS,
     QMatrix,
+    _quaternion_part,
     _route_mul,
     _scale_to_safe,
     conj_transpose,
-    from_crep,
     hstack_q,
     mat_mul,
-    symmetrize_crep,
     to_crep,
 )
 
@@ -578,18 +577,20 @@ def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
 
 def _solve(w: QMatrix, b: QMatrix, route: str) -> QMatrix:
     # W^-1 B for a square W of full rank, from one LU with partial pivoting
-    # in the route's own arithmetic
+    # in the route's own arithmetic.  On crep the solution of W^C Y = B^C is
+    # symplectic only to rounding, and it is read once, through the
+    # projection of qcore._quaternion_part
     if route == "direct":
         return _solve_direct(w, b)
-    y = np.linalg.solve(to_crep(w), to_crep(b))
-    return from_crep(symmetrize_crep(y))
+    return _quaternion_part(np.linalg.solve(to_crep(w), to_crep(b)))
 
 
 def _qr_crep(a: QMatrix):
     """The same pivoted QR on A^C, structure preserving: columns c and n+c
     of A^C (one quaternion column) move together, and each reflector acts
     on the paired rows as the rank-2 complex update I - tau v^C (v^C)*.
-    X comes from a complex solve with the 2r-by-2r R11^C."""
+    X is read, through the symplectic projection, off a complex solve with
+    the 2r-by-2r R11^C."""
     m, n = a.shape
     c = to_crep(_scale_to_safe(a)[0]).copy()
     perm = np.arange(n)
@@ -614,7 +615,7 @@ def _qr_crep(a: QMatrix):
     rows = np.r_[:r, m:m + r]
     x = np.linalg.solve(c[np.ix_(rows, np.r_[:r, n:n + r])],
                         c[np.ix_(rows, np.r_[r:n, n + r:2 * n])])
-    return perm, r, from_crep(symmetrize_crep(x))
+    return perm, r, _quaternion_part(x)
 
 
 def full_rank_decompose(a: QMatrix,

@@ -410,13 +410,15 @@ def _spectral(a: QMatrix, route, group: bool = False):
     # A^1, ..., A^{k+1} once, rescaled to unit Frobenius norm (central, so
     # ranks and spaces stay); P = A^k so rescaled, I for k = 0; X the outer
     # inverse with W = P (the Drazin inverse), None when route is None.
+    # The powers are the route's products (direct ones when route is None).
     # With group, Ind(A) > 1 raises before X is built
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
+    mm = _route_mul(route or "direct")
     b = a * (1.0 / max(1.0, fro_norm(a)))
     p, p_rank = QMatrix.eye(a.nrows), a.nrows
     for k in range(a.nrows + 1):
-        nxt = mat_mul(p, b)
+        nxt = mm(p, b)
         nrm = fro_norm(nxt)
         if nrm > 0.0:
             nxt = nxt * (1.0 / nrm)

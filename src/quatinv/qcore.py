@@ -223,20 +223,15 @@ def _scale_to_safe(a: QMatrix, ncols: int | None = None, power: int = 1):
     component magnitude of A's first ncols columns (all by default) is 0 or
     its power-th power is in the safe range, else the exact power of two
     that brings it to [1/2, 1)."""
-    k = _safe_exponent((a.q1[:, :ncols], a.q2[:, :ncols]), power)
-    return (a * math.ldexp(1.0, k) if k else a), k
-
-
-def _safe_exponent(parts, power: int = 1) -> int:
-    # the k of _scale_to_safe for the largest real or imaginary magnitude
-    # among the complex arrays parts
     big = max(float(np.abs(t).max(initial=0.0))
-              for c in parts for t in (c.real, c.imag))
+              for c in (a.q1[:, :ncols], a.q2[:, :ncols])
+              for t in (c.real, c.imag))
     if big == 0.0 or (_SAFE_MIN ** (1.0 / power) <= big
                       <= _SAFE_MAX ** (1.0 / power)):
-        return 0
+        return a, 0
     # a subnormal big is brought only to 2^1023 big, still inside the range
-    return min(-math.frexp(big)[1], 1023)
+    k = min(-math.frexp(big)[1], 1023)
+    return a * math.ldexp(1.0, k), k
 
 
 def _crep_dims(c: np.ndarray) -> tuple:
@@ -253,29 +248,37 @@ def to_crep(a: QMatrix) -> np.ndarray:
     return data
 
 
-def symplectic_residual(c: np.ndarray) -> float:
-    """Frobenius norm of ``J_m C - conj(C) J_n`` computed blockwise."""
+def _quaternion_part(c: np.ndarray) -> QMatrix:
+    # the quaternion matrix whose complex representation is the symplectic
+    # projection of the 2m-by-2n array c (see symmetrize_crep): the mean of
+    # each component as read off the top and the bottom block row
     c = np.asarray(c)
     m, n = _crep_dims(c)
-    c1, c2 = c[:m, :n], c[:m, n:]
-    c3, c4 = c[m:, :n], c[m:, n:]
-    # J_m C = [[C3, C4], [-C1, -C2]];  conj(C) J_n = [[-conj C2, conj C1],
-    #                                                 [-conj C4, conj C3]]
-    r1 = c3 + np.conj(c2)
-    r2 = c4 - np.conj(c1)
-    r3 = -c1 + np.conj(c4)
-    r4 = -c2 - np.conj(c3)
-    return math.sqrt(sum(float(np.sum(np.abs(t) ** 2)) for t in (r1, r2, r3, r4)))
+    return QMatrix(0.5 * (c[:m, :n] + np.conj(c[m:, n:])),
+                   0.5 * (c[:m, n:] - np.conj(c[m:, :n])))
+
+
+def symplectic_residual(c: np.ndarray) -> float:
+    """Frobenius norm of ``J_m C - conj(C) J_n``.
+
+    With C = [[C1, C2], [C3, C4]] that matrix is [[R1, R2], [conj R2,
+    -conj R1]] for R1 = C3 + conj C2 and R2 = C4 - conj C1, so its norm is
+    sqrt(2) times the :func:`fro_norm` of the pair (R1, R2): a sum of
+    squares that neither overflows nor loses digits to underflow.
+    """
+    c = np.asarray(c)
+    m, n = _crep_dims(c)
+    r1 = c[m:, :n] + np.conj(c[:m, n:])
+    r2 = c[m:, n:] - np.conj(c[:m, :n])
+    return math.sqrt(2.0) * fro_norm(QMatrix(r1, r2))
 
 
 def from_crep(c: np.ndarray) -> QMatrix:
     """Extract the quaternion matrix from a (valid) complex representation.
 
-    The residual and the norm are sums of squares; when either overflows,
-    both are taken again on C scaled by a power of two 2^k, as in
-    :func:`fro_norm`, and the test reads
-    res(C 2^k) > CREP_TOL * max(2^k, ||C 2^k||_F).  Squares that underflow
-    cannot change the outcome: they are far below CREP_TOL.
+    The residual and ||C||_F (the :func:`fro_norm` of the pair of C's top
+    and bottom block rows) are both scale-safe sums, so the test holds from
+    1e-300 to 1e300.
 
     Raises
     ------
@@ -287,15 +290,8 @@ def from_crep(c: np.ndarray) -> QMatrix:
     """
     c = np.asarray(c)
     m, n = _crep_dims(c)
-    one = 1.0
-    with np.errstate(over="ignore", under="ignore"):
-        res, nrm = symplectic_residual(c), float(np.linalg.norm(c))
-        if math.isinf(res) or math.isinf(nrm):
-            one = math.ldexp(1.0, _safe_exponent((c,)))
-            scaled = c * one
-            res = symplectic_residual(scaled)
-            nrm = float(np.linalg.norm(scaled))
-    scale = max(one, nrm)
+    res = symplectic_residual(c)
+    scale = max(1.0, fro_norm(QMatrix(c[:m], c[m:])))
     if res > CREP_TOL * scale:
         raise ValueError(
             f"symplectic constraint violated: residual {res / scale:.3e} "
@@ -308,18 +304,11 @@ def symmetrize_crep(c0) -> np.ndarray:
 
     Returns the read-only ``C = (C0 + J_m^T conj(C0) J_n) / 2``, which
     satisfies ``J_m C = conj(C) J_n`` exactly (to rounding) and fixes every
-    matrix that already satisfies the constraint.  Used to restore
-    quaternion structure after an unstructured complex computation.
+    matrix that already satisfies the constraint.  C is the complex
+    representation of the quaternion matrix with Q1 = (C11 + conj C22) / 2
+    and Q2 = (C12 - conj C21) / 2.
     """
-    c0 = np.asarray(c0, dtype=complex)
-    m, n = _crep_dims(c0)
-    d1, d2 = np.conj(c0[:m, :n]), np.conj(c0[:m, n:])
-    d3, d4 = np.conj(c0[m:, :n]), np.conj(c0[m:, n:])
-    # J_m^T conj(C0) J_n = [[d4, -d3], [-d2, d1]]
-    twisted = np.block([[d4, -d3], [-d2, d1]])
-    data = 0.5 * (c0 + twisted)
-    data.setflags(write=False)
-    return data
+    return to_crep(_quaternion_part(c0))
 
 
 def random_qmat(m: int, n: int, rng) -> QMatrix:

@@ -691,3 +691,30 @@ def test_every_imported_name_is_used(path):
             used.update(ast.literal_eval(node.value))
     assert {name: line for name, line in imported.items()
             if name not in used} == {}
+
+
+def test_every_private_top_level_name_is_read():
+    # a private function, class or constant defined at the top level of a
+    # module is read somewhere in the package, as a name or an attribute;
+    # one that nothing reads is a dead helper
+    defined, read = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [getattr(t, "id", "") for t in node.targets]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{path.relative_to(PACKAGE)}:{name}"] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [where for where, name in defined.items() if name not in read] == []

@@ -6,6 +6,7 @@ from quatinv.factor import (
     FullRankFactorization,
     _bidiagonalize,
     _pairs,
+    _solve,
     _solve_direct,
     full_rank_decompose,
     one_inverse,
@@ -16,9 +17,11 @@ from quatinv.qcore import (
     QMatrix,
     conj_transpose,
     fro_norm,
+    from_crep,
     hstack_q,
     mat_mul,
     random_qmat,
+    symmetrize_crep,
     to_crep,
     vstack_q,
 )
@@ -894,3 +897,56 @@ def test_direct_square_solve_is_scale_safe(sw, sb):
     want = _solve_direct(w, b)
     x = _solve_direct(w * sw, b * sb)
     assert qallclose(x * (sw / sb), want, 1e-13)
+
+
+# ------------------------------------------- reading a crep solution back
+#
+# The crep kernels solve with LAPACK on the complex representation and read
+# the solution back once, as the quaternion matrix whose representation is
+# its symplectic projection: no extraction and no check of their own output.
+
+
+def test_crep_kernels_read_their_solution_without_from_crep(monkeypatch):
+    import quatinv.factor as factor
+    from quatinv.geninv import outer_w_right, pinv_solve
+
+    def refuse(*args):
+        raise AssertionError("a crep kernel re-validated its own solution")
+    monkeypatch.setattr(factor, "from_crep", refuse, raising=False)
+    monkeypatch.setattr(factor, "symmetrize_crep", refuse, raising=False)
+    rng = np.random.default_rng(61)
+    a, b = random_qmat(6, 6, rng), random_qmat(6, 2, rng)
+    assert qallclose(mat_mul(a, pinv_solve(a, b, route="crep")), b, 1e-10)
+    w = rand_rank_deficient(7, 9, 4, rng)
+    a = random_qmat(9, 7, rng)
+    assert outer_w_right(a, w, route="crep").exists
+    assert full_rank_decompose(w, route="crep").r == 4
+
+
+def test_crep_kernels_read_the_symplectic_projection(monkeypatch):
+    # bit for bit the projection then the extraction of the same LAPACK
+    # solution, written out here as the reference
+    import quatinv.factor as factor
+
+    solutions = []
+    lapack_solve = np.linalg.solve
+
+    def spy(x, y):
+        solutions.append(lapack_solve(x, y))
+        return solutions[-1]
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(62)
+    w, b = random_qmat(5, 5, rng), random_qmat(5, 3, rng)
+    x = _solve(w, b, "crep")
+    want = from_crep(symmetrize_crep(solutions[-1]))
+    np.testing.assert_array_equal(x.q1, want.q1)
+    np.testing.assert_array_equal(x.q2, want.q2)
+
+    a = rand_rank_deficient(6, 8, 3, rng)
+    fact = full_rank_decompose(a, route="crep")
+    want = from_crep(symmetrize_crep(solutions[-1]))
+    perm, r = factor._qr_crep(a)[:2]
+    # G holds X = R11^-1 R12 on A's non-pivot columns, row k for pivot k
+    order = np.argsort(perm[:r])
+    np.testing.assert_array_equal(fact.g.q1[:, perm[r:]], want.q1[order])
+    np.testing.assert_array_equal(fact.g.q2[:, perm[r:]], want.q2[order])

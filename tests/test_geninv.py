@@ -1049,6 +1049,26 @@ def test_group_inverse_fails_for_index_two():
         group_inverse(NILP)
 
 
+def test_crep_drazin_and_group_make_no_pair_product(monkeypatch):
+    # the index walk forms A^2, A^3, ... with the route's own product, so
+    # the crep Drazin and group inverses run crep arithmetic end to end
+    rng = np.random.default_rng(34)
+    a = block_diag_q(random_qmat(2, 2, rng), NILP)  # Ind(A) = 2
+    calls = []
+
+    def spy(x, y):
+        calls.append((x.shape, y.shape))
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(geninv, "mat_mul", spy)
+    monkeypatch.setattr(qcore, "mat_mul", spy)
+    drazin(a, route="crep")
+    group_inverse(random_qmat(4, 4, rng), route="crep")
+    assert calls == []
+    drazin(a, route="direct")
+    assert calls
+
+
 # --------------------------------------------------------- subspace tests
 
 

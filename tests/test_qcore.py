@@ -226,6 +226,19 @@ def test_from_crep_is_scale_safe(s):
                 from_crep(corrupted)
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-160, 1e200])
+def test_symplectic_residual_is_scale_safe(s):
+    # the residual is a sum of squares: at 1e200 it once overflowed to inf,
+    # at 1e-160 it lost digits to gradual underflow and at 1e-300 read 0
+    rng = np.random.default_rng(20)
+    c = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    want = symplectic_residual(c)
+    assert want > 1.0
+    with np.errstate(all="raise", under="ignore"):
+        got = symplectic_residual(c * s) / s
+    assert abs(got - want) <= 1e-14 * want
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (2, 2, 2)], ids=str)
 def test_crep_helpers_reject_a_shape_that_is_not_2m_by_2n(shape):
     c = np.zeros(shape, dtype=complex)
