@@ -1,14 +1,18 @@
 """Color-image deblurring through the quaternion pseudoinverse.
 
 The blur acts on images of height h = p*q by left multiplication with the
-purely imaginary operator A = A1*i + A2*j + A3*k, where A1 = T0 (x) T1 is a
-Kronecker product of two banded Toeplitz factors (Gaussian band and box band)
-and A2 = A3 = -0.5*A1.  Restoration is X_hat = pinv(A) @ B, computed by
-``pinv_solve`` as a solve, never by forming pinv(A): one LU of A when A is
-invertible (exactly when T0 and T1 are), and A's compact SVD applied to B
-when it is not (a box band that is singular at its size q).  For an
-invertible A the error grows with kappa(A) = kappa(T0) kappa(T1), not with
-a power of it.
+purely imaginary operator A = mu*kron(T0, T1), where T0 is a p x p Gaussian
+band, T1 a q x q box band and mu = i - j/2 - k/2 a quaternion scalar; in
+components A = A1*i + A2*j + A3*k with A1 = kron(T0, T1) and
+A2 = A3 = -0.5*A1.  Restoration is X_hat = pinv(A) @ B, and a real matrix
+commutes with a quaternion scalar, so
+pinv(A) = mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1))
+(Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math., 2000).
+``pinv_solve`` inverts mu T0 and T1 on the route, one LU each when the
+factor is invertible and its compact SVD when it is not (a box band that is
+singular at its size q), and the route's product applies them to B; the
+h x h A is never factored.  For an invertible A the error grows with
+kappa(A) = kappa(T0) kappa(T1), not with a power of it.
 
 A real-valued alternative stacks the three channels and solves the 3h x 3h
 skew block system; its matrix is rank deficient for this operator family, so
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore import QMatrix, mat_mul
+from ..qcore import QMatrix, _route_mul, mat_mul
+from ..factor import rank
 from ..geninv import pinv_solve
 from .ppm import ColorImage, image_to_qmat, qmat_to_image
 
@@ -46,10 +51,18 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 
+# mu = i - j/2 - k/2, the blur's quaternion scalar, as components (w, x, y, z)
+_MU = (0.0, 1.0, -0.5, -0.5)
+
 
 @dataclass(frozen=True)
 class BlurOperator:
-    """Banded Toeplitz-Kronecker blur A = A1*i - 0.5*A1*j - 0.5*A1*k."""
+    """Banded Toeplitz-Kronecker blur A = mu*kron(T0, T1), mu = i - j/2 - k/2.
+
+    ``build_blur`` is the only constructor, and it keeps the invariant
+    ``a = mu*kron(t0_blur, t1_blur)``: ``deblur_quaternion`` reads the two
+    factors and never ``a`` itself.
+    """
 
     p: int
     q: int
@@ -82,6 +95,11 @@ def _band_toeplitz(n: int, half: int, weight) -> np.ndarray:
     return t
 
 
+def _times_mu(t: np.ndarray) -> QMatrix:
+    """The quaternion matrix mu*T of a real T; every entry is exact."""
+    return QMatrix.from_components(*(c * t for c in _MU))
+
+
 def build_blur(p: int, q: int, sigma: float, r: int, s: int) -> BlurOperator:
     """Assemble the blur operator for images of height p*q.
 
@@ -106,9 +124,7 @@ def build_blur(p: int, q: int, sigma: float, r: int, s: int) -> BlurOperator:
     t0 = _band_toeplitz(p, r, lambda d: norm * np.exp(-d**2 / (2.0 * sigma**2)))
     t1 = _band_toeplitz(q, s, lambda d: np.full_like(d, 1.0 / (2 * s - 1),
                                                      dtype=float))
-    a1 = np.kron(t0, t1)
-    # gamma1 = A1*i, gamma2 = A2 + A3*i with A2 = A3 = -0.5*A1
-    a = QMatrix(1j * a1, -0.5 * a1 * (1.0 + 1.0j))
+    a = _times_mu(np.kron(t0, t1))
     return BlurOperator(p, q, float(sigma), r, s, t0, t1, a)
 
 
@@ -128,8 +144,16 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
                       route: str = "direct"):
     """Restore X_hat = pinv(A) @ B and project to channels.
 
-    X_hat comes from :func:`quatinv.geninv.pinv_solve` on ``route``: one LU
-    for an invertible blur, A's compact SVD for a singular box band.
+    X_hat = mu^-1 kron(pinv(T0), pinv(T1)) B, all on ``route``.  Since
+    T1 is real, mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1)):
+    :func:`quatinv.geninv.pinv_solve` with the identity on the right gives
+    pinv(mu T0) and pinv(T1) (one LU for an invertible factor, its compact
+    SVD for a singular box band), and the route's product applies them to
+    B.  Only p x p and q x q matrices are factored, never the h x h A.
+    Ranks are decided on T0 and T1, each by its own max(n) eps sigma_1 rule,
+    not on A by h eps sigma_1(A); the two can differ only when the smallest
+    singular value of a factor lies within a factor h/p (or h/q) of its
+    threshold.  ``pinv_solve(op.a, b, route)`` is the general path.
     Returns ``(image, metrics)``; metrics are computed against ``truth`` when
     it is given and are ``None`` otherwise.  A ``truth`` that ``metrics``
     cannot score (another shape than B, or smaller than the SSIM window)
@@ -140,9 +164,29 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
             f"blurred data height {b.shape[0]} does not match operator {op.h}")
     if truth is not None:
         _require_comparable((truth.h, truth.w), b.shape)
-    x_hat = pinv_solve(op.a, b, route=route)
-    img = qmat_to_image(x_hat)
+    img = qmat_to_image(_factor_solve(op, b, route))
     return img, (metrics(truth, img) if truth is not None else None)
+
+
+def _each(x: QMatrix, f) -> QMatrix:
+    # the same rearrangement of both components
+    return QMatrix(f(x.q1), f(x.q2))
+
+
+def _factor_solve(op: BlurOperator, b: QMatrix, route: str) -> QMatrix:
+    # X_hat = kron(pinv(mu T0), pinv(T1)) B.  Row (j, l) of B, j < p and
+    # l < q, is row j of B as a p x (q w) matrix, on which pinv(mu T0) acts;
+    # the result as a q x (p w) matrix has l in its rows, on which pinv(T1)
+    # acts
+    mul = _route_mul(route)
+    p, q, w = op.p, op.q, b.ncols
+    t0_inv = pinv_solve(_times_mu(op.t0_blur), QMatrix.eye(p), route)
+    t1_inv = pinv_solve(QMatrix.from_real(op.t1_blur), QMatrix.eye(q), route)
+    y = mul(t0_inv, _each(b, lambda c: c.reshape(p, q * w)))
+    y = mul(t1_inv, _each(y, lambda c: c.reshape(p, q, w).transpose(1, 0, 2)
+                          .reshape(q, p * w)))
+    return _each(y, lambda c: c.reshape(q, p, w).transpose(1, 0, 2)
+                 .reshape(op.h, w))
 
 
 def real_block_system(op: BlurOperator) -> np.ndarray:
@@ -262,7 +306,11 @@ def metrics(x: ColorImage, x_hat: ColorImage) -> RestorationMetrics:
 def deblur_report(op: BlurOperator, truth: ColorImage,
                   quat_metrics: RestorationMetrics,
                   real_metrics: RestorationMetrics | None) -> dict:
-    """JSON-ready summary of one deblurring run."""
+    """JSON-ready summary of one deblurring run.
+
+    ``blur_rank`` holds the ranks of T0 and T1, one small SVD each: A is
+    singular exactly when one of them is short of its order.
+    """
     report = {
         "psnr_db": quat_metrics.psnr,
         "ssim": quat_metrics.ssim,
@@ -274,5 +322,7 @@ def deblur_report(op: BlurOperator, truth: ColorImage,
         "params": {"p": op.p, "q": op.q, "sigma": op.sigma,
                    "r": op.r, "s": op.s,
                    "height": truth.h, "width": truth.w},
+        "blur_rank": {"t0": rank(QMatrix.from_real(op.t0_blur)),
+                      "t1": rank(QMatrix.from_real(op.t1_blur))},
     }
     return report

@@ -234,7 +234,8 @@ def test_deblur_round_trip_desk_scale():
 def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
     # A = kron(T0, T1) mu with the quaternion scalar mu = i - j/2 - k/2, so
     # kappa(A) = kappa(T0) kappa(T1); the unclamped X_hat of an invertible
-    # blur is one square solve, so its error stays within h kappa(A) eps
+    # blur is one LU solve per factor and products, so its error stays within
+    # h kappa(A) eps
     truth = rand_image(p * q, 24, seed=25, lo=0.05, hi=0.95)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     seen = []
@@ -250,6 +251,58 @@ def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
     rr = fro_norm(seen[0] - x) / fro_norm(x)
     kappa = np.linalg.cond(op.t0_blur) * np.linalg.cond(op.t1_blur)
     assert rr <= op.h * kappa * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p,q,want_rank", [(8, 8, 64), (16, 8, 128),
+                                            (2, 16, 30), (4, 16, 60)],
+                         ids=["h64", "h128", "box2x16", "box4x16"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
+                                              monkeypatch):
+    # the unclamped X_hat against pinv_solve of the whole A on the same
+    # route.  The box band of halfwidth 3 has rank 15 at q = 16, and its zero
+    # singular values (~1e-17 sigma_1) lie far below both rank rules, so
+    # both paths return pinv of the same rank-r matrix (r = h when A is
+    # invertible) applied to a consistent B.  Each is backward stable with an
+    # O(h eps) relative perturbation that keeps the rank, and for such
+    # perturbations the pseudoinverse moves by a multiple of
+    # kappa_r = sigma_1/sigma_r (Wedin, "Perturbation theory for
+    # pseudo-inverses", BIT, 1973), which is kappa(T0) kappa(T1) for an
+    # invertible A: the gap stays within h kappa_r eps
+    truth = rand_image(p * q, 24, seed=26, lo=0.05, hi=0.95)
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    b = blur(op, truth)
+    seen = []
+    show = deblur_mod.qmat_to_image
+
+    def capture(x):
+        seen.append(x)
+        return show(x)
+
+    monkeypatch.setattr(deblur_mod, "qmat_to_image", capture)
+    deblur_quaternion(op, b, route=route)
+    want = geninv.pinv_solve(op.a, b, route=route)
+    sigma = np.linalg.svd(np.kron(op.t0_blur, op.t1_blur), compute_uv=False)
+    r = int(np.sum(sigma > op.h * np.finfo(float).eps * sigma[0]))
+    assert r == want_rank
+    assert fro_norm(seen[0] - want) / fro_norm(want) \
+        <= op.h * sigma[0] / sigma[r - 1] * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_deblur_factors_only_the_two_bands(route, monkeypatch):
+    # pinv_solve sees T0 (p x p) and T1 (q x q), never the h x h A
+    op = build_blur(4, 8, sigma=3.0, r=3, s=3)
+    shapes = []
+    solve = deblur_mod.pinv_solve
+
+    def spy(a, b, route="direct"):
+        shapes.append(a.shape)
+        return solve(a, b, route=route)
+
+    monkeypatch.setattr(deblur_mod, "pinv_solve", spy)
+    deblur_quaternion(op, blur(op, rand_image(32, 12, seed=28)), route=route)
+    assert sorted(shapes) == [(4, 4), (8, 8)]
 
 
 def test_deblur_routes_agree():
@@ -317,7 +370,7 @@ def test_deblur_report_fields():
     rm = metrics(truth, real_block_restore(op, b))
     report = deblur_report(op, truth, qm, rm)
     assert set(report) == {"psnr_db", "ssim", "rr", "corr_orig", "corr_quat",
-                           "corr_real", "params"}
+                           "corr_real", "params", "blur_rank"}
     assert len(report["corr_quat"]) == 3
     report2 = deblur_report(op, truth, qm, None)
     assert report2["corr_real"] is None

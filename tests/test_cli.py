@@ -536,11 +536,22 @@ def test_deblur_cli(tmp_path):
     assert code == 0
     report = load_json(rpt)
     assert set(report) == {"psnr_db", "ssim", "rr", "corr_orig", "corr_quat",
-                           "corr_real", "params"}
+                           "corr_real", "params", "blur_rank"}
     assert report["psnr_db"] >= 40.0
     assert report["rr"] <= 1e-6
     assert np.array(report["corr_real"]).shape == (3, 3)
     assert out.exists()
+
+
+def test_deblur_reports_a_singular_box_band(tmp_path):
+    # the box band of halfwidth 3 is singular at q = 16: rank 15
+    rng = np.random.default_rng(7)
+    ppm = tmp_path / "in.ppm"
+    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 32, 12))))
+    rpt = tmp_path / "m.json"
+    assert main(["deblur", "--image", str(ppm), "--p", "2", "--q", "16",
+                 "--s", "3", "--json", str(rpt)]) == 0
+    assert load_json(rpt)["blur_rank"] == {"t0": 2, "t1": 15}
 
 
 def reject_constant(name):
