@@ -218,7 +218,7 @@ def cmd_svd(args) -> int:
 
 def cmd_deblur(args) -> int:
     img = read_ppm(args.image)
-    # before build_blur, whose operator holds (p q)^2 entries
+    # before build_blur, whose p x p and q x q bands can outgrow memory
     if args.p * args.q != img.h:
         raise ValueError(f"image height {img.h} does not match operator "
                          f"size {args.p * args.q}")

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 
 from .factor import (
     _one_inverse_from,
+    _require_finite,
     _solve,
     full_rank_decompose,
     qsvd,
@@ -394,11 +395,13 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     small singular values of ill-conditioned systems, either path loses
     accuracy only with cond(A).  Use this for solving linear systems; use
     :func:`pinv` when the inverse matrix itself is the object of study.
+    A or B with a NaN or Inf entry raises ``ValueError``.
     """
     _check_route(route)
     if a.shape[0] != b.shape[0]:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    _require_finite(b, "pinv_solve")
     if a.nrows == a.ncols == rank(a):
         return _solve(a, b, route)
     sv = qsvd(a, method=route, full=False)

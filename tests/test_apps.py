@@ -177,6 +177,40 @@ def test_blur_zero_image_and_norm_bound():
     assert np.max(np.abs(b.q1.real)) > 0.0
 
 
+@pytest.mark.parametrize("width", [1, 31, 77, 128])
+@pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
+def test_blur_matches_the_dense_product(p, q, width):
+    # blur applies kron(mu T0, T1) by two small products, a panel of columns
+    # at a time (widths of one, several and a partial last panel), against
+    # the dense product with the h x h A.  Each product's rounding error is
+    # within a few h eps |A| |X| entrywise (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 3), and |A| = kron(|mu T0|, |T1|), so the
+    # gap stays within h eps ||A||_F ||X||_F; q = 16 is the singular box band
+    truth = rand_image(p * q, width, seed=40 + width)
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    x = image_to_qmat(truth)
+    want = mat_mul(op.a, x)
+    gap = fro_norm(blur(op, truth) - want)
+    assert gap <= op.h * np.finfo(float).eps * fro_norm(op.a) * fro_norm(x)
+
+
+def test_deblur_never_forms_the_h_by_h_operator():
+    # build_blur, blur and deblur_quaternion (with metrics) read only the
+    # two factors; op.a is formed when asked for, and then it is bit for bit
+    # mu kron(T0, T1) formed from the components, signed zeros included
+    truth = rand_image(128, 40, seed=41, lo=0.05, hi=0.95)
+    op = build_blur(16, 8, sigma=3.0, r=3, s=3)
+    for route in ("direct", "crep"):
+        deblur_quaternion(op, blur(op, truth), truth=truth, route=route)
+    assert "a" not in vars(op)
+    k = np.kron(op.t0_blur, op.t1_blur)
+    want = QMatrix.from_components(*(c * k for c in (0.0, 1.0, -0.5, -0.5)))
+    assert op.a.q1.tobytes() == want.q1.tobytes()
+    assert op.a.q2.tobytes() == want.q2.tobytes()
+    assert np.signbit(op.a.q2.real).any()
+    assert op.a is op.a
+
+
 def test_blur_height_mismatch():
     op = build_blur(4, 2, sigma=3.0, r=3, s=2)
     with pytest.raises(ValueError):
@@ -269,9 +303,7 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
     # kappa_r = sigma_1/sigma_r (Wedin, "Perturbation theory for
     # pseudo-inverses", BIT, 1973), which is kappa(T0) kappa(T1) for an
     # invertible A: the gap stays within h kappa_r eps
-    truth = rand_image(p * q, 24, seed=26, lo=0.05, hi=0.95)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
-    b = blur(op, truth)
     seen = []
     show = deblur_mod.qmat_to_image
 
@@ -280,13 +312,17 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
         return show(x)
 
     monkeypatch.setattr(deblur_mod, "qmat_to_image", capture)
-    deblur_quaternion(op, b, route=route)
-    want = geninv.pinv_solve(op.a, b, route=route)
     sigma = np.linalg.svd(np.kron(op.t0_blur, op.t1_blur), compute_uv=False)
     r = int(np.sum(sigma > op.h * np.finfo(float).eps * sigma[0]))
     assert r == want_rank
-    assert fro_norm(seen[0] - want) / fro_norm(want) \
-        <= op.h * sigma[0] / sigma[r - 1] * np.finfo(float).eps
+    # widths of one, several and a partial last column panel of B
+    for width in (1, 24, 31, 77, 128):
+        b = blur(op, rand_image(p * q, width, seed=26, lo=0.05, hi=0.95))
+        seen.clear()
+        deblur_quaternion(op, b, route=route)
+        want = geninv.pinv_solve(op.a, b, route=route)
+        assert fro_norm(seen[0] - want) / fro_norm(want) \
+            <= op.h * sigma[0] / sigma[r - 1] * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
@@ -461,6 +497,13 @@ def _constant(h, w, value):
     pytest.param(rand_image(48, 48, seed=34, lo=0.1, hi=0.9),
                  _noisy(rand_image(48, 48, seed=34, lo=0.1, hi=0.9), 0.3, 35),
                  id="clipped-noisy"),
+    # no side a multiple of a block of windows, and one window row or column
+    pytest.param(rand_image(37, 131, seed=36), rand_image(37, 131, seed=37),
+                 id="37x131"),
+    pytest.param(rand_image(11, 200, seed=38), rand_image(11, 200, seed=39),
+                 id="11x200"),
+    pytest.param(rand_image(200, 11, seed=40), rand_image(200, 11, seed=41),
+                 id="200x11"),
 ])
 def test_metrics_ssim_matches_the_2d_window(ref, est):
     want = np.mean([ssim_2d_window(x, y)

@@ -590,7 +590,7 @@ def test_deblur_rejects_height_mismatch(tmp_path, capsys):
 
 def test_deblur_oversize_operator_exits_2_before_building_it(tmp_path):
     # p q = 1e6 against a 16-row image: the height check comes before
-    # build_blur, whose kron would ask for terabytes
+    # build_blur and any work on its bands
     rng = np.random.default_rng(5)
     ppm = tmp_path / "small.ppm"
     write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))

@@ -915,6 +915,26 @@ def test_pinv_solve_edge_cases(route, monkeypatch):
         pinv_solve(QMatrix(q1, a.q2), random_qmat(3, 1, rng), route=route)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3)], ids=["square", "rect"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_solve_refuses_a_non_finite_b(route, bad, shape, monkeypatch):
+    # as rank refuses a non-finite A, a NaN or Inf in B raises before any
+    # factorization, on the LU and on the SVD path alike, rather than give
+    # a non-finite X
+    calls = factor_spy(monkeypatch)
+    rng = np.random.default_rng(61)
+    b = random_qmat(shape[0], 2, rng)
+    for part in range(4):
+        # each of the four real components in turn
+        q = [b.q1.copy(), b.q2.copy()]
+        q[part // 2][1, 0] = (complex(bad, 0.0) if part % 2 == 0
+                              else complex(0.0, bad))
+        with pytest.raises(ValueError, match="^pinv_solve: .*non-finite"):
+            pinv_solve(random_qmat(*shape, rng), QMatrix(*q), route=route)
+    assert calls == []
+
+
 CONSTRUCTORS = {
     "outer_right": lambda a, route: outer_right(a, a, a, route=route),
     "outer_left": lambda a, route: outer_left(a, a, a, route=route),
