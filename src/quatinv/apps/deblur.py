@@ -134,8 +134,8 @@ def build_blur(p: int, q: int, sigma: float, r: int, s: int) -> BlurOperator:
     """
     if p < 1 or q < 1:
         raise ValueError(f"image grid must be positive, got p={p}, q={q}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if r < 0:
         raise ValueError(f"gaussian band halfwidth must be >= 0, got r={r}")
     if s < 1:

@@ -42,12 +42,13 @@ def lorenz_simulate(T: float, dt: float, alpha: float = 10.0,
                     start=(1.0, 1.0, 1.0)) -> np.ndarray:
     """Fixed-step RK4 trajectory with N = floor(T/dt) + 1 samples.
 
-    Raises ``ValueError`` when the step is too large for RK4 to stay finite.
+    Raises ``ValueError`` for a T or dt that is not positive and finite, and
+    for a step too large for RK4 to stay finite.
     """
-    if dt <= 0:
-        raise ValueError(f"step must be positive, got dt={dt}")
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got T={T}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"step must be positive and finite, got dt={dt}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got T={T}")
 
     def deriv(x, y, z):
         return alpha * (y - x), x * (rho - z) - y, x * y - beta * z
@@ -96,8 +97,12 @@ def build_filter_system(traj: np.ndarray, dt: float, delay_samples: int,
     C[u, v] = c(t0 + u - v) and d[u] = d(t0 + u) for u, v in 0..order, so the
     trajectory must hold at least delay_samples + 2*order + 1 samples.  Noise
     is drawn once per time index (the same corrupted sample reappears along
-    each Toeplitz diagonal), i.i.d. Gaussian per imaginary component.
+    each Toeplitz diagonal), i.i.d. Gaussian per imaginary component, of
+    standard deviation noise_sigma, which must be finite and >= 0.
     """
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     traj = np.asarray(traj, dtype=float)
     n = int(order)
     delay = int(delay_samples)
@@ -113,9 +118,7 @@ def build_filter_system(traj: np.ndarray, dt: float, delay_samples: int,
     # observed input over indices delay .. delay+2n (contiguous block)
     rng = np.random.default_rng(seed)
     clean = traj[0:2 * n + 1]
-    noise = rng.normal(0.0, noise_sigma, size=(2 * n + 1, 3)) \
-        if noise_sigma > 0 else np.zeros((2 * n + 1, 3))
-    c_samples = clean + noise
+    c_samples = clean + rng.normal(0.0, noise_sigma, size=(2 * n + 1, 3))
 
     idx = n + np.arange(n + 1)[:, None] - np.arange(n + 1)[None, :]
     cr, cg, cb = c_samples[:, 0], c_samples[:, 1], c_samples[:, 2]

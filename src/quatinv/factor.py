@@ -47,6 +47,7 @@ import numpy as np
 from .qcore import (
     _EPS,
     QMatrix,
+    _pair_mm,
     _quaternion_part,
     _route_mul,
     _scale_to_safe,
@@ -265,10 +266,6 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
 #
 # Pair arithmetic on (X1, X2) complex arrays, X = X1 + X2*j.  Scalars are
 # (s1, s2) pairs.
-
-
-def _pair_mm(a1, a2, b1, b2):
-    return (a1 @ b1 - a2 @ np.conj(b2), a1 @ b2 + a2 @ np.conj(b1))
 
 
 def _scalar_times(s1, s2, x1, x2):

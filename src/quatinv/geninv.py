@@ -19,10 +19,14 @@ X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
 A, which finds the index k, ranking each power once, and prescribes W = A^k
-(W = I for an invertible A).  ``pinv_solve`` returns pinv(A) B by the
-core's square rule below applied to A itself: it ranks a square A only,
-solves one of full rank by the core's LU, and otherwise applies the
-{1}-inverse the core builds from A's compact SVD (with Z = 0, that is A+).
+(W = I for an invertible A).  ``pinv`` (method "svd") is the core on
+S = T = I, so W = A and the core's rule below acts on A itself: one LU for
+a square A of full rank, else the {1}-inverse from A's compact SVD with
+Z = 0, which is A+.  Its error therefore follows cond(A), where the
+composed A* (A*AA*)^(1) A* would cube it; that expression is still
+``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
+rule: it ranks a square A only, solves one of full rank by the core's LU,
+and otherwise applies A+ from A's compact SVD to B.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -30,7 +34,8 @@ raised) when that matrix is singular, since the target inverse then does not
 exist.  One factorization fixes W's right and left spaces alike, and
 X = F (G A F)^-1 G does not depend on which one is used, so ``outer_w_left``
 is ``outer_w_right`` under another label.  One helper serves both, ``pinv``
-by "frd" (W = A*) and the Drazin and group inverses (W = A^k).
+by "frd" (W = A*, so G A F squares A's scale and condition) and the
+Drazin and group inverses (W = A^k).
 
 Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route
@@ -330,20 +335,21 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
 
 
 def _moore_penrose(a, method, route):
-    # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T: S = T =
-    # A* by "svd" (r is None); by "frd" the W-inverse of W = A* of rank r,
-    # X None when GAF is singular.  The formula cubes A's scale, so an A
-    # whose cube would leave the safe range runs scaled by 2^e to [1/2, 1)
+    # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T.  By
+    # "svd" S = T = I, so W = A and the core's rule acts on A itself: one LU
+    # for a square A of full rank, else A+ from A's compact SVD (r is None).
+    # By "frd" the W-inverse of W = A* of rank r, X None when GAF is
+    # singular; GAF squares A's scale, so an A outside the safe range runs
+    # scaled by 2^e to [1/2, 1)
     _check_route(route)
-    a, e = _scale_to_safe(a, power=3)
-    astar = conj_transpose(a)
-    if method == "frd":
-        x, w_rank, r = _w_inverse(a, astar, route)
-    elif method == "svd":
-        x, w_rank = _urquhart(a, astar, astar, route)
-        r = None
-    else:
+    if method == "svd":
+        m, n = a.shape
+        x, w_rank = _urquhart(a, QMatrix.eye(n), QMatrix.eye(m), route)
+        return x, w_rank, None
+    if method != "frd":
         raise ValueError(f"unknown pinv method {method!r}")
+    a, e = _scale_to_safe(a)
+    x, w_rank, r = _w_inverse(a, conj_transpose(a), route)
     if e and x is not None:
         x = x * math.ldexp(1.0, e)
     return x, w_rank, r
@@ -353,15 +359,18 @@ def pinv_report(a: QMatrix, method: str = "svd",
                 route: str = "direct") -> InverseReport:
     """Moore-Penrose inverse with the full report and Penrose residuals.
 
-    method selects the formula realization: "svd" evaluates
-    A* (A*AA*)^(1) A* through the SVD-based {1}-inverse; "frd" factors A*
-    and inverts the small matrix (the W-prescribed construction with
-    W = A*).  Combined with route this gives four realizations.  Ranks and
-    residuals are those of the caller's A, also when the formula ran on A
+    method selects the formula realization: "svd" runs the core on
+    S = T = I, so W = A, which one LU inverts when A is square of full rank
+    and A's compact SVD pseudo-inverts otherwise; "frd" factors A* and
+    inverts the small matrix (the W-prescribed construction with W = A*).
+    Combined with route this gives four realizations.  For "svd" the ranks
+    are those of the spaces the Moore-Penrose inverse prescribes, R(A*) and
+    N(A*): s = t = rank(A*), and w is the rank of A's factorization.  Ranks
+    and residuals are those of the caller's A, also when "frd" ran on A
     scaled by a power of two.
     """
     x, w_rank, r = _moore_penrose(a, method, route)
-    if r is None:  # outer_right(a, A*, A*)
+    if r is None:  # the ranks of outer_right(a, A*, A*)
         astar = conj_transpose(a)
         ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar),
                  "w": w_rank}
@@ -390,10 +399,9 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     other A (rectangular, which is not ranked, or rank deficient) gets
     A+ = V diag(1/sigma) U*, built as the core builds a {1}-inverse from
     the compact rank-revealing SVD of A itself (only its r pairs above the
-    rank cut), then applied to B.  Unlike the composed generator formula
-    A*(A*AA*)^(1)A*, whose middle matrix cubes the spectrum of A and loses
-    small singular values of ill-conditioned systems, either path loses
-    accuracy only with cond(A).  Use this for solving linear systems; use
+    rank cut), then applied to B.  Either path loses accuracy only with
+    cond(A).  ``pinv(A)`` is the same rule applied to B = I and equals
+    ``pinv_solve(A, I)``.  Use this for solving linear systems; use
     :func:`pinv` when the inverse matrix itself is the object of study.
     A or B with a NaN or Inf entry raises ``ValueError``.
     """

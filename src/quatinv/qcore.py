@@ -170,9 +170,12 @@ def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.ncols != b.nrows:
         raise ValueError(
             f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    c1 = a.q1 @ b.q1 - a.q2 @ np.conj(b.q2)
-    c2 = a.q1 @ b.q2 + a.q2 @ np.conj(b.q1)
-    return QMatrix(c1, c2)
+    return QMatrix(*_pair_mm(a.q1, a.q2, b.q1, b.q2))
+
+
+def _pair_mm(a1, a2, b1, b2):
+    # the pair (C1, C2) of (A1 + A2 j)(B1 + B2 j) from complex components
+    return (a1 @ b1 - a2 @ np.conj(b2), a1 @ b2 + a2 @ np.conj(b1))
 
 
 def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -218,16 +221,15 @@ def fro_norm(a: QMatrix) -> float:
     return math.sqrt(total)
 
 
-def _scale_to_safe(a: QMatrix, ncols: int | None = None, power: int = 1):
+def _scale_to_safe(a: QMatrix, ncols: int | None = None):
     """(A 2^k, k), as xGESVD scales its input: k = 0 when the largest
     component magnitude of A's first ncols columns (all by default) is 0 or
-    its power-th power is in the safe range, else the exact power of two
-    that brings it to [1/2, 1)."""
+    in the safe range, else the exact power of two that brings it to
+    [1/2, 1)."""
     big = max(float(np.abs(t).max(initial=0.0))
               for c in (a.q1[:, :ncols], a.q2[:, :ncols])
               for t in (c.real, c.imag))
-    if big == 0.0 or (_SAFE_MIN ** (1.0 / power) <= big
-                      <= _SAFE_MAX ** (1.0 / power)):
+    if big == 0.0 or _SAFE_MIN <= big <= _SAFE_MAX:
         return a, 0
     # a subnormal big is brought only to 2^1023 big, still inside the range
     k = min(-math.frexp(big)[1], 1023)

@@ -166,6 +166,13 @@ def test_build_blur_rejects_bad_params(bad):
         build_blur(**bad)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_build_blur_refuses_a_non_finite_sigma(sigma):
+    # an infinite sigma would build an all-zero T0, a NaN one a NaN T0
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        build_blur(2, 8, sigma=sigma, r=3, s=3)
+
+
 def test_blur_zero_image_and_norm_bound():
     op = build_blur(4, 2, sigma=3.0, r=3, s=2)
     zero = ColorImage(*np.zeros((3, 8, 8)))
@@ -613,6 +620,17 @@ def test_lorenz_rejects_bad_steps():
         lorenz_simulate(T=-1.0, dt=0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(T=math.inf), dict(T=math.nan), dict(dt=math.inf), dict(dt=math.nan),
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_lorenz_refuses_non_finite_parameters(kwargs):
+    # T = inf once raised OverflowError from math.floor(T / dt), and
+    # dt = inf returned the start point alone
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"positive and finite, got {name}="):
+        lorenz_simulate(**{"T": 1.0, "dt": 0.1, **kwargs})
+
+
 def test_lorenz_rejects_a_diverging_step():
     with pytest.raises(ValueError, match="RK4 diverged"):
         lorenz_simulate(T=200.0, dt=0.5)
@@ -635,6 +653,15 @@ def test_filter_scalar_case():
     assert fs.c.shape == (1, 1) and fs.f.shape == (1, 1)
     assert fs.e <= 1e-12
     assert fs.t_start == 0
+
+
+@pytest.mark.parametrize("noise_sigma", [math.inf, math.nan, -0.01])
+def test_filter_refuses_a_bad_noise_sigma(noise_sigma):
+    # a NaN sigma once ran without noise, an infinite one failed in rank()
+    traj = lorenz_simulate(T=3.0, dt=0.1)
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        build_filter_system(traj, 0.1, delay_samples=10,
+                            noise_sigma=noise_sigma, order=5, seed=0)
 
 
 def test_filter_desk_scale():

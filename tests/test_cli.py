@@ -350,8 +350,9 @@ def test_huge_input_decomposes_on_both_routes(command, tmp_path, capsys):
     ["pinv"], ["pinv", "--method", "frd"], ["drazin"], ["group"],
 ], ids=" ".join)
 def test_huge_input_inverts_on_both_routes(argv, tmp_path, capsys):
-    # the composed pinv runs on A scaled by a power of two and the index
-    # walk normalizes by a scale-safe norm, so X = A^-1 on both routes
+    # pinv by "svd" inverts A itself by one LU, "frd" runs on A scaled by
+    # a power of two, and the index walk normalizes by a scale-safe norm,
+    # so X = A^-1 on both routes
     path = tmp_path / "huge.qmat"
     path.write_text(HUGE)
     a = read_qmat(path)
@@ -543,6 +544,21 @@ def test_deblur_cli(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_deblur_non_finite_sigma_exits_2_before_the_run(value, tmp_path,
+                                                         capsys):
+    rng = np.random.default_rng(4)
+    ppm = tmp_path / "in.ppm"
+    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))
+    rpt = tmp_path / "m.json"
+    assert main(["deblur", "--image", str(ppm), "--p", "2", "--q", "8",
+                 f"--sigma={value}", "--json", str(rpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not rpt.exists()
+    assert err == ("deblur: error: sigma must be positive and finite, "
+                   f"got {float(value)}\n")
+
+
 def test_deblur_reports_a_singular_box_band(tmp_path):
     # the box band of halfwidth 3 is singular at q = 16: rank 15
     rng = np.random.default_rng(7)
@@ -632,6 +648,23 @@ def test_lorenz_filter_cli(tmp_path):
         assert fh.readline().strip() == "t,x,y,z"
     with open(prefix + ".filter.csv") as fh:
         assert fh.readline().strip() == "t,dr,dg,db,dhat_r,dhat_g,dhat_b"
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--T", "inf", "T=inf"), ("--T", "nan", "T=nan"),
+    ("--dt", "inf", "dt=inf"), ("--dt", "nan", "dt=nan"),
+    ("--noise-sigma", "inf", "noise_sigma"),
+    ("--noise-sigma", "nan", "noise_sigma"),
+])
+def test_lorenz_filter_non_finite_parameter_exits_2(flag, value, named,
+                                                    tmp_path, capsys):
+    rpt = tmp_path / "f.json"
+    assert main(["lorenz-filter", "--T", "3", "--dt", "0.1", flag, value,
+                 "--json", str(rpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not rpt.exists()
+    assert err.startswith("lorenz-filter: error: ") and named in err
+    assert err.count("\n") == 1
 
 
 def test_same_seed_same_json(tmp_path):

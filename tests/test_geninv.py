@@ -720,9 +720,9 @@ def test_singular_or_rectangular_w_runs_one_qsvd(route, monkeypatch):
     assert calls == [(3, 3)]
     outer_right(a, random_qmat(5, 3, rng), random_qmat(2, 6, rng), route=route)
     assert calls == [(3, 3), (2, 3)]
-    # pinv of a rectangular A: W = A*AA* is 5x6
+    # pinv of a rectangular A: W = A is 6x5
     pinv_report(random_qmat(6, 5, rng), route=route)
-    assert calls == [(3, 3), (2, 3), (5, 6)]
+    assert calls == [(3, 3), (2, 3), (6, 5)]
 
 
 def test_direct_square_solve_never_forms_a_crep(monkeypatch):
@@ -777,9 +777,9 @@ def test_pinv_report_of_invertible_a_is_its_inverse(route):
     a = random_qmat(6, 6, rng)
     rep = pinv_report(a, route=route)
     inv = np.linalg.inv(crep(a))
-    # the composed formula inverts A*AA*: kappa(A)^3
+    # W = A: one LU of A itself, so the error follows kappa(A)
     kappa = np.linalg.cond(crep(a))
-    assert rel_gap(crep(rep.x), inv) <= 6 * kappa ** 3 * EPS
+    assert rel_gap(crep(rep.x), inv) <= 6 * kappa * EPS
     assert rep.ranks == {"nu": 6, "s": 6, "t": 6, "w": 6}
     assert all(rep.classification.values())
     assert all(v <= 1e-10 for v in rep.residuals.values())
@@ -1181,8 +1181,8 @@ def test_pinv_svd_ranks_only_w(shape, route, monkeypatch):
     want = pinv_report(a, route=route).x
     ranked = rank_spy(monkeypatch)
     x = pinv(a, route=route)
-    # W = A*AA*, n by m
-    assert [r.shape for r in ranked] == [shape[::-1]]
+    # W = I A I = A, m by n
+    assert [r.shape for r in ranked] == [shape]
     assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
 
 
@@ -1243,6 +1243,50 @@ def test_pinv_frd_raises_on_a_singular_gaf(route):
     assert str(exc.value) == rep.reason
 
 
+def graded_rect(m, n, r, kappa, rng):
+    """(A, A+) for A = U diag(sigma) V* with r orthonormal columns in U
+    (m rows) and V (n rows), sigma graded from 1 down to 1/kappa, and
+    A+ = V diag(1/sigma) U*."""
+    from test_factor import rand_unitary
+
+    u, v = rand_unitary(m, rng), rand_unitary(n, rng)
+    u, v = QMatrix(u.q1[:, :r], u.q2[:, :r]), QMatrix(v.q1[:, :r], v.q2[:, :r])
+    sig = np.logspace(0, -np.log10(kappa), r)
+    return (mat_mul(QMatrix(u.q1 * sig, u.q2 * sig), conj_transpose(v)),
+            mat_mul(QMatrix(v.q1 / sig, v.q2 / sig), conj_transpose(u)))
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("shape", [(30, 20, 15), (20, 20, 20), (20, 30, 20)],
+                         ids=str)
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_svd_error_grows_with_kappa_times_eps(kappa, shape, route):
+    # W = A, so the core factors A itself: the error follows kappa(A), not
+    # the kappa(A)^3 of A*AA* (a tall rank-deficient A, a square invertible
+    # one and a wide one of full row rank)
+    for seed in range(3):
+        a, want = graded_rect(*shape, kappa, np.random.default_rng(seed))
+        x = pinv(a, "svd", route)
+        assert rel_gap(crep(x), crep(want)) <= 2 * kappa * EPS
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "square", "singular",
+                                  "zero"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_is_pinv_solve_of_the_identity(case, route):
+    # one rule: pinv(A) is the core on W = I A I = A, and pinv_solve(A, I)
+    # applies the same LU or the same compact SVD to B = I
+    rng = np.random.default_rng(65)
+    a = {"tall": lambda: random_qmat(7, 4, rng),
+         "wide": lambda: random_qmat(4, 7, rng),
+         "square": lambda: random_qmat(5, 5, rng),
+         "singular": lambda: rand_rank_deficient(5, 5, 3, rng),
+         "zero": lambda: QMatrix.zeros(4, 3)}[case]()
+    x = pinv(a, route=route)
+    y = pinv_solve(a, QMatrix.eye(a.nrows), route)
+    assert np.array_equal(x.q1, y.q1) and np.array_equal(x.q2, y.q2)
+
+
 SCALES = [1e110, 1e-110, 1e200, 1e-200, 1e300, 1e-300]
 
 
@@ -1250,13 +1294,15 @@ SCALES = [1e110, 1e-110, 1e200, 1e-200, 1e300, 1e-300]
 @pytest.mark.parametrize("method", ["svd", "frd"])
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_composed_pinv_is_scale_safe(s, method, route):
-    # the formula cubes A's scale; pinv(sA) = pinv(A) / s all the same
+    # "svd" works on A itself and "frd" on G A F, which squares A's scale;
+    # pinv(sA) = pinv(A) / s all the same.  Only "frd" squares kappa
     rng = np.random.default_rng(64)
     a = random_qmat(4, 3, rng)
     x0 = crep(pinv(a, method, route))
     kappa = np.linalg.cond(crep(a))
     x = crep(pinv(a * s, method, route)) * s
-    assert rel_gap(x, x0) <= 4 * kappa ** 3 * EPS
+    bound = 8 * kappa if method == "svd" else 4 * kappa ** 3
+    assert rel_gap(x, x0) <= bound * EPS
     rep = pinv_report(a * s, method, route)
     assert rep.exists and all(rep.classification.values())
     assert rep.ranks == {"nu": 3, "s": 3, "t": 3, "w": 3}
