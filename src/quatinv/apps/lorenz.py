@@ -42,13 +42,18 @@ def lorenz_simulate(T: float, dt: float, alpha: float = 10.0,
                     start=(1.0, 1.0, 1.0)) -> np.ndarray:
     """Fixed-step RK4 trajectory with N = floor(T/dt) + 1 samples.
 
-    Raises ``ValueError`` for a T or dt that is not positive and finite, and
-    for a step too large for RK4 to stay finite.
+    Raises ``ValueError`` for a T or dt that is not positive and finite, for
+    a NaN or infinite alpha, beta or rho, and for a step too large for RK4
+    to stay finite.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"step must be positive and finite, got dt={dt}")
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got T={T}")
+    for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"model parameter must be finite, got {name}={value}")
 
     def deriv(x, y, z):
         return alpha * (y - x), x * (rho - z) - y, x * y - beta * z

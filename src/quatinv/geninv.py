@@ -18,13 +18,15 @@ defining residuals; its rank(TAS) is that of the factorization that built
 X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
-A, which finds the index k, ranking each power once, and prescribes W = A^k
-(W = I for an invertible A).  ``pinv`` (method "svd") is the core on
-S = T = I, so W = A and the core's rule below acts on A itself: one LU for
-a square A of full rank, else the {1}-inverse from A's compact SVD with
-Z = 0, which is A+.  Its error therefore follows cond(A), where the
-composed A* (A*AA*)^(1) A* would cube it; that expression is still
-``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
+A, which starts from A itself, finds the index k, ranking each power once,
+and prescribes W = A^k (W = I for an invertible A).  The core takes None
+for S or T as the identity and forms no product with it.  ``pinv`` (method
+"svd") is the core on S = T = I, passed as None, so W = A and the core's
+rule below acts on A itself: one LU of A for a square A of full rank, else
+the {1}-inverse from A's compact SVD with Z = 0, which is A+ and costs the
+one product (V diag(1/sigma)) U*.  Its error therefore follows cond(A),
+where the composed A* (A*AA*)^(1) A* would cube it; that expression is
+still ``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
 rule: it ranks a square A only, solves one of full rank by the core's LU,
 and otherwise applies A+ from A's compact SVD to B.
 
@@ -149,10 +151,19 @@ def _classify(nu, s_rank, t_rank, w_rank):
 
 
 def _defining_residuals(a, x, penrose=False):
-    # XAX = X and AXA = A; with penrose, also AX and XA Hermitian
-    ax, xa = mat_mul(a, x), mat_mul(x, a)
-    res = {"outer": fro_norm(mat_mul(xa, x) - x),
-           "one": fro_norm(mat_mul(ax, a) - a)}
+    # XAX = X and AXA = A, both from the smaller of AX (m x m) and XA
+    # (n x n), formed once; with penrose, also AX and XA Hermitian, which
+    # forms the other product too
+    m, n = a.shape
+    if n <= m:
+        xa = mat_mul(x, a)
+        xax, axa = mat_mul(xa, x), mat_mul(a, xa)
+        ax = mat_mul(a, x) if penrose else None
+    else:
+        ax = mat_mul(a, x)
+        xax, axa = mat_mul(x, ax), mat_mul(ax, a)
+        xa = mat_mul(x, a) if penrose else None
+    res = {"outer": fro_norm(xax - x), "one": fro_norm(axa - a)}
     if penrose:
         res["p3"] = fro_norm(conj_transpose(ax) - ax)
         res["p4"] = fro_norm(conj_transpose(xa) - xa)
@@ -172,25 +183,31 @@ def _report(a, x, ranks, side, route, classification=None, penrose=False,
 
 def _urquhart(a, s, t, route, z=None, need_inverse=False):
     # X = S (TAS)^(1) T; returns (X, rank W), whose rank conditions are the
-    # one subspace test of _classify.  z picks the {1}-inverse of W = TAS as
-    # in one_inverse and must have W*'s shape.  rank(W) only picks the square
-    # solve: a square W of full rank has one {1}-inverse, W^-1, so X = S
-    # (W^-1 T) by factor._solve, the LU pinv_solve also takes, and z is
-    # unused.  Any other W: with need_inverse X is None (the
+    # one subspace test of _classify.  S or T None stands for the identity,
+    # and no product is formed with it.  z picks the {1}-inverse of W = TAS
+    # as in one_inverse and must have W*'s shape.  rank(W) only picks the
+    # square solve: a square W of full rank has one {1}-inverse, W^-1, so
+    # X = S (W^-1 T) by factor._solve, the LU pinv_solve also takes, and z
+    # is unused.  Any other W: with need_inverse X is None (the
     # prescribed-space inverse does not exist), else X and the rank reported
     # both come from one compact SVD of W
     mm = _route_mul(route)
-    w = mm(mm(t, a), s)
+
+    def prod(p, q):  # P Q, where None is the identity
+        return q if p is None else p if q is None else mm(p, q)
+
+    w = prod(prod(t, a), s)
     if z is not None and z.shape != (w.ncols, w.nrows):
         raise ValueError(
             f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
     w_rank = rank(w)
     if w.nrows == w.ncols == w_rank:
-        return mm(s, _solve(w, t, route)), w_rank
+        t_rhs = QMatrix.eye(w.nrows) if t is None else t
+        return prod(s, _solve(w, t_rhs, route)), w_rank
     if need_inverse:
         return None, w_rank
     sv = qsvd(w, method=route, full=False)
-    return mm(mm(s, _one_inverse_from(sv, z, route)), t), sv.rank
+    return prod(prod(s, _one_inverse_from(sv, z, route)), t), sv.rank
 
 
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
@@ -336,15 +353,15 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
 
 def _moore_penrose(a, method, route):
     # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T.  By
-    # "svd" S = T = I, so W = A and the core's rule acts on A itself: one LU
-    # for a square A of full rank, else A+ from A's compact SVD (r is None).
+    # "svd" S = T = I, passed as None so that no product with I is formed,
+    # and W = A: the core's rule acts on A itself, one LU for a square A of
+    # full rank, else A+ from A's compact SVD (r is None).
     # By "frd" the W-inverse of W = A* of rank r, X None when GAF is
     # singular; GAF squares A's scale, so an A outside the safe range runs
     # scaled by 2^e to [1/2, 1)
     _check_route(route)
     if method == "svd":
-        m, n = a.shape
-        x, w_rank = _urquhart(a, QMatrix.eye(n), QMatrix.eye(m), route)
+        x, w_rank = _urquhart(a, None, None, route)
         return x, w_rank, None
     if method != "frd":
         raise ValueError(f"unknown pinv method {method!r}")
@@ -429,7 +446,7 @@ def _spectral(a: QMatrix, route, group: bool = False):
     b = a * (1.0 / max(1.0, fro_norm(a)))
     p, p_rank = QMatrix.eye(a.nrows), a.nrows
     for k in range(a.nrows + 1):
-        nxt = mm(p, b)
+        nxt = mm(p, b) if k else b  # A^1 = b, not I b
         nrm = fro_norm(nxt)
         if nrm > 0.0:
             nxt = nxt * (1.0 / nrm)

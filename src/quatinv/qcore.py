@@ -68,6 +68,17 @@ class QMatrix:
     q1, q2 : (m, n) array_like of complex
         Cayley-Dickson component pair.  The entry ``(i, j)`` as a quaternion
         is ``(Re Q1, Im Q1, Re Q2, Im Q2)`` at that position.
+
+    The constructor copies both components, so a caller that later writes to
+    the arrays it passed cannot change the matrix.  Results this module
+    computes into fresh arrays no one else holds (``mat_mul``, ``+``, ``-``,
+    negation, real scaling, ``hstack_q``, ``vstack_q`` and the symplectic
+    projection behind ``symmetrize_crep``) own them instead: the arrays are
+    made read-only in place, with no copy.  Only C-contiguous arrays that
+    own their data are taken over.  A view or a transpose (``from_crep``'s
+    blocks, ``conj_transpose``, the column halves of ``crep_mul``'s product
+    row) still goes through the copying constructor: owning it would keep
+    the whole parent buffer alive and hand later products a strided operand.
     """
 
     __slots__ = ("q1", "q2")
@@ -78,10 +89,26 @@ class QMatrix:
         if q1.shape != q2.shape:
             raise ValueError(
                 f"component shapes differ: {q1.shape} vs {q2.shape}")
+        self._freeze(q1, q2)
+
+    def _freeze(self, q1, q2):
         q1.setflags(write=False)
         q2.setflags(write=False)
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
+
+    @classmethod
+    def _own(cls, q1: np.ndarray, q2: np.ndarray) -> "QMatrix":
+        # a matrix that takes over the fresh results q1 and q2 of this
+        # module's arithmetic, which nothing else references; an array that
+        # is not complex128 (the projection of a real array is real), not
+        # C-contiguous or not the owner of its data is copied
+        if not all(c.dtype == np.complex128 and c.flags.c_contiguous
+                   and c.flags.owndata for c in (q1, q2)):
+            return cls(q1, q2)
+        out = object.__new__(cls)
+        out._freeze(q1, q2)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -137,20 +164,20 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return QMatrix(self.q1 + other.q1, self.q2 + other.q2)
+        return QMatrix._own(self.q1 + other.q1, self.q2 + other.q2)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return QMatrix(self.q1 - other.q1, self.q2 - other.q2)
+        return QMatrix._own(self.q1 - other.q1, self.q2 - other.q2)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.q1, -self.q2)
+        return QMatrix._own(-self.q1, -self.q2)
 
     def __mul__(self, alpha) -> "QMatrix":
         # real scalar scaling only; quaternion scaling is side-dependent
         alpha = float(alpha)
-        return QMatrix(alpha * self.q1, alpha * self.q2)
+        return QMatrix._own(alpha * self.q1, alpha * self.q2)
 
     __rmul__ = __mul__
 
@@ -170,7 +197,7 @@ def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.ncols != b.nrows:
         raise ValueError(
             f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return QMatrix(*_pair_mm(a.q1, a.q2, b.q1, b.q2))
+    return QMatrix._own(*_pair_mm(a.q1, a.q2, b.q1, b.q2))
 
 
 def _pair_mm(a1, a2, b1, b2):
@@ -245,7 +272,13 @@ def _crep_dims(c: np.ndarray) -> tuple:
 
 def to_crep(a: QMatrix) -> np.ndarray:
     """The read-only 2m-by-2n complex representation ``A^C`` of A."""
-    data = np.block([[a.q1, a.q2], [-np.conj(a.q2), np.conj(a.q1)]])
+    m, n = a.shape
+    data = np.empty((2 * m, 2 * n), dtype=np.complex128)
+    data[:m, :n], data[:m, n:] = a.q1, a.q2
+    lower_left = data[m:, :n]
+    np.conjugate(a.q2, out=lower_left)
+    np.negative(lower_left, out=lower_left)
+    np.conjugate(a.q1, out=data[m:, n:])
     data.setflags(write=False)
     return data
 
@@ -256,8 +289,8 @@ def _quaternion_part(c: np.ndarray) -> QMatrix:
     # each component as read off the top and the bottom block row
     c = np.asarray(c)
     m, n = _crep_dims(c)
-    return QMatrix(0.5 * (c[:m, :n] + np.conj(c[m:, n:])),
-                   0.5 * (c[:m, n:] - np.conj(c[m:, :n])))
+    return QMatrix._own(0.5 * (c[:m, :n] + np.conj(c[m:, n:])),
+                        0.5 * (c[:m, n:] - np.conj(c[m:, :n])))
 
 
 def symplectic_residual(c: np.ndarray) -> float:
@@ -321,14 +354,14 @@ def random_qmat(m: int, n: int, rng) -> QMatrix:
 
 def hstack_q(mats) -> QMatrix:
     """Concatenate quaternion matrices left to right."""
-    return QMatrix(np.hstack([a.q1 for a in mats]),
-                   np.hstack([a.q2 for a in mats]))
+    return QMatrix._own(np.hstack([a.q1 for a in mats]),
+                        np.hstack([a.q2 for a in mats]))
 
 
 def vstack_q(mats) -> QMatrix:
     """Concatenate quaternion matrices top to bottom."""
-    return QMatrix(np.vstack([a.q1 for a in mats]),
-                   np.vstack([a.q2 for a in mats]))
+    return QMatrix._own(np.vstack([a.q1 for a in mats]),
+                        np.vstack([a.q2 for a in mats]))
 
 
 # -- .qmat text format -------------------------------------------------------

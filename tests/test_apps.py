@@ -631,6 +631,15 @@ def test_lorenz_refuses_non_finite_parameters(kwargs):
         lorenz_simulate(**{"T": 1.0, "dt": 0.1, **kwargs})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "rho"])
+def test_lorenz_refuses_non_finite_model_parameters(name, value):
+    # these once ran every RK4 step and then blamed the step: "RK4 diverged
+    # at dt=0.1: take a smaller step"
+    with pytest.raises(ValueError, match=f"must be finite, got {name}="):
+        lorenz_simulate(T=1.0, dt=0.1, **{name: value})
+
+
 def test_lorenz_rejects_a_diverging_step():
     with pytest.raises(ValueError, match="RK4 diverged"):
         lorenz_simulate(T=200.0, dt=0.5)

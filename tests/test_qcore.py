@@ -11,14 +11,17 @@ from quatinv.qcore import (
     crep_mul,
     fro_norm,
     from_crep,
+    hstack_q,
     mat_mul,
     random_qmat,
     read_qmat,
     symmetrize_crep,
     symplectic_residual,
     to_crep,
+    vstack_q,
     write_qmat,
 )
+from quatinv.qcore import _quaternion_part
 
 ONE, I, J, K = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 PRODUCTS = (mat_mul, crep_mul)
@@ -199,6 +202,68 @@ def test_crep_round_trip_bitwise():
     back = from_crep(to_crep(a))
     np.testing.assert_array_equal(back.q1, a.q1)
     np.testing.assert_array_equal(back.q2, a.q2)
+
+
+def signed_zeros():
+    # every sign pattern of a complex zero, in both components
+    z = np.array([[0.0 + 0.0j, -0.0 + 0.0j], [0.0 - 0.0j, -0.0 - 0.0j]])
+    return QMatrix(z, z[::-1])
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "signed_zero", "empty"])
+def test_to_crep_is_the_block_matrix_byte_for_byte(case):
+    a = {"random": lambda: random_qmat(4, 3, np.random.default_rng(13)),
+         "zero": lambda: QMatrix.zeros(3, 5),
+         "signed_zero": signed_zeros,
+         "empty": lambda: QMatrix.zeros(0, 2)}[case]()
+    want = np.block([[a.q1, a.q2], [-np.conj(a.q2), np.conj(a.q1)]])
+    got = to_crep(a)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_constructor_copies_caller_arrays():
+    rng = np.random.default_rng(14)
+    q1, q2 = rng.random((3, 4)) + 0j, rng.random((3, 4)) + 0j
+    a = QMatrix(q1, q2)
+    before = (a.q1.copy(), a.q2.copy())
+    q1[:] = 7.0
+    q2[:] = -7.0
+    np.testing.assert_array_equal(a.q1, before[0])
+    np.testing.assert_array_equal(a.q2, before[1])
+    # from_crep reads views of its argument, which stays the caller's
+    c = to_crep(random_qmat(2, 3, rng)).copy()
+    b = from_crep(c)
+    want = (b.q1.copy(), b.q2.copy())
+    c[:] = 0.0
+    np.testing.assert_array_equal(b.q1, want[0])
+    np.testing.assert_array_equal(b.q2, want[1])
+
+
+def test_owned_results_are_read_only_and_c_contiguous():
+    # the module's arithmetic takes over its fresh results without a copy;
+    # every result, owned or copied, is read-only
+    rng = np.random.default_rng(15)
+    a, b = random_qmat(4, 3, rng), random_qmat(4, 3, rng)
+    c = random_qmat(3, 5, rng)
+    owned = {"mat_mul": mat_mul(a, c), "add": a + b, "sub": a - b,
+             "neg": -a, "scale": a * 2.5, "rscale": 0.5 * a,
+             "project": _quaternion_part(to_crep(a)),
+             "symmetrize": from_crep(symmetrize_crep(to_crep(a))),
+             "hstack": hstack_q([a, b]), "vstack": vstack_q([a, b])}
+    copied = {"crep_mul": crep_mul(a, c), "conj_transpose": conj_transpose(a),
+              "from_crep": from_crep(to_crep(a)),
+              "project_real": _quaternion_part(np.eye(4))}
+    for name, x in {**owned, **copied}.items():
+        for comp in (x.q1, x.q2):
+            assert comp.dtype == np.complex128, name
+            assert not comp.flags.writeable, name
+            with pytest.raises(ValueError):
+                comp[0, 0] = 1.0
+            if name in owned:
+                assert comp.flags.c_contiguous and comp.flags.owndata, name
+    assert not np.shares_memory(copied["from_crep"].q1, to_crep(a))
 
 
 def test_from_crep_rejects_non_symplectic():
