@@ -66,6 +66,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .factor import (
     _one_inverse_from,
     _require_finite,
@@ -302,7 +304,13 @@ def _w_inverse(a, w, route):
         raise ValueError(
             f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
     fact = full_rank_decompose(w, route=route)
-    x, w_rank = _urquhart(a, fact.f, fact.g, route, need_inverse=True)
+    f, g = fact.f, fact.g
+    if fact.r == w.ncols:  # G = I and F = W, passed as None when I
+        g = None
+        if w.nrows == w.ncols and not w.q2.any() and np.array_equal(
+                w.q1, np.eye(w.nrows)):
+            f = None
+    x, w_rank = _urquhart(a, f, g, route, need_inverse=True)
     return x, w_rank, fact.r
 
 

@@ -532,9 +532,9 @@ def reflector_taus(monkeypatch):
     calls = []
     inner = factor._wy_product
 
-    def spy(y1, y2, tau):
+    def spy(y, tau):
         calls.append(tau.copy())
-        return inner(y1, y2, tau)
+        return inner(y, tau)
 
     monkeypatch.setattr(factor, "_wy_product", spy)
     return calls
@@ -636,20 +636,6 @@ def test_frd_rank_of_uniform_rank_40_product(route, seed):
     assert fro_norm(mat_mul(fact.f, fact.g) - w) <= 1e-12 * fro_norm(w)
 
 
-def test_frd_direct_never_forms_the_complex_representation(monkeypatch):
-    import quatinv.factor
-    import quatinv.qcore
-
-    def refuse(a):
-        raise AssertionError("to_crep called on the direct route")
-    monkeypatch.setattr(quatinv.factor, "to_crep", refuse)
-    monkeypatch.setattr(quatinv.qcore, "to_crep", refuse)
-    a = rand_rank_deficient(7, 9, 4, np.random.default_rng(59))
-    fact = full_rank_decompose(a, route="direct")
-    assert fact.r == 4
-    assert qallclose(mat_mul(fact.f, fact.g), a, 1e-13)
-
-
 def test_direct_solve_pivots_only_among_w_columns():
     # W's first column is small and B's columns are large: B never supplies
     # a pivot, so the small column is eliminated first all the same
@@ -745,6 +731,182 @@ def test_frd_factor_spaces_match_input():
     fact = full_rank_decompose(a)
     assert rank(hstack_q([fact.f, a])) == 3
     assert rank(vstack_q([fact.g, a])) == 3
+
+
+# ------------------------------------------- the downdated pivot rule
+#
+# Both pivoted QRs downdate their squared column norms by each new row of R
+# and compute one again only when it falls below sqrt(eps) times its last
+# exact value.  The reference below computes every residual norm afresh at
+# every step, on A^C with numpy: the residual of A's column j after the
+# pivot columns is that of column j of A^C after the pivot columns and their
+# partners n + j.
+
+
+def reference_pivots(a):
+    """(perm, r) of the column-pivoted QR that recomputes every norm."""
+    m, n = a.shape
+    c = to_crep(a)
+    perm = np.arange(n)
+    r, stop = 0, 0.0
+    for k in range(min(m, n)):
+        piv = perm[:k]
+        q = np.linalg.qr(c[:, np.r_[piv, n + piv]])[0] if k else (
+            np.zeros((2 * m, 0)))
+        rest = c[:, perm[k:]]
+        for _ in range(2):
+            rest = rest - q @ (q.conj().T @ rest)
+        nrm = np.linalg.norm(rest, axis=0)
+        i = int(np.argmax(nrm))
+        if k == 0:
+            stop = max(m, n) * EPS * nrm[i]
+        if nrm[i] <= stop:
+            break
+        perm[[k, k + i]] = perm[[k + i, k]]
+        r = k + 1
+    return perm, r
+
+
+def kahan(n, rng, c=0.6, tau=1e-2):
+    """U K D for Kahan's K = diag(s^i) (I - c N), N the strictly upper
+    ones, s = sqrt(1 - c^2), with column j scaled by 1 - tau j.  Every
+    column of K has norm 1 - tau j and every residual after k steps is
+    s^k (1 - tau j), so pivoting keeps the columns in order.  U is unitary
+    and D a diagonal of unit quaternions, which change no residual.  The
+    squared norms shrink by s^2 = 0.64 per step, so downdating cancels and
+    the recomputation fires after 41 steps.  The leading columns of K grow
+    ill-conditioned fast (the residuals of any QR carry a relative error
+    near 3e-4 by step 43), so n stays small and tau large."""
+    s = np.sqrt(1.0 - c * c)
+    k = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    k = k * (1.0 - tau * np.arange(n))
+    d = random_qmat(1, n, rng)
+    nd = np.sqrt(np.abs(d.q1) ** 2 + np.abs(d.q2) ** 2)
+    kd = QMatrix(k * (d.q1 / nd), k * (d.q2 / nd))
+    return mat_mul(rand_unitary(n, rng), kd)
+
+
+def graded_columns(m, n, kappa, rng):
+    """A random m-by-n with its columns scaled from 1 down to 1/kappa, in
+    shuffled order."""
+    a = random_qmat(m, n, rng)
+    s = np.logspace(0, -np.log10(kappa), n)[rng.permutation(n)]
+    return QMatrix(a.q1 * s, a.q2 * s)
+
+
+def near_duplicates(m, n, rng):
+    """A random m-by-n whose last three columns repeat three others up to a
+    perturbation of 1e-9."""
+    a = random_qmat(m, n, rng)
+    q1, q2 = a.q1.copy(), a.q2.copy()
+    for dup, src in zip(range(n - 3, n), (0, 3, 5)):
+        q1[:, dup] = q1[:, src] + 1e-9 * rng.standard_normal(m)
+        q2[:, dup] = q2[:, src] + 1e-9 * rng.standard_normal(m)
+    return QMatrix(q1, q2)
+
+
+PIVOT_FAMILIES = {
+    "rank-deficient": lambda rng: rand_rank_deficient(30, 24, 11, rng),
+    "rank-deficient-wide": lambda rng: rand_rank_deficient(40, 60, 20, rng),
+    "graded-1e6": lambda rng: graded_columns(30, 20, 1e6, rng),
+    "graded-1e12": lambda rng: graded_columns(30, 20, 1e12, rng),
+    "kahan": lambda rng: kahan(43, rng),
+    "near-duplicates": lambda rng: near_duplicates(20, 12, rng),
+}
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("family", sorted(PIVOT_FAMILIES))
+def test_downdated_pivots_match_a_qr_that_recomputes_every_norm(family,
+                                                                 route):
+    import quatinv.factor as factor
+
+    qr = factor._qr_direct if route == "direct" else factor._qr_crep
+    for seed in range(3):
+        a = PIVOT_FAMILIES[family](np.random.default_rng(400 + seed))
+        perm, r = qr(a)[:2]
+        want_perm, want_r = reference_pivots(a)
+        assert r == want_r
+        np.testing.assert_array_equal(perm, want_perm)
+        assert full_rank_decompose(a, route=route).r == want_r
+    if family == "kahan":
+        np.testing.assert_array_equal(perm, np.arange(43))
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_norms_are_computed_again_only_at_the_start_and_when_stale(
+        route, monkeypatch):
+    # every full pass over the trailing column norms goes through
+    # factor._sq_norms: once at the start over all n columns, and again
+    # only for the columns the safeguard finds stale
+    import quatinv.factor as factor
+
+    passes = []
+    inner = factor._sq_norms
+
+    def spy(x1, x2):
+        passes.append(x1.shape[1])
+        return inner(x1, x2)
+    monkeypatch.setattr(factor, "_sq_norms", spy)
+    qr = factor._qr_direct if route == "direct" else factor._qr_crep
+    rng = np.random.default_rng(410)
+    for m, n in [(40, 40), (60, 30), (30, 45)]:
+        passes.clear()
+        assert qr(random_qmat(m, n, rng))[1] == min(m, n)
+        assert passes == [n]
+    # Kahan's squared norms fall below sqrt(eps) of their start after 41
+    # steps: the 2 columns left are computed again, once
+    passes.clear()
+    assert qr(kahan(43, rng))[1] == 43
+    assert passes == [43, 2]
+
+
+# ------------------------------------------------ the direct kernels
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("n, nrhs", [(_LU_BLOCK - 1, 3), (_LU_BLOCK, 3),
+                                     (_LU_BLOCK + 1, 3), (2 * _LU_BLOCK - 1, 3),
+                                     (2 * _LU_BLOCK, 3), (2 * _LU_BLOCK + 1, 3),
+                                     (128, 128)])
+def test_direct_solve_backward_error(n, nrhs, kappa):
+    # ||W X - B|| <= c n eps ||W|| ||X|| for a W of condition kappa, on
+    # both sides of each panel edge and at 128 x 128 with 128 right-hand
+    # sides.  The residual is formed with numpy on the complex
+    # representation; the largest c measured over these cases was 0.023
+    rng = np.random.default_rng(int(np.log10(kappa)) * 1000 + n)
+    w = with_spectrum(n, n, np.logspace(0, -np.log10(kappa), n), rng)
+    b = random_qmat(n, nrhs, rng)
+    x = _solve_direct(w, b)
+    resid = np.linalg.norm(to_crep(w) @ to_crep(x) - to_crep(b))
+    bound = 0.1 * n * EPS * np.linalg.norm(to_crep(w)) * np.linalg.norm(
+        to_crep(x))
+    assert resid <= bound
+
+
+def test_direct_kernels_never_form_the_complex_representation(monkeypatch):
+    # the pair array holds both components side by side, which looks like a
+    # representation: no direct kernel may reach for A^C or its product
+    import quatinv.factor as factor
+    import quatinv.qcore as qcore
+
+    def refuse(*args):
+        raise AssertionError("the direct route formed a complex representation")
+    for mod, name in [(factor, "to_crep"), (qcore, "to_crep"),
+                      (qcore, "crep_mul")]:
+        monkeypatch.setattr(mod, name, refuse)
+    rng = np.random.default_rng(59)
+    a = rand_rank_deficient(7, 9, 4, rng)
+    fact = full_rank_decompose(a, route="direct")
+    assert fact.r == 4
+    assert qallclose(mat_mul(fact.f, fact.g), a, 1e-13)
+    for shape in [(9, 6), (6, 9)]:
+        b = random_qmat(*shape, rng)
+        for full in (True, False):
+            res = qsvd(b, method="direct", full=full)
+            assert qallclose(res.reconstruct(), b, 1e-13)
+    w, rhs = random_qmat(20, 20, rng), random_qmat(20, 2, rng)
+    assert qallclose(mat_mul(w, _solve(w, rhs, "direct")), rhs, 1e-12)
 
 
 # ----------------------------------------------------------- {1}-inverse

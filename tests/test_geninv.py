@@ -1416,6 +1416,26 @@ def test_index_walk_multiplies_no_identity(route, monkeypatch):
     assert calls and no_identity_operand(calls)
 
 
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_w_inverses_multiply_no_identity(route, monkeypatch):
+    # the factors of W are G = I when W has full column rank and F = I when
+    # W is I, and neither is multiplied in.  An invertible A prescribes
+    # W = A^0 = I, so its Drazin and group inverses are one solve with A and
+    # no product; pinv by "frd" of a wide A of full row rank factors W = A*
+    # with G = I
+    rng = np.random.default_rng(70)
+    a, wide = random_qmat(5, 5, rng), random_qmat(4, 7, rng)
+    inv, want = np.linalg.inv(crep(a)), crep(pinv(wide))
+    calls = product_spy(monkeypatch)
+    for fn in (drazin, group_inverse):
+        x = fn(a, route=route)
+        assert calls == []
+        assert rel_gap(crep(x), inv) <= 100 * np.linalg.cond(crep(a)) * EPS
+    x = pinv(wide, method="frd", route=route)
+    assert calls and no_identity_operand(calls)
+    assert rel_gap(crep(x), want) <= 1e-12
+
+
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9)], ids=str)
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_defining_residuals_match_a_crep_oracle(shape, route):

@@ -241,17 +241,48 @@ def test_constructor_copies_caller_arrays():
     np.testing.assert_array_equal(b.q2, want[1])
 
 
-def test_owned_results_are_read_only_and_c_contiguous():
-    # the module's arithmetic takes over its fresh results without a copy;
-    # every result, owned or copied, is read-only
+def test_owned_results_are_read_only_and_c_contiguous(monkeypatch):
+    # the module's arithmetic, and factor's, take over their fresh results
+    # without a copy; every result, owned or copied, is read-only
+    import quatinv.factor as factor
+    import quatinv.qcore as qcore
+
     rng = np.random.default_rng(15)
     a, b = random_qmat(4, 3, rng), random_qmat(4, 3, rng)
     c = random_qmat(3, 5, rng)
+    w = random_qmat(4, 4, rng)
+    low = mat_mul(random_qmat(6, 2, rng), random_qmat(2, 5, rng))
     owned = {"mat_mul": mat_mul(a, c), "add": a + b, "sub": a - b,
              "neg": -a, "scale": a * 2.5, "rscale": 0.5 * a,
              "project": _quaternion_part(to_crep(a)),
              "symmetrize": from_crep(symmetrize_crep(to_crep(a))),
              "hstack": hstack_q([a, b]), "vstack": vstack_q([a, b])}
+    for route in ("direct", "crep"):
+        owned[f"solve-{route}"] = factor._solve(w, a, route)
+        qr = factor._qr_direct if route == "direct" else factor._qr_crep
+        owned[f"qr-{route}"] = qr(low)[2]
+        owned[f"frd-g-{route}"] = factor.full_rank_decompose(low, route).g
+    res = factor.qsvd(a, method="direct")
+    owned["qsvd-u"], owned["qsvd-v"] = res.u, res.v
+    # V Sigma^-1, the first operand of the route's product
+    operands = []
+
+    def capture(route):
+        def mul(x, y):
+            operands.append(x)
+            return mat_mul(x, y)
+        return mul
+    monkeypatch.setattr(factor, "_route_mul", capture)
+    factor.one_inverse(low, method="direct")
+    owned["v-over-sigma"] = operands[0]
+    # the direct solve and QR read their result off the pair array into
+    # fresh arrays and make no second copy
+    def refuse(x):
+        raise AssertionError("a fresh result was copied")
+    monkeypatch.setattr(qcore, "_as_complex", refuse)
+    factor._solve(w, a, "direct")
+    factor._qr_direct(low)
+    monkeypatch.undo()
     copied = {"crep_mul": crep_mul(a, c), "conj_transpose": conj_transpose(a),
               "from_crep": from_crep(to_crep(a)),
               "project_real": _quaternion_part(np.eye(4))}
