@@ -42,7 +42,8 @@ SVD alone; the full one serves only callers that want unitary factors.
 Each route has one square solve, ``_solve(w, b, route)``: W^-1 B for a W
 whose full rank is already decided, from one LU with partial pivoting.  The
 Urquhart core of :mod:`quatinv.geninv` and ``pinv_solve`` both call it.  On
-direct it is a blocked LU of [W | B] on the pair array, which ends in the
+direct it is the LU of [W | B] on the pair array in LAPACK's unblocked
+xGETF2 form, one column and one rank-1 update at a time, which ends in the
 same upper-triangular back substitution as the direct QR of
 ``full_rank_decompose``; on crep it is LAPACK's LU of W^C with B^C, whose
 solution is read through the symplectic projection.
@@ -332,9 +333,10 @@ def _outer(x, y):
 
 def _mul(a, b):
     # the pair product A B = A1 B + A2 (j B) of a (k, r) and an (r, l) pair
-    # array, as two complex GEMMs on A's components.  One GEMM of A's
-    # (k, 2 r) view with B expanded mixes the A1 and the A2 terms in one
-    # sum, and that cost the lorenz solve 0.13 digits
+    # array, as two complex GEMMs on A's components (only _wy_product runs
+    # it).  One GEMM of A's (k, 2 r) view with B expanded mixes the A1 and
+    # the A2 terms in one sum, which cost a blocked LU of the lorenz system
+    # 0.13 digits
     k, r = a.shape[:2]
     l = b.shape[1]
     out = np.ascontiguousarray(a[..., 0]) @ b.reshape(r, 2 * l)
@@ -632,52 +634,38 @@ def _qr_direct(a: QMatrix):
     return perm, r, _from_pair(_back_substitute(b, r))
 
 
-# the panel width of the blocked LU; 16 measured fastest on 128-by-128
-# solves with one BLAS thread
-_LU_BLOCK = 16
-
-
 def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
     """W^{-1} B for a square W of full rank, by the LU of [W | B] with
     partial pivoting on rows, on one pair array.
 
-    Blocked and right-looking, as LAPACK's xGETRF is.  Step k takes as pivot
-    p the row of largest |w_ik| in column k of W, swaps rows, and stores the
-    multipliers l = w_ik p^-1 (right division by the pivot) in place; inside
-    a panel of _LU_BLOCK columns it updates only the panel, by one rank-1
-    pair product.  A row interchange moves the whole row right of the
-    earlier panels.  After each panel, U12 = L11^-1 A12 by forward
-    substitution, and A22 -= L21 U12 is one pair product: one trailing GEMM
-    per panel.  B's columns ride along to L^-1 P B,
-    so the back substitution with U gives W^-1 B with no permutation to
-    undo.  B never supplies a pivot, and W's columns alone set the scale.
+    Right-looking and one column at a time, as LAPACK's xGETF2 is.  Step k
+    takes as pivot p the row of largest |w_ik| in column k of W, swaps rows,
+    stores the multipliers l = w_ik p^-1 (right division by the pivot) in
+    place, and updates the trailing rows of [W | B] by one rank-1 pair
+    product.  B's columns ride along to L^-1 P B, so the back substitution
+    with U gives W^-1 B with no permutation to undo.  B never supplies a
+    pivot: W alone sets the scale, and B is scaled by the same power of two.
     The growth of partial pivoting is the same risk the crep route's LU of
     W^C (xGETRF) already carries.  Raises ``np.linalg.LinAlgError`` if a
     pivot column is exactly zero.
     """
     n = w.ncols
-    a = _pair(_scale_to_safe(hstack_q([w, b]), n)[0])
-    for j0 in range(0, n, _LU_BLOCK):
-        j1 = min(j0 + _LU_BLOCK, n)
-        q = a[j0:, j0:]  # the rows and columns not yet eliminated, a view
-        for c in range(j1 - j0):
-            mag = np.abs(q[c:, c]) ** 2
-            mag = mag[:, 0] + mag[:, 1]
-            j = int(np.argmax(mag))
-            if mag[j] == 0.0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            if j:
-                # the L of earlier panels is not read again: it stays put
-                q[[c, c + j]] = q[[c + j, c]]
-            # l = x p^-1 is x @ [p^-1; j p^-1], built from Python scalars
-            p1, p2 = complex(q[c, c, 0]), complex(q[c, c, 1])
-            inv = np.array([[p1.conjugate(), -p2], [p2.conjugate(), p1]])
-            q[c + 1:, c] = q[c + 1:, c] @ (inv / (abs(p1) ** 2 + abs(p2) ** 2))
-            q[c + 1:, c + 1:j1 - j0] -= _outer(q[c + 1:, c],
-                                               q[c, c + 1:j1 - j0])
-        for k in range(j0, j1 - 1):
-            a[k + 1:j1, j1:] -= _outer(a[k + 1:j1, k], a[k, j1:])
-        a[j1:, j1:] -= _mul(a[j1:, j0:j1], a[j0:j1, j1:])
+    w, k = _scale_to_safe(w)
+    a = _pair(hstack_q([w, b * math.ldexp(1.0, k) if k else b]))
+    for c in range(n):
+        q = a[c:, c:]  # the rows and columns not yet eliminated, a view
+        mag = np.abs(q[:, 0]) ** 2
+        mag = mag[:, 0] + mag[:, 1]
+        j = int(np.argmax(mag))
+        if mag[j] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        # the multipliers left of column c are not read again and stay put
+        q[[0, j]] = q[[j, 0]]
+        # l = x p^-1 is x @ [p^-1; j p^-1], built from Python scalars
+        p1, p2 = complex(q[0, 0, 0]), complex(q[0, 0, 1])
+        inv = np.array([[p1.conjugate(), -p2], [p2.conjugate(), p1]])
+        q[1:, 0] = q[1:, 0] @ (inv / (abs(p1) ** 2 + abs(p2) ** 2))
+        q[1:, 1:] -= _outer(q[1:, 0], q[0, 1:])
     return _from_pair(_back_substitute(a, n))
 
 

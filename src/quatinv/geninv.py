@@ -66,8 +66,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .factor import (
     _one_inverse_from,
     _require_finite,
@@ -299,19 +297,21 @@ _SINGULAR = ("prescribed-space inverse does not exist: "
 
 def _w_inverse(a, w, route):
     # (X, rank(GAF), r) of X = F (G A F)^-1 G for the full rank
-    # decomposition W = F G of rank r; X is None when G A F is singular
-    if w.shape != (a.ncols, a.nrows):
-        raise ValueError(
-            f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
-    fact = full_rank_decompose(w, route=route)
-    f, g = fact.f, fact.g
-    if fact.r == w.ncols:  # G = I and F = W, passed as None when I
-        g = None
-        if w.nrows == w.ncols and not w.q2.any() and np.array_equal(
-                w.q1, np.eye(w.nrows)):
-            f = None
+    # decomposition W = F G of rank r; X is None when G A F is singular.
+    # W None is the identity of a square A: F = G = I go to the core as
+    # None and r = n, with nothing factored.  G = I when W has full column
+    # rank, and goes as None too
+    f = g = None
+    r = a.ncols
+    if w is not None:
+        if w.shape != (a.ncols, a.nrows):
+            raise ValueError(
+                f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
+        fact = full_rank_decompose(w, route=route)
+        f, r = fact.f, fact.r
+        g = fact.g if r < w.ncols else None
     x, w_rank = _urquhart(a, f, g, route, need_inverse=True)
-    return x, w_rank, fact.r
+    return x, w_rank, r
 
 
 def _w_report(a, side, route, x, w_rank, r, penrose=False):
@@ -445,8 +445,9 @@ def _spectral(a: QMatrix, route, group: bool = False):
     # (k, P, X) for square A: k = Ind(A) from one walk that ranks each of
     # A^1, ..., A^{k+1} once, rescaled to unit Frobenius norm (central, so
     # ranks and spaces stay); P = A^k so rescaled, I for k = 0; X the outer
-    # inverse with W = P (the Drazin inverse), None when route is None.
-    # The powers are the route's products (direct ones when route is None).
+    # inverse with W = P (the Drazin inverse), None when route is None; for
+    # k = 0 W goes to _w_inverse as None, so I is never factored.  The
+    # powers are the route's products (direct ones when route is None).
     # With group, Ind(A) > 1 raises before X is built
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
@@ -469,7 +470,7 @@ def _spectral(a: QMatrix, route, group: bool = False):
             f"group inverse does not exist: Ind(A) = {k} > 1")
     if route is None:
         return k, p, None
-    x, w_rank, r = _w_inverse(a, p, route)
+    x, w_rank, r = _w_inverse(a, p if k else None, route)
     if x is None:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(_SINGULAR.format(w_rank, r))
     return k, p, x

@@ -248,14 +248,12 @@ def fro_norm(a: QMatrix) -> float:
     return math.sqrt(total)
 
 
-def _scale_to_safe(a: QMatrix, ncols: int | None = None):
+def _scale_to_safe(a: QMatrix):
     """(A 2^k, k), as xGESVD scales its input: k = 0 when the largest
-    component magnitude of A's first ncols columns (all by default) is 0 or
-    in the safe range, else the exact power of two that brings it to
-    [1/2, 1)."""
+    component magnitude of A is 0 or in the safe range, else the exact
+    power of two that brings it to [1/2, 1)."""
     big = max(float(np.abs(t).max(initial=0.0))
-              for c in (a.q1[:, :ncols], a.q2[:, :ncols])
-              for t in (c.real, c.imag))
+              for c in (a.q1, a.q2) for t in (c.real, c.imag))
     if big == 0.0 or _SAFE_MIN <= big <= _SAFE_MAX:
         return a, 0
     # a subnormal big is brought only to 2^1023 big, still inside the range

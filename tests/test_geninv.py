@@ -661,8 +661,8 @@ def test_square_solve_matches_the_crep_oracle(route):
 @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
 def test_square_solve_error_grows_with_kappa_times_eps(kappa):
     # unitary S and T keep kappa(W) = kappa(A); both routes and their gap
-    # stay within c kappa eps all the way to kappa = 1e10.  k = 8 is less
-    # than one panel of the direct LU, and k = 40 runs three
+    # stay within c kappa eps all the way to kappa = 1e10, at k = 8 and
+    # k = 40, two orders the benchmark's direct solves reach
     from test_factor import rand_unitary
 
     rng = np.random.default_rng(int(np.log10(kappa)))
@@ -1420,19 +1420,26 @@ def test_index_walk_multiplies_no_identity(route, monkeypatch):
 def test_w_inverses_multiply_no_identity(route, monkeypatch):
     # the factors of W are G = I when W has full column rank and F = I when
     # W is I, and neither is multiplied in.  An invertible A prescribes
-    # W = A^0 = I, so its Drazin and group inverses are one solve with A and
-    # no product; pinv by "frd" of a wide A of full row rank factors W = A*
-    # with G = I
+    # W = A^0 = I, so its Drazin and group inverses are one solve with A,
+    # with no product and no factorization of I; pinv by "frd" of a wide A
+    # of full row rank factors W = A* with G = I
     rng = np.random.default_rng(70)
     a, wide = random_qmat(5, 5, rng), random_qmat(4, 7, rng)
     inv, want = np.linalg.inv(crep(a)), crep(pinv(wide))
     calls = product_spy(monkeypatch)
+    factored = []
+
+    def frd_spy(w, route="direct"):
+        factored.append(w)
+        return full_rank_decompose(w, route=route)
+    monkeypatch.setattr(geninv, "full_rank_decompose", frd_spy)
     for fn in (drazin, group_inverse):
         x = fn(a, route=route)
-        assert calls == []
+        assert calls == [] and factored == []
         assert rel_gap(crep(x), inv) <= 100 * np.linalg.cond(crep(a)) * EPS
     x = pinv(wide, method="frd", route=route)
     assert calls and no_identity_operand(calls)
+    assert len(factored) == 1
     assert rel_gap(crep(x), want) <= 1e-12
 
 
