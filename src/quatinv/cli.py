@@ -170,6 +170,8 @@ def _cmd_spectral(args, group: bool) -> int:
         summary = (f"residuals one={res['one']:.3e} "
                    f"commute={res['commute']:.3e}")
     else:
+        if pow_k is None:  # A^0 = I
+            pow_k = QMatrix.eye(a.nrows)
         res["power"] = fro_norm(mat_mul(a, mat_mul(pow_k, x)) - pow_k)
         summary = (f"index {k}, residuals outer={res['outer']:.3e} "
                    f"commute={res['commute']:.3e} power={res['power']:.3e}")

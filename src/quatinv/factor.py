@@ -25,6 +25,14 @@ Two computational routes are kept genuinely separate throughout:
   misses by largest residual, with the residual norms downdated pick by
   pick; the pivoted QR applies each reflector to paired rows of A^C).
 
+``rank`` counts the singular values of A^C above max(m, n)·eps·sigma_1.
+A square A is first tested for full rank with no SVD: one Cholesky
+factorization of (A^C)* A^C - tau I, with tau = (4n + 5)·eps·||A^C||_F^2
+(the rounding bounds of the Gram product and of the factorization) plus the
+threshold's square, on A scaled by a power of two into the safe range.  If
+it runs to the end, sigma_min lies far above the threshold and the rank is
+n; if not, and for every rectangular A, the singular values decide.
+
 Both pivoted QRs share one pivot rule.  The squared quaternion column
 norms are computed once and downdated by each new row of R; a norm is
 computed again only when it falls below sqrt(eps) times its last exact
@@ -100,13 +108,59 @@ def _crep_rank(s: np.ndarray, m: int, n: int) -> int:
     return int(np.count_nonzero(sig > _rank_threshold(sig[0], m, n)))
 
 
+def _gram_proves_full_rank(c: np.ndarray) -> bool:
+    # True only if the square A whose A^C is c (order k = 2n, A in the safe
+    # range) has rank n under the SVD rule; False proves nothing.  G = C* C
+    # is the representation of A* A, so one GEMM of its top block row
+    # [P, Q], n-by-k times k-by-k, fixes it.  With u = eps / 2 and the
+    # complex forms of the bounds, for complex multiply-adds taken as units
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # §3.6: sqrt(2) gamma_(j+2) for gamma_j),
+    # ||fl(G) - G||_2 <= sqrt(2) gamma_(k+2) ||C||_F^2, and a Cholesky
+    # factorization of fl(G) - tau I that runs to the end gives R* R =
+    # fl(G) - tau I + E with ||E||_2 <= sqrt(2) gamma_(k+3) ||R||_F^2 (ibid.,
+    # Thm 10.3), ||R||_F^2 being ||C||_F^2 (1 + O(k u)).  R* R is
+    # semidefinite, so sigma_min(C)^2 >= tau - sqrt(2) (2k + 5) u ||C||_F^2
+    # (1 + O(k u)).  tau is (2k + 5) eps ||C||_F^2, sqrt(2) times that
+    # rounding, plus the rule's threshold squared, (n eps sigma_1)^2 <=
+    # (n eps)^2 ||C||_F^2 / 2: success leaves sigma_min above the threshold
+    # by a multiple of sqrt(k eps) sigma_1, far beyond the SVD's own rounding
+    n = c.shape[0] // 2
+    g = np.empty_like(c)
+    top = np.matmul(np.conj(c[:, :n]).T, c, out=g[:n])
+    np.negative(np.conj(top[:, n:]), out=g[n:, :n])
+    np.conj(top[:, :n], out=g[n:, n:])
+    fro2 = np.trace(g).real  # ||C||_F^2
+    g.flat[::2 * n + 1] -= ((4 * n + 5) * _EPS + 0.5 * (n * _EPS) ** 2) * fro2
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def rank(a: QMatrix) -> int:
-    """Numerical rank of a quaternion matrix: half the rank of A^C."""
+    """Numerical rank of a quaternion matrix: half the rank of A^C.
+
+    The rank is the number of singular values above max(m, n)·ε·σ_1.  A
+    square A is first tested for full rank by one Cholesky factorization of
+    (A^C)*A^C − τI, with τ = (4n + 5)·ε·‖A^C‖_F² plus the threshold's square
+    bound, which covers the rounding of the Gram product and of the
+    factorization: success proves σ_min well above the threshold, so the
+    rank is n with no SVD.  The test runs on A scaled by a power of two into
+    the safe range.  Any other input, and a square one that fails the test,
+    takes the singular values of A^C.
+    """
     _require_finite(a, "rank")
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    return _crep_rank(np.linalg.svd(to_crep(a), compute_uv=False), m, n)
+    c = to_crep(a)  # the SVD rule reads the caller's A^C, never a scaled one
+    if m == n:
+        safe, k = _scale_to_safe(a)
+        if _gram_proves_full_rank(to_crep(safe) if k else c):
+            return n
+    return _crep_rank(np.linalg.svd(c, compute_uv=False), m, n)
 
 
 # =========================================================== quaternion SVD
@@ -634,9 +688,10 @@ def _qr_direct(a: QMatrix):
     return perm, r, _from_pair(_back_substitute(b, r))
 
 
-def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
+def _solve_direct(w: QMatrix, b: QMatrix | None) -> QMatrix:
     """W^{-1} B for a square W of full rank, by the LU of [W | B] with
-    partial pivoting on rows, on one pair array.
+    partial pivoting on rows, on one pair array (B None is the identity,
+    written straight into it).
 
     Right-looking and one column at a time, as LAPACK's xGETF2 is.  Step k
     takes as pivot p the row of largest |w_ik| in column k of W, swaps rows,
@@ -651,7 +706,12 @@ def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
     """
     n = w.ncols
     w, k = _scale_to_safe(w)
-    a = _pair(hstack_q([w, b * math.ldexp(1.0, k) if k else b]))
+    if b is None:
+        a = np.zeros((n, 2 * n, 2), dtype=complex)
+        a[:, :n, 0], a[:, :n, 1] = w.q1, w.q2
+        np.fill_diagonal(a[:, n:, 0], math.ldexp(1.0, k))
+    else:
+        a = _pair(hstack_q([w, b * math.ldexp(1.0, k) if k else b]))
     for c in range(n):
         q = a[c:, c:]  # the rows and columns not yet eliminated, a view
         mag = np.abs(q[:, 0]) ** 2
@@ -669,14 +729,16 @@ def _solve_direct(w: QMatrix, b: QMatrix) -> QMatrix:
     return _from_pair(_back_substitute(a, n))
 
 
-def _solve(w: QMatrix, b: QMatrix, route: str) -> QMatrix:
+def _solve(w: QMatrix, b: QMatrix | None, route: str) -> QMatrix:
     # W^-1 B for a square W of full rank, from one LU with partial pivoting
-    # in the route's own arithmetic.  On crep the solution of W^C Y = B^C is
-    # symplectic only to rounding, and it is read once, through the
-    # projection of qcore._quaternion_part
+    # in the route's own arithmetic; B None is the identity, so W^-1 itself
+    # is solved for with no QMatrix.eye.  On crep the solution of
+    # W^C Y = B^C is symplectic only to rounding, and it is read once,
+    # through the projection of qcore._quaternion_part
     if route == "direct":
         return _solve_direct(w, b)
-    return _quaternion_part(np.linalg.solve(to_crep(w), to_crep(b)))
+    rhs = np.eye(2 * w.nrows, dtype=complex) if b is None else to_crep(b)
+    return _quaternion_part(np.linalg.solve(to_crep(w), rhs))
 
 
 def _qr_crep(a: QMatrix):

@@ -202,8 +202,7 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
             f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
     w_rank = rank(w)
     if w.nrows == w.ncols == w_rank:
-        t_rhs = QMatrix.eye(w.nrows) if t is None else t
-        return prod(s, _solve(w, t_rhs, route)), w_rank
+        return prod(s, _solve(w, t, route)), w_rank
     if need_inverse:
         return None, w_rank
     sv = qsvd(w, method=route, full=False)
@@ -444,16 +443,17 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
 def _spectral(a: QMatrix, route, group: bool = False):
     # (k, P, X) for square A: k = Ind(A) from one walk that ranks each of
     # A^1, ..., A^{k+1} once, rescaled to unit Frobenius norm (central, so
-    # ranks and spaces stay); P = A^k so rescaled, I for k = 0; X the outer
-    # inverse with W = P (the Drazin inverse), None when route is None; for
-    # k = 0 W goes to _w_inverse as None, so I is never factored.  The
-    # powers are the route's products (direct ones when route is None).
-    # With group, Ind(A) > 1 raises before X is built
+    # ranks and spaces stay); P = A^k so rescaled, None for k = 0 (the
+    # identity, never built); X the outer inverse with W = P (the Drazin
+    # inverse), None when route is None; for k = 0 W goes to _w_inverse as
+    # None, so I is never factored.  The powers are the route's products
+    # (direct ones when route is None).  With group, Ind(A) > 1 raises
+    # before X is built
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
     mm = _route_mul(route or "direct")
     b = a * (1.0 / max(1.0, fro_norm(a)))
-    p, p_rank = QMatrix.eye(a.nrows), a.nrows
+    p, p_rank = None, a.nrows
     for k in range(a.nrows + 1):
         nxt = mm(p, b) if k else b  # A^1 = b, not I b
         nrm = fro_norm(nxt)
@@ -470,7 +470,7 @@ def _spectral(a: QMatrix, route, group: bool = False):
             f"group inverse does not exist: Ind(A) = {k} > 1")
     if route is None:
         return k, p, None
-    x, w_rank, r = _w_inverse(a, p if k else None, route)
+    x, w_rank, r = _w_inverse(a, p, route)
     if x is None:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(_SINGULAR.format(w_rank, r))
     return k, p, x

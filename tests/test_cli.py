@@ -346,6 +346,33 @@ def test_huge_input_decomposes_on_both_routes(command, tmp_path, capsys):
     assert ranks == {"direct": 2, "crep": 2}
 
 
+TINY = HUGE.replace("1e300", "1e-300")
+
+
+@pytest.mark.parametrize("text", [HUGE, TINY], ids=["1e300", "1e-300"])
+def test_rank_of_extreme_square_input(text, tmp_path, capsys):
+    # the full-rank test forms a Gram matrix, whose entries square A's; it
+    # runs on A scaled by a power of two, so under the CLI's errstate
+    # neither overflow nor underflow stops it
+    path = tmp_path / "a.qmat"
+    path.write_text(text)
+    rpt = tmp_path / "r.json"
+    assert main(["rank", "--in", str(path), "--json", str(rpt)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_json(rpt)["rank"] == 2
+
+
+def test_drazin_of_an_invertible_input_reports_index_zero(tmp_path):
+    # A^0 = I is built for the power residual alone
+    path = tmp_path / "a.qmat"
+    write_qmat(path, random_qmat(4, 4, np.random.default_rng(8)))
+    rpt = tmp_path / "r.json"
+    assert main(["drazin", "--in", str(path), "--json", str(rpt)]) == 0
+    report = load_json(rpt)
+    assert report["index"] == 0
+    assert report["residuals"]["power"] <= 1e-12
+
+
 @pytest.mark.parametrize("argv", [
     ["pinv"], ["pinv", "--method", "frd"], ["drazin"], ["group"],
 ], ids=" ".join)

@@ -4,6 +4,7 @@ import pytest
 from quatinv.factor import (
     FullRankFactorization,
     _bidiagonalize,
+    _crep_rank,
     _pairs,
     _solve,
     _solve_direct,
@@ -73,6 +74,82 @@ def test_rank_of_products():
 
 def test_rank_empty():
     assert rank(QMatrix.zeros(0, 3)) == 0
+
+
+def svd_rule_rank(a):
+    # the reference: the SVD rule on the caller's own A^C
+    m, n = a.shape
+    return _crep_rank(np.linalg.svd(to_crep(a), compute_uv=False), m, n)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    inner = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+RANK_ORDERS = (1, 2, 3, 4, 5, 7, 10, 16, 24, 40, 64, 91)
+RANK_SCALES = (1.0, 1e150, 1e-150, 1e300, 1e-300)
+
+
+@pytest.mark.parametrize("n", RANK_ORDERS)
+def test_square_rank_equals_the_svd_rule(n, svd_calls):
+    # a square A of full rank is proved so by one Cholesky of its shifted
+    # Gram matrix; the test must never claim full rank where the SVD rule
+    # does not, at any condition (through 1/(n eps), the threshold itself)
+    # or scale, and it must spare the SVD of every A with kappa <= 1e6
+    rng = np.random.default_rng(n)
+    kappas = [10.0 ** e for e in range(17)]
+    kappas += [f / (n * EPS) for f in (0.99, 1.01)]
+    spared = 0
+    for kappa in kappas:
+        base = with_spectrum(n, n, np.geomspace(1.0, 1.0 / kappa, n), rng)
+        for scale in RANK_SCALES:
+            a = base * scale
+            want = svd_rule_rank(a)
+            svd_calls.clear()
+            assert rank(a) == want, (kappa, scale)
+            assert len(svd_calls) <= 1
+            if want < n:
+                assert len(svd_calls) == 1
+            if kappa <= 1e6:
+                assert svd_calls == [], (kappa, scale)
+            spared += not svd_calls
+    assert spared >= 7 * len(RANK_SCALES)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_exactly_singular_squares_fail_the_full_rank_test(n, svd_calls):
+    # U diag(1, ..., 1, 0) V* has rank n - 1 to rounding; an unshifted Gram
+    # matrix of it can still pass a Cholesky factorization, so the shift
+    # must cover that rounding
+    sigma = np.ones(n)
+    sigma[-1] = 0.0
+    for seed in range(20):
+        a = with_spectrum(n, n, sigma, np.random.default_rng(seed))
+        svd_calls.clear()
+        assert rank(a) == n - 1, seed
+        assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("a", [
+    QMatrix.zeros(5, 5),
+    rand_rank_deficient(6, 6, 4, np.random.default_rng(1)),
+    random_qmat(7, 4, np.random.default_rng(2)),
+    random_qmat(3, 8, np.random.default_rng(3)),
+], ids=["zero", "singular", "tall", "wide"])
+def test_rank_of_a_rectangular_or_singular_input_runs_one_svd(a, svd_calls):
+    want = svd_rule_rank(a)
+    svd_calls.clear()
+    assert rank(a) == want
+    assert svd_calls == [(2 * a.nrows, 2 * a.ncols)]
 
 
 # ------------------------------------------------------------------- qsvd

@@ -1402,6 +1402,22 @@ def test_pinv_forms_only_the_route_product(case, route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
+def test_drazin_of_an_invertible_a_builds_no_identity(route, monkeypatch):
+    # W = A^0 = I is passed as None, and the core solves for A^-1 with the
+    # identity written straight into the solve, so no QMatrix.eye is built
+    a = random_qmat(5, 5, np.random.default_rng(69))
+    want = pinv(a, route=route)
+    built = []
+    eye = QMatrix.eye
+    monkeypatch.setattr(QMatrix, "eye",
+                        classmethod(lambda cls, n: built.append(n) or eye(n)))
+    for x in (drazin(a, route=route), group_inverse(a, route=route)):
+        assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
+    assert geninv._spectral(a, route)[:2] == (0, None)
+    assert built == []
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
 def test_index_walk_multiplies_no_identity(route, monkeypatch):
     # the walk starts from A^1 = A scaled, not from I A
     rng = np.random.default_rng(68)
