@@ -31,13 +31,18 @@ factorization of (A^C)* A^C - tau I, with tau = (4n + 5)·eps·||A^C||_F^2
 (the rounding bounds of the Gram product and of the factorization) plus the
 threshold's square, on A scaled by a power of two into the safe range.  If
 it runs to the end, sigma_min lies far above the threshold and the rank is
-n; if not, and for every rectangular A, the singular values decide.
+n; if not, and for every rectangular A, ``_svd_rank`` decides from the
+singular values.  It takes them of the tall orientation, a wide A^C copied
+to its conjugate transpose, which is (A*)^C bit for bit: rank(A*) and
+rank(A) are the same number.  A caller that already knows A is singular
+(the index walk, past A itself) calls ``_svd_rank`` directly.
 
 Both pivoted QRs share one pivot rule.  The squared quaternion column
 norms are computed once and downdated by each new row of R; a norm is
 computed again only when it falls below sqrt(eps) times its last exact
 value (LAPACK's xLAQP2 test).  The stop test reads the exact norm of the
-chosen pivot column, so the rank rule of ``full_rank_decompose`` holds.
+chosen pivot column, so the rank rule of ``full_rank_decompose`` holds, and
+the step's reflector takes that same norm rather than computing it again.
 
 ``qsvd`` has a full mode (unitary U and V) and a compact one (only the r
 pairs above the rank cut); both decide r by the same rule.  On crep the
@@ -139,6 +144,19 @@ def _gram_proves_full_rank(c: np.ndarray) -> bool:
     return True
 
 
+def _svd_rank(a: QMatrix, c: np.ndarray | None = None) -> int:
+    # the SVD rule on the singular values of A^C (c, when the caller has it)
+    # for a finite nonempty A, with no full-rank test first.  They are taken
+    # of the tall orientation: a wide A^C is copied to its conjugate
+    # transpose, which is (A*)^C bit for bit, so rank(A*) = rank(A)
+    m, n = a.shape
+    if c is None:
+        c = to_crep(a)
+    if m < n:
+        c = np.conj(c.T)
+    return _crep_rank(np.linalg.svd(c, compute_uv=False), m, n)
+
+
 def rank(a: QMatrix) -> int:
     """Numerical rank of a quaternion matrix: half the rank of A^C.
 
@@ -149,7 +167,8 @@ def rank(a: QMatrix) -> int:
     factorization: success proves σ_min well above the threshold, so the
     rank is n with no SVD.  The test runs on A scaled by a power of two into
     the safe range.  Any other input, and a square one that fails the test,
-    takes the singular values of A^C.
+    takes the singular values of A^C, of the tall orientation: a wide A is
+    ranked from (A*)^C, so rank(A*) = rank(A) for every A.
     """
     _require_finite(a, "rank")
     m, n = a.shape
@@ -160,7 +179,7 @@ def rank(a: QMatrix) -> int:
         safe, k = _scale_to_safe(a)
         if _gram_proves_full_rank(to_crep(safe) if k else c):
             return n
-    return _crep_rank(np.linalg.svd(c, compute_uv=False), m, n)
+    return _svd_rank(a, c)
 
 
 # =========================================================== quaternion SVD
@@ -398,16 +417,18 @@ def _mul(a, b):
     return out.reshape(k, l, 2)
 
 
-def _reflector(x):
+def _reflector(x, beta=None):
     """Householder data (v, tau) with (I - tau v v*) x = -mu*beta*e1, for a
     quaternion column x held as a (k, 2) pair array.
 
     mu = x_1/|x_1| (1 if x_1 = 0) and beta = ||x||, so the reflected vector's
-    leading entry has the magnitude of x and the rest vanish.  v is a (k, 2)
-    pair array, and tau = 2/||v||^2 = 1/(beta (beta + |x_1|)) is real.
+    leading entry has the magnitude of x and the rest vanish; a caller that
+    has just computed ||x|| passes it as beta.  v is a (k, 2) pair array,
+    and tau = 2/||v||^2 = 1/(beta (beta + |x_1|)) is real.
     """
-    beta = math.sqrt(np.vdot(x[:, 0], x[:, 0]).real
-                     + np.vdot(x[:, 1], x[:, 1]).real)
+    if beta is None:
+        beta = math.sqrt(np.vdot(x[:, 0], x[:, 0]).real
+                         + np.vdot(x[:, 1], x[:, 1]).real)
     if beta == 0.0:
         return None
     habs = math.sqrt(abs(complex(x[0, 0])) ** 2 + abs(complex(x[0, 1])) ** 2)
@@ -628,11 +649,12 @@ def _pivoted_qr(m, n, block, step):
     """The pivot and stop rule of both pivoted QRs: (perm, r).
 
     block(k) returns the pair (x1, x2) of rows k: and columns k: as they
-    stand, and step(k, j) swaps columns k and j and applies step k's
-    reflector.  The squared column norms are computed once and then
-    downdated by each new row of R (Quintana-Orti, Sun & Bischof, SIAM J.
-    Sci. Comput. 1998), with xLAQP2's recomputation of a stale one (Drmac &
-    Bujanovic, ACM TOMS 2008).  Step k pivots on the column of largest
+    stand, and step(k, j, beta) swaps columns k and j and applies step k's
+    reflector, built from the pivot column and its exact norm beta.  The
+    squared column norms are computed once and then downdated by each new
+    row of R (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998), with
+    xLAQP2's recomputation of a stale one (Drmac & Bujanovic, ACM TOMS
+    2008).  Step k pivots on the column of largest
     downdated norm and stops when that column's exact norm is at most
     max(m, n) eps times the first pivot's.
     """
@@ -654,7 +676,7 @@ def _pivoted_qr(m, n, block, step):
         if j > k:
             for arr in (perm, nrm, exact):
                 arr[[k, j]] = arr[[j, k]]
-        step(k, j)
+        step(k, j, big)
         r = k + 1
         if r < steps:  # the norms are read again
             x1, x2 = block(k)
@@ -680,9 +702,9 @@ def _qr_direct(a: QMatrix):
     m, n = a.shape
     b = _pair(_scale_to_safe(a)[0])
 
-    def step(k, j):
+    def step(k, j, beta):
         b[:, [k, j]] = b[:, [j, k]]
-        _reflect_rows(b[k:, k:], *_reflector(b[k:, k]))
+        _reflect_rows(b[k:, k:], *_reflector(b[k:, k], beta))
 
     perm, r = _pivoted_qr(m, n, lambda k: (b[k:, k:, 0], b[k:, k:, 1]), step)
     return perm, r, _from_pair(_back_substitute(b, r))
@@ -751,9 +773,9 @@ def _qr_crep(a: QMatrix):
     m, n = a.shape
     c = to_crep(_scale_to_safe(a)[0]).copy()
 
-    def step(k, j):
+    def step(k, j, beta):
         c[:, [k, j, n + k, n + j]] = c[:, [j, k, n + j, n + k]]
-        v, tau = _reflector(c[k:m, [k, n + k]])
+        v, tau = _reflector(c[k:m, [k, n + k]], beta)
         vb = np.conj(v[:, ::-1]) * [-1, 1]  # v^C = [v; vb]
         top, bot = c[k:m, k:], c[m + k:, k:]
         h = tau * (v.conj().T @ top + vb.conj().T @ bot)

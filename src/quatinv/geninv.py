@@ -19,10 +19,14 @@ X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
 A, which starts from A itself, finds the index k, ranking each power once,
-and prescribes W = A^k (W = I for an invertible A).  The core takes None
-for S or T as the identity and forms no product with it.  ``pinv`` (method
-"svd") is the core on S = T = I, passed as None, so W = A and the core's
-rule below acts on A itself: one LU of A for a square A of full rank, else
+and prescribes W = A^k (W = I for an invertible A).  The walk stops at the
+first power whose computed rank does not fall (exact ranks of powers never
+rise, computed ones can), and only A^1 takes ``rank``'s square full-rank
+test: every later power is singular once A^1 is, so it goes straight to the
+singular values.  The core takes None for S or T as the identity and forms
+no product with it.  ``pinv`` (method "svd") is the core on S = T = I,
+passed as None, so W = A and the core's rule below acts on A itself: one
+LU of A for a square A of full rank, else
 the {1}-inverse from A's compact SVD with Z = 0, which is A+ and costs the
 one product (V diag(1/sigma)) U*.  Its error therefore follows cond(A),
 where the composed A* (A*AA*)^(1) A* would cube it; that expression is
@@ -45,20 +49,22 @@ is checked on entry, and all five outer-inverse constructors (and both
 Moore-Penrose realizations) evaluate the expression through one private
 core, differing only in S and T, the free matrix z that picks the
 {1}-inverse of TAS, and whether a singular TAS means the inverse does not
-exist.  The core has one rule: when TAS is square and rank(TAS) equals its
-order, its only {1}-inverse is (TAS)^-1, and X = S solve(TAS, T) comes
-from one LU with partial pivoting in the route's own arithmetic (of
-(TAS)^C by LAPACK on crep, of [TAS | T] in quaternion pair arithmetic on
-direct), with no SVD of TAS.  That LU is ``factor._solve``, the one square
-solve of each route, and ``pinv_solve`` calls it too.  The rule covers the
-Moore-Penrose inverse of a square invertible A, every W-prescribed
-constructor (Drazin and group inverses included) and any outer inverse
-whose TAS is square and nonsingular; a rectangular or singular W = TAS
-takes its {1}-inverse W+ + Z - W+ W Z W W+ from its compact SVD, whose rank
-is the rank(TAS) reported (on a near tie it can differ from ``rank(TAS)``,
-which only decides whether the LU applies).  So this module factors nothing
-and forms no complex representation itself: it composes ``factor``'s
-kernels with the route's product.
+exist.  The core has one rule: when W = TAS is square and rank(W) equals
+its order, its only {1}-inverse is W^-1, and X = (S W^-1) T, with W^-1
+alone from one LU with partial pivoting in the route's own arithmetic (of
+W^C by LAPACK on crep, of [W | I] in quaternion pair arithmetic on
+direct), with no SVD of W.  T has at least rank(W) columns, so the LU
+carries W's order of right-hand sides, never T's width.  That LU is
+``factor._solve``, the one square solve of each route, and ``pinv_solve``
+calls it too.  The rule covers the Moore-Penrose inverse of a square
+invertible A, every W-prescribed constructor (Drazin and group inverses
+included) and any outer inverse whose TAS is square and nonsingular; a
+rectangular or singular W = TAS takes its {1}-inverse W+ + Z - W+ W Z W W+
+from its compact SVD, whose rank is the rank(TAS) reported (on a near tie
+it can differ from ``rank(TAS)``, which only decides whether the LU
+applies).  So this module factors nothing and forms no complex
+representation itself: it composes ``factor``'s kernels with the route's
+product.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from .factor import (
     _one_inverse_from,
     _require_finite,
     _solve,
+    _svd_rank,
     full_rank_decompose,
     qsvd,
     rank,
@@ -187,10 +194,12 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
     # and no product is formed with it.  z picks the {1}-inverse of W = TAS
     # as in one_inverse and must have W*'s shape.  rank(W) only picks the
     # square solve: a square W of full rank has one {1}-inverse, W^-1, so
-    # X = S (W^-1 T) by factor._solve, the LU pinv_solve also takes, and z
-    # is unused.  Any other W: with need_inverse X is None (the
-    # prescribed-space inverse does not exist), else X and the rank reported
-    # both come from one compact SVD of W
+    # X = (S W^-1) T, with W^-1 alone from factor._solve, the LU pinv_solve
+    # also takes, and z unused: T has at least rank(T) >= rank(W) columns,
+    # so W^-1 T would carry more right-hand sides through the LU.  Any other
+    # W: with need_inverse X is None (the prescribed-space inverse does not
+    # exist), else X and the rank reported both come from one compact SVD
+    # of W
     mm = _route_mul(route)
 
     def prod(p, q):  # P Q, where None is the identity
@@ -202,7 +211,7 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
             f"z has shape {z.shape}, expected {(w.ncols, w.nrows)}")
     w_rank = rank(w)
     if w.nrows == w.ncols == w_rank:
-        return prod(s, _solve(w, t, route)), w_rank
+        return prod(prod(s, _solve(w, None, route)), t), w_rank
     if need_inverse:
         return None, w_rank
     sv = qsvd(w, method=route, full=False)
@@ -443,28 +452,31 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
 def _spectral(a: QMatrix, route, group: bool = False):
     # (k, P, X) for square A: k = Ind(A) from one walk that ranks each of
     # A^1, ..., A^{k+1} once, rescaled to unit Frobenius norm (central, so
-    # ranks and spaces stay); P = A^k so rescaled, None for k = 0 (the
-    # identity, never built); X the outer inverse with W = P (the Drazin
-    # inverse), None when route is None; for k = 0 W goes to _w_inverse as
-    # None, so I is never factored.  The powers are the route's products
-    # (direct ones when route is None).  With group, Ind(A) > 1 raises
-    # before X is built
+    # ranks and spaces stay), and stops at the first power whose rank does
+    # not fall: exact ranks of powers never rise, but computed ones can.
+    # Only A^1 takes rank()'s full-rank test: once it fails, every later
+    # power is singular and goes straight to the SVD rule, _svd_rank.
+    # P = A^k so rescaled, None for k = 0 (the identity, never built); X the
+    # outer inverse with W = P (the Drazin inverse), None when route is
+    # None; for k = 0 W goes to _w_inverse as None, so I is never factored.
+    # The powers are the route's products (direct ones when route is None).
+    # With group, Ind(A) > 1 raises before X is built
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
     mm = _route_mul(route or "direct")
     b = a * (1.0 / max(1.0, fro_norm(a)))
     p, p_rank = None, a.nrows
+    # the rank falls at every step that does not break, so the loop breaks
+    # by k = n
     for k in range(a.nrows + 1):
         nxt = mm(p, b) if k else b  # A^1 = b, not I b
         nrm = fro_norm(nxt)
         if nrm > 0.0:
             nxt = nxt * (1.0 / nrm)
-        nxt_rank = rank(nxt)
-        if nxt_rank == p_rank:
+        nxt_rank = _svd_rank(nxt) if k else rank(nxt)
+        if nxt_rank >= p_rank:
             break
         p, p_rank = nxt, nxt_rank
-    else:
-        raise RuntimeError("rank sequence failed to stabilize")  # unreachable
     if group and k > 1:
         raise InverseExistenceError(
             f"group inverse does not exist: Ind(A) = {k} > 1")

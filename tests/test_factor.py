@@ -149,7 +149,21 @@ def test_rank_of_a_rectangular_or_singular_input_runs_one_svd(a, svd_calls):
     want = svd_rule_rank(a)
     svd_calls.clear()
     assert rank(a) == want
-    assert svd_calls == [(2 * a.nrows, 2 * a.ncols)]
+    # one SVD, of the tall orientation: (A*)^C for a wide A
+    m, n = a.shape
+    assert svd_calls == [(2 * max(m, n), 2 * min(m, n))]
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=str)
+def test_rank_of_a_conj_transpose_is_the_same_at_a_near_tie(shape):
+    # sigma_3 at the rank threshold times (1 +- 1%): rounding decides the
+    # rank there, and both orientations decide it from the same SVD
+    m, n = shape
+    for seed in range(20):
+        for f in (0.99, 1.01):
+            sigma = [1.0, 0.5, max(m, n) * EPS * f, 0.0, 0.0]
+            a = with_spectrum(m, n, sigma, np.random.default_rng(seed))
+            assert rank(conj_transpose(a)) == rank(a), (seed, f)
 
 
 # ------------------------------------------------------------------- qsvd

@@ -1161,15 +1161,17 @@ def test_classification_soundness():
 # pinv, drazin and group_inverse build no report: no rank(A), no residuals
 
 
-def rank_spy(monkeypatch):
+def rank_spy(monkeypatch, names=("rank",)):
+    # every matrix geninv ranks through the named functions, in call order
     ranked = []
-    inner = geninv.rank
+    for name in names:
+        inner = getattr(geninv, name)
 
-    def spy(x):
-        ranked.append(x)
-        return inner(x)
+        def spy(x, inner=inner):
+            ranked.append(x)
+            return inner(x)
 
-    monkeypatch.setattr(geninv, "rank", spy)
+        monkeypatch.setattr(geninv, name, spy)
     return ranked
 
 
@@ -1209,7 +1211,7 @@ def test_drazin_ranks_each_power_once_and_never_a(route, monkeypatch):
     # ||A|| > 1, so no normalized power can equal A
     a = block_diag_q(random_qmat(3, 3, rng) * 4.0, NILP)
     k = mat_index(a)
-    ranked = rank_spy(monkeypatch)
+    ranked = rank_spy(monkeypatch, ("rank", "_svd_rank"))
     x = drazin(a, route=route)
     # A^1, ..., A^{k+1}, then G A F of the frd of A^k (rank 3)
     assert k == 2 and len(ranked) == k + 2
@@ -1217,6 +1219,54 @@ def test_drazin_ranks_each_power_once_and_never_a(route, monkeypatch):
     assert not any(np.array_equal(r.q1, a.q1) and np.array_equal(r.q2, a.q2)
                    for r in ranked)
     assert all(v <= 1e-10 for v in drazin_residuals(a, x, k))
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_drazin_tests_only_a_and_gaf_for_full_rank(route, monkeypatch):
+    # every power past a singular A^1 is singular too, so the walk runs the
+    # full-rank test on A^1 alone, and the core on G A F
+    from quatinv import factor
+
+    rng = np.random.default_rng(62)
+    a = block_diag_q(random_qmat(3, 3, rng) * 4.0, NILP)
+    tested = []
+    inner = factor._gram_proves_full_rank
+
+    def spy(c):
+        tested.append(c.shape)
+        return inner(c)
+
+    monkeypatch.setattr(factor, "_gram_proves_full_rank", spy)
+    x = drazin(a, route=route)
+    assert tested == [(10, 10), (6, 6)]
+    assert all(v <= 1e-10 for v in drazin_residuals(a, x, 2))
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_square_core_solves_for_w_inverse_alone(route, monkeypatch):
+    # X = (S W^-1) T: with S or T given, the LU carries no right-hand side
+    # but the identity's, whatever T's width
+    rng = np.random.default_rng(64)
+    a = random_qmat(7, 5, rng)
+    solved = []
+    inner = geninv._solve
+
+    def spy(w, b, route):
+        solved.append(b)
+        return inner(w, b, route)
+
+    monkeypatch.setattr(geninv, "_solve", spy)
+    w = rand_rank_deficient(5, 7, 3, rng)
+    s1, t1 = random_qmat(5, 4, rng), random_qmat(4, 7, rng)
+    d = block_diag_q(random_qmat(3, 3, rng), NILP)
+    for run in (lambda: outer_w_right(a, w, route=route),
+                lambda: outer_w_left(a, w, route=route),
+                lambda: outer_right(a, s1, t1, route=route),
+                lambda: pinv_report(a, method="frd", route=route),
+                lambda: drazin(d, route=route)):
+        solved.clear()
+        run()
+        assert solved == [None]
 
 
 @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e7, 1e8])
