@@ -10,13 +10,13 @@ Two computational routes are kept genuinely separate throughout:
   (rows, cols, 2) complex "pair array", X1 and X2 side by side.  Since
   (s1 + s2 j) y = s1 y + s2 (j y), each quaternion rank-1 (LU) or rank-2
   (reflector) update is one complex product of its column(s) with the row
-  expanded to [y; j y], and one in-place subtraction; a product of blocks
-  is A1 B + A2 (j B), two complex GEMMs on the flattened pair arrays.  Only
-  rows are expanded: A^C is never formed.  The bidiagonalization loop
+  expanded to [y; j y], and one in-place subtraction; a row times a block
+  is A1 X + A2 (j X), two complex products on the flattened pair arrays.
+  Only rows are expanded: A^C is never formed.  The bidiagonalization loop
   applies only the reflectors; one scalar pass then finds the
-  unit-quaternion phases that make the bidiagonal real, and U and V are
-  the reflector products in compact-WY form, I - Y T Y*, times one
-  diagonal of phases.
+  unit-quaternion phases that make the bidiagonal real.  U and V are formed
+  only in the columns returned: the phases times the real SVD's factors,
+  with the stored reflectors applied to them, last first.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
   representation (one complex SVD / GEMM of doubled size, and no other
   factorization; a complex solution is read back once, as the quaternion
@@ -48,9 +48,10 @@ the step's reflector takes that same norm rather than computing it again.
 pairs above the rank cut); both decide r by the same rule.  On crep the
 compact SVD is LAPACK's thin SVD, whose top 2r right vectors are paired and
 mapped to the left side as C w / sigma, with no completion of the null
-cluster; on direct it is the full result sliced.  Every {1}-inverse,
-W+ + Z - W+ W Z W W+ for a free matrix Z of W*'s shape, takes the compact
-SVD alone; the full one serves only callers that want unitary factors.
+cluster; on direct the bidiagonalization's reflectors act on the r
+columns alone.  Every {1}-inverse, W+ + Z - W+ W Z W W+ for a free matrix
+Z of W*'s shape, takes the compact SVD alone; the full one serves only
+callers that want unitary factors.
 
 Each route has one square solve, ``_solve(w, b, route)``: W^-1 B for a W
 whose full rank is already decided, from one LU with partial pivoting.  The
@@ -222,8 +223,8 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
         values.  False: the compact SVD, only the r pairs above the rank cut:
         U (m, r), V (n, r) and sigma_1..r.  Both modes decide r by the same
         rule.  On crep the compact mode runs LAPACK's thin SVD and pairs only
-        the top 2r complex singular vectors; on direct it slices the full
-        result.
+        the top 2r complex singular vectors; on direct it applies the
+        bidiagonalization's reflectors to those r columns alone.
 
     Raises ``ValueError`` for an input with NaN or Inf entries, and
     ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK does not converge.
@@ -239,13 +240,7 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
                           QMatrix.zeros(n, 0), 0)
     if method == "crep":
         return _qsvd_crep(a, full)
-    res = _qsvd_direct(a)
-    if full:
-        return res
-    r = res.rank
-    return QSvdResult(QMatrix(res.u.q1[:, :r], res.u.q2[:, :r]),
-                      res.sigma[:r],
-                      QMatrix(res.v.q1[:, :r], res.v.q2[:, :r]), r)
+    return _qsvd_direct(a, full)
 
 
 def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
@@ -356,9 +351,11 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
 # one.  A quaternion s = s1 + s2 j times y is s1 y + s2 (j y), so a rank-1
 # (LU) or rank-2 (reflector) update is one complex product of the (k, 2)
 # column(s) with a row expanded to [y; j y] (_outer), and one in-place
-# subtraction.  A product of blocks is A1 B + A2 (j B), two complex GEMMs
-# on the flattened pair arrays (_mul).  Only rows are expanded; A^C is
-# never formed.
+# subtraction.  A row times a block is A1 X + A2 (j X), two complex
+# matrix-vector products on the flattened pair arrays (_back_substitute);
+# one product of the interleaved row with X expanded would mix the A1 and
+# the A2 terms in one sum, which cost a blocked LU of the lorenz system
+# 0.13 digits.  Only rows are expanded; A^C is never formed.
 
 
 def _pair(a: QMatrix) -> np.ndarray:
@@ -404,19 +401,6 @@ def _outer(x, y):
     return (x @ _expand(y)).reshape(x.shape[0], y.shape[0], 2)
 
 
-def _mul(a, b):
-    # the pair product A B = A1 B + A2 (j B) of a (k, r) and an (r, l) pair
-    # array, as two complex GEMMs on A's components (only _wy_product runs
-    # it).  One GEMM of A's (k, 2 r) view with B expanded mixes the A1 and
-    # the A2 terms in one sum, which cost a blocked LU of the lorenz system
-    # 0.13 digits
-    k, r = a.shape[:2]
-    l = b.shape[1]
-    out = np.ascontiguousarray(a[..., 0]) @ b.reshape(r, 2 * l)
-    out += np.ascontiguousarray(a[..., 1]) @ _jmul(b).reshape(r, 2 * l)
-    return out.reshape(k, l, 2)
-
-
 def _reflector(x, beta=None):
     """Householder data (v, tau) with (I - tau v v*) x = -mu*beta*e1, for a
     quaternion column x held as a (k, 2) pair array.
@@ -440,12 +424,6 @@ def _reflector(x, beta=None):
     return v, 1.0 / (beta * (beta + habs))
 
 
-def _inverse(p):
-    # the quaternion inverses conj(p) / |p|^2 of a (k, 2) pair array
-    n2 = np.abs(p[:, 0]) ** 2 + np.abs(p[:, 1]) ** 2
-    return _qconj(p) / n2[:, None]
-
-
 def _reflect_rows(b, v, tau):
     # B := (I - tau v v*) B in place on the pair view b, as B -= v w for
     # w = tau v* B = tau (t0 - j t1), where t0 = conj(v1)^T B and
@@ -466,45 +444,15 @@ def _reflect_rows(b, v, tau):
     b -= (v @ e.reshape(2, 2 * l)).reshape(k, l, 2)
 
 
-def _back_solve(u, b, d):
-    # X with x_k = d_k (b_k - u[k, k+1:r] x[k+1:]) for k = r-1, ..., 0: the
-    # solution of U X = B for an upper-triangular U, of which only the
-    # strictly upper part is read, given d = the inverses of its diagonal.
-    # The rows of X and of j X are kept as they are solved, so each row
-    # costs two matrix-vector products with the rows below, as in _mul, and
-    # one product of its expansion with d_k's
-    r, l = b.shape[:2]
-    u1, u2 = np.ascontiguousarray(u[..., 0]), np.ascontiguousarray(u[..., 1])
-    x = np.empty((r, 2 * l), dtype=complex)
-    jx = np.empty((r, 2 * l), dtype=complex)
-    ed = np.empty((r, 2, 2), dtype=complex)
-    ed[:, 0] = d
-    _jmul(d, out=ed[:, 1])
-    for k in reversed(range(r)):
-        z = u1[k, k + 1:] @ x[k + 1:]
-        z += u2[k, k + 1:] @ jx[k + 1:]
-        x[k], jx[k] = ed[k] @ _expand(b[k] - z.reshape(l, 2))
-    return x.reshape(r, l, 2)
-
-
-def _wy_product(y, tau):
-    """H_0 H_1 ... H_{k-1} with H_c = I - tau_c y_c y_c*, as I - Y T Y*, for
-    the reflectors as the columns of the (rows, k) pair array y.
-
-    The compact-WY factor T is upper triangular with inverse
-    S = diag(1/tau) + strictly-upper(Y*Y) (the derivation needs only
-    associativity and a real tau, so it holds for quaternions).  T Y* is
-    found by back substitution in S, one row per reflector, which is more
-    accurate than forming T by its column recurrence.  A skipped reflector
-    has tau_c = 0 and y_c = 0, and its row of T Y* is zero.
-    """
-    rows, k = y.shape[:2]
-    ys = _qconj(np.ascontiguousarray(y.transpose(1, 0, 2)))  # Y*
-    d = np.zeros((k, 2), dtype=complex)
-    d[:, 0] = tau
-    out = -_mul(y, _back_solve(_mul(ys, y), ys, d))
-    out[..., 0] += np.eye(rows)
-    return out
+def _apply_reflectors(y, tau, x):
+    # X := H_0 H_1 ... H_{k-1} X in place, for H_c = I - tau_c y_c y_c* with
+    # y_c the columns of the (rows, k) pair array y (zero above row c) and X
+    # a C-contiguous (rows, l, 2) pair array; a skipped reflector has
+    # tau_c = 0.  Applied last first, each acts on X's rows c: alone
+    # (Golub & Van Loan, Matrix Computations, 4th ed., 5.1.6)
+    for c in reversed(range(tau.size)):
+        if tau[c] != 0.0:
+            _reflect_rows(x[c:], y[c:, c], tau[c])
 
 
 def _unit_product(x1, x2, s1, s2):
@@ -513,14 +461,6 @@ def _unit_product(x1, x2, s1, s2):
     t1, t2 = x1 * s1 - x2 * s2.conjugate(), x1 * s2 + x2 * s1.conjugate()
     h = math.hypot(abs(t1), abs(t2))
     return (t1 / h, t2 / h) if h > 0.0 else (s1, s2)
-
-
-def _times_phases(p, s):
-    # the matrix P diag(s), for a pair array p and the (n, 2) pair array s
-    # of unit scalars, read into fresh C-contiguous components
-    x1, x2 = p[..., 0], p[..., 1]
-    s1, s2 = s[:, 0], s[:, 1]
-    return QMatrix._own(x1 * s1 - x2 * np.conj(s2), x1 * s2 + x2 * np.conj(s1))
 
 
 def _bidiagonalize(a: QMatrix):
@@ -536,8 +476,12 @@ def _bidiagonalize(a: QMatrix):
         q_0 = 1,  p_c = d_c q_c / |d_c|,  q_{c+1} = conj(e_c) p_c / |e_c|
 
     (p_c = q_c when d_c = 0 and q_{c+1} = p_c when e_c = 0: any unit phase
-    serves there).  U is the reflector product, accumulated once in
-    compact-WY form, times P; V likewise, times Q.
+    serves there).  Returns (yu, tau_u, pu), d, e, (yv, tau_v, pv): the left
+    reflectors as the columns of the (m, n) pair array yu with their taus,
+    and P's phases as the (m, 2) pair array pu (1 past row n), so that
+    U = H_0 ... H_{n-1} P; the right ones likewise, with V = H_0 ... H_{n-2} Q
+    (yv is (n, n - 1), its column c zero down to row c).  A skipped
+    reflector has tau = 0.
     """
     m, n = a.shape
     b = _pair(a)
@@ -582,29 +526,33 @@ def _bidiagonalize(a: QMatrix):
         if c + 1 < n:
             s = _unit_product(complex(sup[c, 0]).conjugate(),
                               -complex(sup[c, 1]), *s)
-    return (_times_phases(_wy_product(yu, tau_u), pu), d, e,
-            _times_phases(_wy_product(yv, tau_v), pv))
+    return (yu, tau_u, pu), d, e, (yv, tau_v, pv)
 
 
-def _qsvd_direct(a: QMatrix) -> QSvdResult:
+def _qsvd_direct(a: QMatrix, full: bool) -> QSvdResult:
     m, n = a.shape
     if m < n:
-        res = _qsvd_direct(conj_transpose(a))
+        res = _qsvd_direct(conj_transpose(a), full)
         return QSvdResult(res.v, res.sigma, res.u, res.rank)
     a, k = _scale_to_safe(a)
-    u0, d, e, v0 = _bidiagonalize(a)
+    (yu, tau_u, pu), d, e, (yv, tau_v, pv) = _bidiagonalize(a)
     # the bidiagonal is real: its SVD is plain real LAPACK work
     ur, sigma, vrt = np.linalg.svd(np.diag(d) + np.diag(e, 1))
-    # real rotations mix quaternion columns componentwise
-    u1 = u0.q1.copy()
-    u2 = u0.q2.copy()
-    u1[:, :n] = u0.q1[:, :n] @ ur
-    u2[:, :n] = u0.q2[:, :n] @ ur
-    v = QMatrix._own(v0.q1 @ vrt.T, v0.q2 @ vrt.T)
     r = int(np.count_nonzero(sigma > _rank_threshold(sigma[0], m, n)))
+    cu, cv = (m, n) if full else (r, r)
+    # U = H_U (P [ur 0; 0 I]) and V = H_V (Q vrt^T), in the columns returned
+    # only.  A diagonal of unit quaternions times a real matrix is entrywise;
+    # each start matrix must be C-contiguous, or _reflect_rows's reshape
+    # copies it on every reflector
+    ru = np.eye(m, cu)
+    ru[:n, :n] = ur[:, :cu]
+    u = pu[:, None] * ru[..., None]
+    v = pv[:, None] * np.ascontiguousarray(vrt[:cv].T)[..., None]
+    _apply_reflectors(yu, tau_u, u)
+    _apply_reflectors(yv, tau_v, v)
     if k:
         sigma = np.ldexp(sigma, -k)
-    return QSvdResult(QMatrix._own(u1, u2), sigma, v, r)
+    return QSvdResult(_from_pair(u), sigma[:cv], _from_pair(v), r)
 
 
 # ================================================= full rank decomposition
@@ -687,9 +635,26 @@ def _pivoted_qr(m, n, block, step):
 def _back_substitute(b, r):
     # R11^{-1} R12 as a pair array, for R11 = b[:r, :r] upper triangular
     # (nothing below its diagonal is read) and R12 = b[:r, r:], by back
-    # substitution with the pivots' quaternion inverses
-    idx = np.arange(r)
-    return _back_solve(b[:r, :r], b[:r, r:], _inverse(b[idx, idx]))
+    # substitution: x_k = d_k (r12_k - R11[k, k+1:] x[k+1:]) for
+    # k = r-1, ..., 0, with d_k = conj(p_k) / |p_k|^2 the quaternion inverse
+    # of the pivot p_k.  The rows of X and of j X are kept as they are
+    # solved, so each row costs two matrix-vector products with the rows
+    # below and one product of its expansion with d_k's
+    l = b.shape[1] - r
+    u1 = np.ascontiguousarray(b[:r, :r, 0])
+    u2 = np.ascontiguousarray(b[:r, :r, 1])
+    p = b[np.arange(r), np.arange(r)]
+    n2 = np.abs(p[:, 0]) ** 2 + np.abs(p[:, 1]) ** 2
+    x = np.empty((r, 2 * l), dtype=complex)
+    jx = np.empty((r, 2 * l), dtype=complex)
+    ed = np.empty((r, 2, 2), dtype=complex)
+    ed[:, 0] = _qconj(p) / n2[:, None]
+    _jmul(ed[:, 0], out=ed[:, 1])
+    for k in reversed(range(r)):
+        z = u1[k, k + 1:] @ x[k + 1:]
+        z += u2[k, k + 1:] @ jx[k + 1:]
+        x[k], jx[k] = ed[k] @ _expand(b[k, r:] - z.reshape(l, 2))
+    return x.reshape(r, l, 2)
 
 
 def _qr_direct(a: QMatrix):

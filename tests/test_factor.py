@@ -3,6 +3,7 @@ import pytest
 
 from quatinv.factor import (
     FullRankFactorization,
+    _apply_reflectors,
     _bidiagonalize,
     _crep_rank,
     _pairs,
@@ -614,31 +615,23 @@ SKIP_CASES = {
 }
 
 
-@pytest.fixture
-def reflector_taus(monkeypatch):
-    """Record the taus of every reflector product the direct route builds."""
-    import quatinv.factor as factor
-
-    calls = []
-    inner = factor._wy_product
-
-    def spy(y, tau):
-        calls.append(tau.copy())
-        return inner(y, tau)
-
-    monkeypatch.setattr(factor, "_wy_product", spy)
-    return calls
+def reflectors_times_phases(y, tau, p):
+    """H_0 ... H_{k-1} diag(p) as a QMatrix, from _bidiagonalize's data."""
+    x = p[:, None] * np.eye(p.shape[0])[..., None]
+    _apply_reflectors(y, tau, x)
+    return QMatrix(x[..., 0], x[..., 1])
 
 
 @pytest.mark.parametrize("case", sorted(SKIP_CASES))
-def test_bidiagonalize_skipped_reflectors_and_phases(case, reflector_taus):
+def test_bidiagonalize_skipped_reflectors_and_phases(case):
     make, (zero_u, zero_v) = SKIP_CASES[case]
     a = make(np.random.default_rng(31))
     if a.nrows < a.ncols:
         a = conj_transpose(a)  # the direct route bidiagonalizes A* then
     m, n = a.shape
-    u, d, e, v = _bidiagonalize(a)
-    tau_u, tau_v = reflector_taus
+    (yu, tau_u, pu), d, e, (yv, tau_v, pv) = _bidiagonalize(a)
+    u = reflectors_times_phases(yu, tau_u, pu)
+    v = reflectors_times_phases(yv, tau_v, pv)
     assert list(np.flatnonzero(tau_u == 0.0)) == zero_u
     assert list(np.flatnonzero(tau_v == 0.0)) == zero_v
     assert unitary_defect(u) <= 1e-13
@@ -666,6 +659,44 @@ def test_qsvd_skipped_reflectors_and_phases(method, case):
     b = mat_mul(mat_mul(conj_transpose(res.u), a), res.v)
     assert fro_norm(b - QMatrix.from_real(sig)) <= 1e-13 * scale
     assert fro_norm(res.reconstruct() - a) <= 1e-13 * scale
+
+
+REFLECTOR_INPUTS = {
+    "tall": lambda rng: random_qmat(9, 6, rng),
+    "wide": lambda rng: random_qmat(5, 8, rng),
+    "rank-deficient": lambda rng: rand_rank_deficient(8, 7, 3, rng),
+    "zero": lambda rng: QMatrix.zeros(6, 4),
+}
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("case", sorted(REFLECTOR_INPUTS))
+def test_direct_qsvd_applies_reflectors_to_the_columns_it_returns(
+        monkeypatch, case, full):
+    # the compact SVD forms r columns of U and V, never all m or n of them
+    # and then slices; every operand is C-contiguous, so _reflect_rows's
+    # reshape is a view and not a copy per reflector
+    import quatinv.factor as factor
+
+    a = REFLECTOR_INPUTS[case](np.random.default_rng(43))
+    shapes = []
+    inner = factor._apply_reflectors
+
+    def spy(y, tau, x):
+        assert x.flags.c_contiguous
+        shapes.append(x.shape)
+        return inner(y, tau, x)
+
+    monkeypatch.setattr(factor, "_apply_reflectors", spy)
+    res = qsvd(a, method="direct", full=full)
+    m, n = a.shape
+    tall = (max(m, n), min(m, n))  # the direct route factors A* when wide
+    cols = tall if full else (res.rank, res.rank)
+    assert shapes == [(tall[0], cols[0], 2), (tall[1], cols[1], 2)]
+    assert res.u.shape == (m, m if full else res.rank)
+    assert res.v.shape == (n, n if full else res.rank)
+    if case == "zero":
+        assert res.rank == 0
 
 
 # ------------------------------------------------- full rank decomposition
