@@ -12,11 +12,14 @@ pinv(A) = mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1))
 factor is invertible and its compact SVD when it is not (a box band that is
 singular at its size q), and the route's product applies them to B; the
 h x h A is never factored.  For an invertible A the error grows with
-kappa(A) = kappa(T0) kappa(T1), not with a power of it.  The blur itself is
-B = kron(mu T0, T1) X, applied the same way, so a ``deblur`` run does no
-h x h work: ``BlurOperator.a`` is formed only when something asks for it.
-Both Kronecker applies and the metrics work on a few columns or one plane
-at a time, so their transient arrays stay small.
+kappa(A) = kappa(T0) kappa(T1), not with a power of it.  The blur itself,
+B = mu kron(T0, T1) X, belongs to neither route: mu X is formed entrywise
+and the real T0 and T1 act on its real planes as real products (Hansen,
+Nagy & O'Leary, "Deblurring Images", SIAM, 2006, ch. 4), with no quaternion
+product.  So a ``deblur`` run does no h x h work: ``BlurOperator.a`` is
+formed only when something asks for it.  The restore's Kronecker apply and
+the metrics work on a few columns or one plane at a time, so their
+transient arrays stay small.
 
 A real-valued alternative stacks the three channels and solves the 3h x 3h
 skew block system; its matrix is rank deficient for this operator family, so
@@ -33,10 +36,10 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..qcore import QMatrix, _route_mul, mat_mul
+from ..qcore import QMatrix, _route_mul
 from ..factor import rank
 from ..geninv import pinv_solve
-from .ppm import ColorImage, image_to_qmat, qmat_to_image
+from .ppm import ColorImage, qmat_to_image
 
 __all__ = [
     "BlurOperator",
@@ -63,10 +66,12 @@ _SSIM_BLOCK = 32
 # mu = i - j/2 - k/2, the blur's quaternion scalar, as components (w, x, y, z)
 _MU = (0.0, 1.0, -0.5, -0.5)
 
-# columns of B per pass of a Kronecker apply.  On the 128 x 128 deblur with
-# one BLAS thread, 16 columns and all of B measured slower than 32, and 64
-# alike but paging on the crep route, whose product forms a 2p x 2(q n)
-# complex representation per pass of n columns (1 MB apiece for all of B)
+# columns of B per pass of the restore's Kronecker apply (the blur needs
+# no panels: its real products run on all of mu X at once).  On the
+# 128 x 128 deblur with one BLAS thread, 16 columns and all of B measured
+# slower than 32, and 64 alike but paging on the crep route, whose product
+# forms a 2p x 2(q n) complex representation per pass of n columns (1 MB
+# apiece for all of B)
 _PANEL = 32
 
 
@@ -74,10 +79,11 @@ _PANEL = 32
 class BlurOperator:
     """Banded Toeplitz-Kronecker blur A = mu*kron(T0, T1), mu = i - j/2 - k/2.
 
-    The operator is held as its two factors.  ``blur`` and
-    ``deblur_quaternion`` read only those; the h x h ``a`` is formed on
-    first access (``real_block_system`` and the general solve
-    ``pinv_solve(op.a, b, route)`` need it) and kept.
+    The operator is held as its two factors.  ``blur``,
+    ``deblur_quaternion`` and ``real_block_system`` read only those; the
+    h x h ``a`` is formed on first access and kept.  Only the general solve
+    ``pinv_solve(op.a, b, route)`` and checks against the dense product
+    still need it.
     """
 
     p: int
@@ -151,17 +157,43 @@ def build_blur(p: int, q: int, sigma: float, r: int, s: int) -> BlurOperator:
 def blur(op: BlurOperator, img: ColorImage) -> QMatrix:
     """B = A @ X for the purely imaginary embedding of the image.
 
-    A is applied as kron(mu T0, T1) by quaternion products with the p x p
-    mu T0 and the q x q T1 (``mat_mul``), a few columns of X at a time,
-    never as the h x h matrix.  B agrees with ``mat_mul(op.a, X)`` to
-    rounding.  B generally has a nonzero real part; keep all of it for
-    restoration.
+    A = mu kron(T0, T1) is applied in real arithmetic, never as the h x h
+    matrix and with no quaternion product.  mu X = C1 + C2 j is formed
+    entrywise from the three planes; then the real T0 acts along the p axis
+    and T1 along the q axis of C1 and C2, each viewed as a real array of
+    twice its width (a real matrix acts on each real plane alone).  mu goes
+    first, so its rounding is smoothed by the bands, as in the dense
+    product, rather than added after them, where the restore would amplify
+    it by kappa(A).  B agrees with ``mat_mul(op.a, X)`` to rounding.  B
+    generally has a nonzero real part; keep all of it for restoration.
     """
     if img.h != op.h:
         raise ValueError(
             f"image height {img.h} does not match operator size {op.h}")
-    return _kron_apply(mat_mul, _times_mu(op.t0_blur),
-                       QMatrix.from_real(op.t1_blur), image_to_qmat(img))
+    p, q = op.p, op.q
+    # mu X = C1 + C2 j entrywise, for mu = w + x i + y j + z k and
+    # X = R i + G j + B k: the real part is -(x R + y G + z B), and the
+    # vector part w (R, G, B) + (x, y, z) cross (R, G, B)
+    w, x, y, z = _MU
+    r, g, b = img.r, img.g, img.b
+    c1 = np.empty(r.shape, dtype=complex)
+    c2 = np.empty_like(c1)
+    c1.real = -(x * r + y * g + z * b)
+    c1.imag = w * r + y * b - z * g
+    c2.real = w * g + z * r - x * b
+    c2.imag = w * b + x * g - y * r
+    out = []
+    for c in (c1, c2):
+        # row (j, l) of c, j < p and l < q, is row j of c viewed as a
+        # p x (2 q n) real matrix for an image of width n, on which T0 acts;
+        # the result as a stack of p real q x 2n slices has l in their
+        # rows, on which T1 acts
+        t0c = op.t0_blur @ c.view(float).reshape(p, -1)
+        o = np.empty_like(c)
+        np.matmul(op.t1_blur, t0c.reshape(p, q, -1),
+                  out=o.view(float).reshape(p, q, -1))
+        out.append(o)
+    return QMatrix._own(*out)
 
 
 def deblur_quaternion(op: BlurOperator, b: QMatrix,
@@ -194,11 +226,12 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
 
 
 def _kron_apply(mul, left: QMatrix, right: QMatrix, b: QMatrix) -> QMatrix:
-    # kron(left, right) @ b for a p x p left and a real q x q right, by the
-    # product mul, _PANEL columns of b at a time.  Row (j, l) of a panel,
-    # j < p and l < q, is row j of the panel as a p x (q n) matrix, on which
-    # left acts; the result as a q x (p n) matrix has l in its rows, on which
-    # right acts (a real matrix commutes with the quaternion entries)
+    # kron(left, right) @ b for the restore, a p x p left and a real q x q
+    # right, by the route's product mul, _PANEL columns of b at a time.
+    # Row (j, l) of a panel, j < p and l < q, is row j of the panel as a
+    # p x (q n) matrix, on which left acts; the result as a q x (p n) matrix
+    # has l in its rows, on which right acts (a real matrix commutes with
+    # the quaternion entries)
     p, q, w = left.nrows, right.nrows, b.ncols
     out = [np.empty((p, q, w), dtype=complex) for _ in range(2)]
     for c in range(0, w, _PANEL):
@@ -222,10 +255,17 @@ def _factor_solve(op: BlurOperator, b: QMatrix, route: str) -> QMatrix:
 
 
 def real_block_system(op: BlurOperator) -> np.ndarray:
-    """The 3h x 3h real block matrix [[0,-A3,A2],[A3,0,-A1],[-A2,A1,0]]."""
-    a1 = op.a.q1.imag
-    a2 = op.a.q2.real
-    a3 = op.a.q2.imag
+    """The 3h x 3h real block matrix [[0,-A3,A2],[A3,0,-A1],[-A2,A1,0]].
+
+    A1 = kron(T0, T1) and A2 = A3 = -A1/2 come straight from the bands;
+    ``op.a`` is not formed.  Its components are exact scalings of
+    kron(T0, T1), so the matrix is bit for bit the one they give.
+    """
+    a1 = np.kron(op.t0_blur, op.t1_blur)
+    a2 = -0.5 * a1
+    # signed zeros as in op.a: its k part is +0 where A1 is 0, since its
+    # complex component adds -0.5 A1 to +0, and adding +0 turns -0 to +0
+    a3 = a2 + 0.0
     z = np.zeros_like(a1)
     return np.block([[z, -a3, a2], [a3, z, -a1], [-a2, a1, z]])
 

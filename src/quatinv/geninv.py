@@ -492,7 +492,12 @@ def mat_index(a: QMatrix) -> int:
     """Smallest k >= 0 with rank(A^{k+1}) = rank(A^k) (A square).
 
     Powers are renormalized by their Frobenius norm at every step; positive
-    real scaling is central, so ranks are unaffected.
+    real scaling is central, so ranks are unaffected.  The k returned is
+    the one the computed ranks give: on an ill-conditioned similarity input
+    A = P J P^-1 the walk by powers can misjudge a rank and return another
+    index, with no error raised (ROADMAP items 6-7; strict-xfail
+    reproducers in ``tests/test_exact_index.py``,
+    ``test_index_walk_outside_the_family``).
     """
     return _spectral(a, None)[0]
 
@@ -502,7 +507,13 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
 
     The W-construction only sees the spaces of A^k, which positive real
     rescaling leaves untouched, so normalized powers feed it directly.
-    Satisfies A^{k+1} X = A^k, XAX = X, AX = XA.
+    X satisfies A^{k+1} X = A^k, XAX = X and AX = XA when the walk by
+    powers judges the index and rank(A^k) right.  On an ill-conditioned
+    similarity input A = P J P^-1 it can misjudge them (ROADMAP items 6-7):
+    X then fails those equations and no error is raised.  The strict-xfail
+    reproducers are ``test_index_walk_outside_the_family`` in
+    ``tests/test_exact_index.py`` (seed 0 on crep and seed 18 on direct
+    return such an X).
     """
     _check_route(route)
     return _spectral(a, route)[2]
@@ -513,7 +524,10 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
 
     Invertible inputs (index 0) return the ordinary inverse, solved from
     W = A^0 = I; index >= 2 raises :class:`InverseExistenceError` since the
-    group inverse requires rank(A^2) = rank(A).
+    group inverse requires rank(A^2) = rank(A).  Like :func:`drazin`, it
+    trusts the walk by powers, which can misjudge the index on an
+    ill-conditioned similarity input (ROADMAP items 6-7): X then fails
+    A^2 X = A, XAX = X and AX = XA, and no error is raised.
     """
     _check_route(route)
     return _spectral(a, route, group=True)[2]

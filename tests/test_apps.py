@@ -187,18 +187,42 @@ def test_blur_zero_image_and_norm_bound():
 @pytest.mark.parametrize("width", [1, 31, 77, 128])
 @pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
 def test_blur_matches_the_dense_product(p, q, width):
-    # blur applies kron(mu T0, T1) by two small products, a panel of columns
-    # at a time (widths of one, several and a partial last panel), against
-    # the dense product with the h x h A.  Each product's rounding error is
-    # within a few h eps |A| |X| entrywise (Higham, Accuracy and Stability of
-    # Numerical Algorithms, ch. 3), and |A| = kron(|mu T0|, |T1|), so the
-    # gap stays within h eps ||A||_F ||X||_F; q = 16 is the singular box band
+    # blur applies mu entrywise, then T0 and T1 as real products (widths
+    # from one column to 128), against the dense product with the h x h A.
+    # Each product's rounding error is within a few h eps |A| |X| entrywise
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
+    # |A| = kron(|mu T0|, |T1|), so the gap stays within
+    # h eps ||A||_F ||X||_F; q = 16 is the singular box band
     truth = rand_image(p * q, width, seed=40 + width)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     x = image_to_qmat(truth)
     want = mat_mul(op.a, x)
     gap = fro_norm(blur(op, truth) - want)
     assert gap <= op.h * np.finfo(float).eps * fro_norm(op.a) * fro_norm(x)
+
+
+@pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
+def test_blur_runs_no_quaternion_product(p, q, monkeypatch):
+    # the blur is real bands acting on mu X: no product of either route and
+    # no Kronecker apply of the restore, and op.a stays unformed
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((qcore, "mat_mul"), (qcore, "crep_mul"),
+                         (deblur_mod, "_kron_apply")):
+        spy(module, name)
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    blur(op, rand_image(p * q, 128, seed=42))
+    assert calls == []
+    assert "a" not in vars(op)
 
 
 def test_deblur_never_forms_the_h_by_h_operator():
@@ -247,6 +271,19 @@ def test_real_block_system_is_singular_for_blur_family():
     op = build_blur(3, 3, sigma=3.0, r=2, s=2)
     ar = real_block_system(op)
     assert np.linalg.matrix_rank(ar) < ar.shape[0]
+
+
+def test_real_block_system_comes_from_the_bands():
+    # the restore builds the system from T0 and T1 without forming op.a,
+    # and it is bit for bit the one op.a's components give, signed zeros
+    # included
+    op = build_blur(4, 8, sigma=3.0, r=3, s=3)
+    real_block_restore(op, blur(op, rand_image(32, 6, seed=43)))
+    assert "a" not in vars(op)
+    a1, a2, a3 = op.a.q1.imag, op.a.q2.real, op.a.q2.imag
+    z = np.zeros_like(a1)
+    want = np.block([[z, -a3, a2], [a3, z, -a1], [-a2, a1, z]])
+    assert real_block_system(op).tobytes() == want.tobytes()
 
 
 def test_real_block_restore_zero_is_zero():
@@ -367,7 +404,6 @@ def test_deblur_crep_route_makes_no_pair_product(monkeypatch):
     def pair_product(x, y):
         raise AssertionError("pair product on the crep route")
 
-    monkeypatch.setattr(deblur_mod, "mat_mul", pair_product)
     monkeypatch.setattr(geninv, "mat_mul", pair_product)
     monkeypatch.setattr(qcore, "mat_mul", pair_product)
     got, m = deblur_quaternion(op, b, truth=truth, route="crep")

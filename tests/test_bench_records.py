@@ -29,3 +29,6 @@ def test_record_carries_its_provenance_and_a_known_claim(path):
         bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         assert claim["workload"] in {w["name"] for w in bench["workloads"]}
         assert claim["metric"] in {m["name"] for m in bench["end_to_end"]}
+        # and the record carries the numbers the claim rests on
+        assert claim["metric"] in \
+            record["end_to_end"][claim["workload"]]["metrics"]
