@@ -23,7 +23,8 @@ Two computational routes are kept genuinely separate throughout:
   matrix whose representation is its symplectic projection; one routine
   pairs the singular vectors of either side, picking the pairs its walk
   misses by largest residual, with the residual norms downdated pick by
-  pick; the pivoted QR applies each reflector to paired rows of A^C).
+  pick; the pivoted QR keeps only A^C's left block column, whose paired
+  rows each reflector updates, and reads the right one off it).
 
 ``rank`` counts the singular values of A^C above max(m, n)·eps·sigma_1.
 A square A is first tested for full rank with no SVD: one Cholesky
@@ -729,28 +730,43 @@ def _solve(w: QMatrix, b: QMatrix | None, route: str) -> QMatrix:
 
 
 def _qr_crep(a: QMatrix):
-    """The same pivoted QR on A^C, structure preserving: columns c and n+c
-    of A^C (one quaternion column) move together, and each reflector acts
-    on the paired rows as the rank-2 complex update I - tau v^C (v^C)*.
-    The quaternion column norms are read off the top block row [Q1, Q2].
-    X is read, through the symplectic projection, off a complex solve with
-    the 2r-by-2r R11^C."""
+    """The same pivoted QR on A^C, structure preserving.  Only A^C's left
+    block column L = [Q1; -conj Q2] (2m-by-n) is stored: the right one,
+    [Q2; conj Q1] = [-conj L_bot; conj L_top], is fixed by it, and every
+    reflector, the representation of a quaternion one, keeps that
+    structure.  Step k swaps columns k and j of L, builds the reflector
+    from the true pair (Q1, Q2) of column k, and applies it as the rank-2
+    complex update I - tau v^C (v^C)* to rows k: of L's two halves, in
+    columns k: only.  The column norms are read off L's halves as they
+    stand, since only moduli enter.  R's rows of R^C are read off L once,
+    after the loop, and X off a complex solve with the 2r-by-2r R11^C,
+    through the symplectic projection."""
     m, n = a.shape
-    c = to_crep(_scale_to_safe(a)[0]).copy()
+    a = _scale_to_safe(a)[0]
+    c = np.concatenate([a.q1, -np.conj(a.q2)])  # L = [Q1; -conj Q2]
 
     def step(k, j, beta):
-        c[:, [k, j, n + k, n + j]] = c[:, [j, k, n + j, n + k]]
-        v, tau = _reflector(c[k:m, [k, n + k]], beta)
-        vb = np.conj(v[:, ::-1]) * [-1, 1]  # v^C = [v; vb]
+        c[:, [k, j]] = c[:, [j, k]]
         top, bot = c[k:m, k:], c[m + k:, k:]
-        h = tau * (v.conj().T @ top + vb.conj().T @ bot)
+        x = np.empty((m - k, 2), dtype=complex)
+        x[:, 0] = top[:, 0]
+        np.negative(np.conj(bot[:, 0]), out=x[:, 1])  # Q2, not L_bot
+        v, tau = _reflector(x, beta)
+        # v^C = [v; vb] with vb = [-conj v2, conj v1], so vb* = [-v2^T; v1^T]
+        vbh = np.empty((2, m - k), dtype=complex)
+        np.negative(v[:, 1], out=vbh[0])
+        vbh[1] = v[:, 0]
+        h = np.conj(v.T) @ top
+        h += vbh @ bot
+        h *= tau
         top -= v @ h
-        bot -= vb @ h
+        bot -= np.conj(vbh.T) @ h
 
-    perm, r = _pivoted_qr(m, n, lambda k: (c[k:m, k:n], c[k:m, n + k:]), step)
-    rows = np.r_[:r, m:m + r]
-    x = np.linalg.solve(c[np.ix_(rows, np.r_[:r, n:n + r])],
-                        c[np.ix_(rows, np.r_[r:n, n + r:2 * n])])
+    perm, r = _pivoted_qr(m, n, lambda k: (c[k:m, k:], c[m + k:, k:]), step)
+    left = c[np.r_[:r, m:m + r]]  # R's rows of R^C: its left block column
+    right = _psi_partner(left, r)  # [R2; conj R1] = [-conj L_bot; conj L_top]
+    x = np.linalg.solve(np.hstack([left[:, :r], right[:, :r]]),
+                        np.hstack([left[:, r:], right[:, r:]]))
     return perm, r, _quaternion_part(x)
 
 
@@ -775,7 +791,8 @@ def full_rank_decompose(a: QMatrix,
     a : QMatrix
     route : {"direct", "crep"}
         Arithmetic realization of the QR: quaternion reflectors on the
-        pair array, or their complex representations on A^C.
+        pair array, or their complex representations on A^C's left block
+        column.
 
     Raises ``ValueError`` for an input with NaN or Inf entries.
     """

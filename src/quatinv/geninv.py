@@ -460,9 +460,12 @@ def _spectral(a: QMatrix, route, group: bool = False):
     # outer inverse with W = P (the Drazin inverse), None when route is
     # None; for k = 0 W goes to _w_inverse as None, so I is never factored.
     # The powers are the route's products (direct ones when route is None).
-    # With group, Ind(A) > 1 raises before X is built
+    # With group, Ind(A) > 1 raises before X is built.  A NaN or Inf is
+    # refused before the walk's normalization can meet it
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
+    _require_finite(a, "mat_index" if route is None
+                    else "group_inverse" if group else "drazin")
     mm = _route_mul(route or "direct")
     b = a * (1.0 / max(1.0, fro_norm(a)))
     p, p_rank = None, a.nrows

@@ -1022,6 +1022,33 @@ def test_stop_test_reads_the_exact_pivot_norm(route, monkeypatch):
     assert straddles  # the case exists on this route's arithmetic
 
 
+@pytest.mark.parametrize("m, n, r", [(8, 12, 4), (12, 8, 6), (6, 6, 4),
+                                     (5, 7, 0)],
+                         ids=["wide", "tall", "square", "zero"])
+def test_crep_qr_never_forms_a_representation_of_a(m, n, r, monkeypatch):
+    # the crep QR keeps A^C's left block column alone: no call to to_crep
+    # may receive A, or any matrix with A's n columns.  The shapes are the
+    # benchmark's W (wide) and Drazin power (square) at small size, a tall
+    # input, and a zero matrix, whose QR stops at r = 0
+    import quatinv.factor as factor
+
+    seen = []
+    inner = factor.to_crep
+
+    def spy(x):
+        seen.append(x)
+        return inner(x)
+    monkeypatch.setattr(factor, "to_crep", spy)
+    a = (rand_rank_deficient(m, n, r, np.random.default_rng(420 + m)) if r
+         else QMatrix.zeros(m, n))
+    assert factor._qr_crep(a)[1] == r
+    fact = full_rank_decompose(a, route="crep")
+    assert fact.r == r
+    assert not [x for x in seen if x is a or x.ncols == n]
+    if r:
+        assert qallclose(mat_mul(fact.f, fact.g), a, 1e-12)
+
+
 # ------------------------------------------------ the direct kernels
 
 

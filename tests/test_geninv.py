@@ -1037,6 +1037,30 @@ def test_drazin_requires_square():
         drazin(random_qmat(2, 3, rng))
 
 
+INDEX_WALKS = {
+    "mat_index": lambda a, route: mat_index(a),
+    "drazin": drazin,
+    "group_inverse": group_inverse,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_WALKS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_index_walk_refuses_non_finite_input_before_it_starts(name, bad,
+                                                              route):
+    # an Inf reaching the walk's normalization would emit a RuntimeWarning
+    # (an error under the suite's filters) before anything refused it
+    rng = np.random.default_rng(35)
+    a = random_qmat(4, 4, rng)
+    for part in range(4):
+        q = [a.q1.copy(), a.q2.copy()]
+        q[part // 2][2, 1] = (complex(bad, 0.0) if part % 2 == 0
+                              else complex(0.0, bad))
+        with pytest.raises(ValueError, match=f"^{name}: .*non-finite"):
+            INDEX_WALKS[name](QMatrix(*q), route)
+
+
 def test_group_inverse_invertible():
     rng = np.random.default_rng(32)
     a = random_qmat(3, 3, rng)
