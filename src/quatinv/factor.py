@@ -27,16 +27,18 @@ Two computational routes are kept genuinely separate throughout:
   rows each reflector updates, and reads the right one off it).
 
 ``rank`` counts the singular values of A^C above max(m, n)·eps·sigma_1.
-A square A is first tested for full rank with no SVD: one Cholesky
-factorization of (A^C)* A^C - tau I, with tau = (4n + 5)·eps·||A^C||_F^2
-(the rounding bounds of the Gram product and of the factorization) plus the
-threshold's square, on A scaled by a power of two into the safe range.  If
-it runs to the end, sigma_min lies far above the threshold and the rank is
-n; if not, and for every rectangular A, ``_svd_rank`` decides from the
-singular values.  It takes them of the tall orientation, a wide A^C copied
-to its conjugate transpose, which is (A*)^C bit for bit: rank(A*) and
-rank(A) are the same number.  A caller that already knows A is singular
-(the index walk, past A itself) calls ``_svd_rank`` directly.
+It reads the tall orientation C of A^C, 2M-by-2N with M = max(m, n) and
+N = min(m, n): a wide A^C is copied to its conjugate transpose, which is
+(A*)^C bit for bit, so a rectangular A and A* have the same rank.  Every
+nonempty A is first tested for full rank with no SVD: one Cholesky
+factorization, of order 2N, of C* C - tau I, with
+tau = (2M + 2N + 5)·eps·||C||_F^2 (the rounding bounds of the Gram product
+and of the factorization) plus the threshold's square, on A scaled by a
+power of two into the safe range.  If it runs to the end, sigma_min lies
+far above the threshold and the rank is N; if not, ``_svd_rank`` decides
+from the singular values of the same orientation.  A caller that already
+knows A is singular (the index walk, past A itself) calls ``_svd_rank``
+directly.
 
 Both pivoted QRs share one pivot rule.  The squared quaternion column
 norms are computed once and downdated by each new row of R; a norm is
@@ -116,29 +118,34 @@ def _crep_rank(s: np.ndarray, m: int, n: int) -> int:
 
 
 def _gram_proves_full_rank(c: np.ndarray) -> bool:
-    # True only if the square A whose A^C is c (order k = 2n, A in the safe
-    # range) has rank n under the SVD rule; False proves nothing.  G = C* C
-    # is the representation of A* A, so one GEMM of its top block row
-    # [P, Q], n-by-k times k-by-k, fixes it.  With u = eps / 2 and the
-    # complex forms of the bounds, for complex multiply-adds taken as units
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    # §3.6: sqrt(2) gamma_(j+2) for gamma_j),
-    # ||fl(G) - G||_2 <= sqrt(2) gamma_(k+2) ||C||_F^2, and a Cholesky
-    # factorization of fl(G) - tau I that runs to the end gives R* R =
-    # fl(G) - tau I + E with ||E||_2 <= sqrt(2) gamma_(k+3) ||R||_F^2 (ibid.,
-    # Thm 10.3), ||R||_F^2 being ||C||_F^2 (1 + O(k u)).  R* R is
-    # semidefinite, so sigma_min(C)^2 >= tau - sqrt(2) (2k + 5) u ||C||_F^2
-    # (1 + O(k u)).  tau is (2k + 5) eps ||C||_F^2, sqrt(2) times that
-    # rounding, plus the rule's threshold squared, (n eps sigma_1)^2 <=
-    # (n eps)^2 ||C||_F^2 / 2: success leaves sigma_min above the threshold
-    # by a multiple of sqrt(k eps) sigma_1, far beyond the SVD's own rounding
-    n = c.shape[0] // 2
-    g = np.empty_like(c)
+    # True only if the A whose tall orientation of A^C is c (2M-by-2N,
+    # M = max(m, n) >= N = min(m, n), A in the safe range) has rank N under
+    # the SVD rule; False proves nothing.  G = C* C, of order 2N, is the
+    # representation of A* A (of A A* for a wide A), so one GEMM of its top
+    # block row [P, Q], N-by-2M times 2M-by-2N, fixes it.  With u = eps / 2
+    # and the complex forms of the bounds, for complex multiply-adds taken as
+    # units (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # §3.6: sqrt(2) gamma_(j+2) for gamma_j), the GEMM of inner dimension 2M
+    # gives ||fl(G) - G||_2 <= sqrt(2) gamma_(2M+2) ||C||_F^2, and a Cholesky
+    # factorization of order 2N of fl(G) - tau I that runs to the end gives
+    # R* R = fl(G) - tau I + E with ||E||_2 <= sqrt(2) gamma_(2N+3) ||R||_F^2
+    # (ibid., Thm 10.3), ||R||_F^2 being ||C||_F^2 (1 + O(M u)).  R* R is
+    # semidefinite, so sigma_min(C)^2 >= tau - sqrt(2) (2M + 2N + 5) u
+    # ||C||_F^2 (1 + O(M u)).  tau is (2M + 2N + 5) eps ||C||_F^2, sqrt(2)
+    # times that rounding, plus the rule's threshold squared,
+    # (M eps sigma_1)^2 <= (M eps)^2 ||C||_F^2 / 2 (C's singular values come
+    # in equal pairs): success leaves sigma_min above the threshold by a
+    # multiple of sqrt(M eps) sigma_1, far beyond the SVD's own rounding.
+    # At m = n the shift is (4n + 5) eps ||C||_F^2 plus the same square.
+    # Below, m and n are M and N
+    m, n = c.shape[0] // 2, c.shape[1] // 2
+    g = np.empty((2 * n, 2 * n), dtype=c.dtype)
     top = np.matmul(np.conj(c[:, :n]).T, c, out=g[:n])
     np.negative(np.conj(top[:, n:]), out=g[n:, :n])
     np.conj(top[:, :n], out=g[n:, n:])
     fro2 = np.trace(g).real  # ||C||_F^2
-    g.flat[::2 * n + 1] -= ((4 * n + 5) * _EPS + 0.5 * (n * _EPS) ** 2) * fro2
+    shift = (2 * m + 2 * n + 5) * _EPS + 0.5 * (m * _EPS) ** 2
+    g.flat[::2 * n + 1] -= shift * fro2
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -162,25 +169,30 @@ def _svd_rank(a: QMatrix, c: np.ndarray | None = None) -> int:
 def rank(a: QMatrix) -> int:
     """Numerical rank of a quaternion matrix: half the rank of A^C.
 
-    The rank is the number of singular values above max(m, n)·ε·σ_1.  A
-    square A is first tested for full rank by one Cholesky factorization of
-    (A^C)*A^C − τI, with τ = (4n + 5)·ε·‖A^C‖_F² plus the threshold's square
-    bound, which covers the rounding of the Gram product and of the
-    factorization: success proves σ_min well above the threshold, so the
-    rank is n with no SVD.  The test runs on A scaled by a power of two into
-    the safe range.  Any other input, and a square one that fails the test,
-    takes the singular values of A^C, of the tall orientation: a wide A is
-    ranked from (A*)^C, so rank(A*) = rank(A) for every A.
+    The rank is the number of singular values above max(m, n)·ε·σ_1.  Every
+    nonempty A is first tested for full rank with no SVD, on the tall
+    orientation C of A^C (a wide A^C read as its conjugate transpose, which
+    is (A*)^C), of size 2M×2N with M = max(m, n) and N = min(m, n).  One
+    Cholesky factorization of C*C − τI, of order 2N, with
+    τ = ((2M + 2N + 5)·ε + (M·ε)²/2)·‖C‖_F², covers the rounding of the
+    Gram product and of the factorization plus the threshold's square:
+    success proves σ_min well above the threshold, so the rank is N with no
+    SVD.  The test runs on A scaled by a power of two into the safe range.
+    An A that fails it takes the singular values of the same tall
+    orientation, so rank(A*) = rank(A) for every rectangular A.  A square
+    A and A* are ranked from two different matrices, A^C and (A*)^C, whose
+    singular values can round to different ranks at a near tie.
     """
     _require_finite(a, "rank")
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
     c = to_crep(a)  # the SVD rule reads the caller's A^C, never a scaled one
-    if m == n:
-        safe, k = _scale_to_safe(a)
-        if _gram_proves_full_rank(to_crep(safe) if k else c):
-            return n
+    safe, k = _scale_to_safe(a)
+    cs = to_crep(safe) if k else c
+    # the tall orientation, as _svd_rank reads it: (A*)^C for a wide A
+    if _gram_proves_full_rank(cs if m >= n else np.conj(cs.T)):
+        return min(m, n)
     return _svd_rank(a, c)
 
 

@@ -1,0 +1,166 @@
+"""A catalogue of recorded faults, each of which the named tests must catch.
+
+Every mutant is one literal replacement in one file under ``src/``: the
+original snippet, which must occur exactly once in that file, and what
+replaces it.  The runner copies ``src/`` to a temporary directory, applies
+one mutant at a time to the copy, and runs the mutant's tests against it
+with ``pytest -x``.  The run fails when a mutant survives (its tests pass),
+when an original snippet no longer matches the source (a refactor must then
+update the entry), or when the named tests do not pass on the unmutated
+copy.  The checkout itself is never edited.
+
+Run from anywhere, with the test dependencies installed::
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    original: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "gram-proof-without-rounding-shift",
+        "quatinv/factor.py",
+        "shift = (2 * m + 2 * n + 5) * _EPS + 0.5 * (m * _EPS) ** 2",
+        "shift = 0.5 * (m * _EPS) ** 2",
+        ("tests/test_factor.py::test_exactly_singular_squares_fail_the_full_rank_test",
+         "tests/test_factor.py::test_exactly_singular_rectangles_fail_the_full_rank_test"),
+    ),
+    Mutant(
+        "gram-proof-on-a-wide-representation",
+        "quatinv/factor.py",
+        "_gram_proves_full_rank(cs if m >= n else np.conj(cs.T))",
+        "_gram_proves_full_rank(cs)",
+        ("tests/test_factor.py::test_rank_of_a_full_rank_rectangular_input_runs_no_svd",
+         "tests/test_factor.py::test_rectangular_rank_equals_the_svd_rule"),
+    ),
+    Mutant(
+        "to-crep-without-negation",
+        "quatinv/qcore.py",
+        "    np.negative(lower_left, out=lower_left)\n",
+        "",
+        ("tests/test_qcore.py",),
+    ),
+    Mutant(
+        "qr-norms-never-recomputed",
+        "quatinv/factor.py",
+        "    if stale.any():\n",
+        "    if False:\n",
+        ("tests/test_factor.py::test_norms_are_computed_again_only_at_the_start_and_when_stale",),
+    ),
+    Mutant(
+        "qr-downdate-by-one-component",
+        "quatinv/factor.py",
+        "nrm -= np.abs(x1[0]) ** 2 + np.abs(x2[0]) ** 2",
+        "nrm -= np.abs(x1[0]) ** 2",
+        ("tests/test_factor.py::test_downdated_pivots_match_a_qr_that_recomputes_every_norm",),
+    ),
+    Mutant(
+        "qr-stop-test-on-the-downdated-norm",
+        "quatinv/factor.py",
+        "        if big <= stop:\n",
+        "        if math.sqrt(nrm[k + i]) <= stop:\n",
+        ("tests/test_factor.py::test_stop_test_reads_the_exact_pivot_norm",),
+    ),
+    Mutant(
+        "classify-range-against-t",
+        "quatinv/geninv.py",
+        "    range_matches = w_rank == s_rank\n",
+        "    range_matches = w_rank == t_rank\n",
+        ("tests/test_realrep.py",),
+    ),
+)
+
+
+def snippet_errors() -> list:
+    """One message for each mutant whose original does not occur exactly
+    once in its file under src/."""
+    errors = []
+    for mut in MUTANTS:
+        count = (ROOT / "src" / mut.path).read_text().count(mut.original)
+        if count != 1:
+            errors.append(f"{mut.name}: the original occurs {count} times "
+                          f"in src/{mut.path}, not once")
+    return errors
+
+
+def _run_tests(src: Path, module: str, tests) -> int:
+    # pytest's exit code for tests run against the quatinv under src; the
+    # copy must shadow any installed quatinv, or the run would test the
+    # checkout
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", f"import {module} as m; print(m.__file__)"],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).is_relative_to(src):
+        raise RuntimeError(f"{module} loads from {where.stdout.strip()}, "
+                           f"not from the copy under {src}")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *tests]
+    return subprocess.run(cmd, env=env, cwd=ROOT, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _module(path: str) -> str:
+    return path.removesuffix(".py").replace("/", ".")
+
+
+def main() -> int:
+    errors = snippet_errors()
+    if errors:
+        print("\n".join(errors))
+        return 1
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        shutil.copytree(ROOT / "src", src, ignore=ignore)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        code = _run_tests(src, _module(MUTANTS[0].path), tests)
+        if code != 0:
+            print(f"the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        for mut in MUTANTS:
+            target = src / mut.path
+            pristine = target.read_text()
+            target.write_text(pristine.replace(mut.original, mut.replacement))
+            try:
+                code = _run_tests(src, _module(mut.path), mut.tests)
+            finally:
+                target.write_text(pristine)
+            # pytest exits 1 when a test failed; 0 means the mutant
+            # survived, anything else that the run itself broke
+            verdict = {0: "SURVIVED", 1: "killed"}.get(
+                code, f"ERROR (pytest exit {code})")
+            print(f"{mut.name}: {verdict}")
+            if code != 1:
+                failed.append(mut.name)
+    if failed:
+        print(f"{len(failed)} of {len(MUTANTS)} mutants not killed: "
+              f"{', '.join(failed)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

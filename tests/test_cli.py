@@ -24,6 +24,7 @@ from quatinv.qcore import (
     write_qmat,
 )
 from quatinv.apps import ColorImage, write_ppm
+from test_factor import svd_rule_rank
 
 
 @pytest.fixture
@@ -360,6 +361,30 @@ def test_rank_of_extreme_square_input(text, tmp_path, capsys):
     assert main(["rank", "--in", str(path), "--json", str(rpt)]) == 0
     assert capsys.readouterr().err == ""
     assert load_json(rpt)["rank"] == 2
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300], ids=["1e300", "1e-300"])
+@pytest.mark.parametrize("m, n, r", [(5, 3, 3), (5, 3, 2), (3, 5, 3),
+                                     (3, 5, 2)],
+                         ids=["tall", "tall-deficient", "wide",
+                              "wide-deficient"])
+def test_rank_of_extreme_rectangular_input(m, n, r, scale, tmp_path,
+                                           capsys):
+    # rectangular inputs take the full-rank test too, on the Gram matrix of
+    # the tall orientation of A^C scaled by a power of two; a short rank
+    # then falls through to the SVD, and both print the SVD rule's rank
+    rng = np.random.default_rng(10 * m + r)
+    path = tmp_path / "a.qmat"
+    write_qmat(path, mat_mul(random_qmat(m, r, rng),
+                             random_qmat(r, n, rng)) * scale)
+    want = svd_rule_rank(read_qmat(path))
+    assert want == r
+    rpt = tmp_path / "r.json"
+    assert main(["rank", "--in", str(path), "--json", str(rpt)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == f"rank {want}\n"
+    assert load_json(rpt)["rank"] == want
 
 
 def test_drazin_of_an_invertible_input_reports_index_zero(tmp_path):

@@ -78,9 +78,14 @@ def test_rank_empty():
 
 
 def svd_rule_rank(a):
-    # the reference: the SVD rule on the caller's own A^C
+    # the reference: the SVD rule on the tall orientation of A^C, (A*)^C for
+    # a wide A, as rank defines it.  At a near tie the singular values of a
+    # wide A^C itself can round the other way: at kappa = (1 +- 1%)/(M eps),
+    # 6 of the 2x5 and 4x7 inputs of test_rectangular_rank_equals_the_svd_rule
+    # decide differently from their (A*)^C
     m, n = a.shape
-    return _crep_rank(np.linalg.svd(to_crep(a), compute_uv=False), m, n)
+    c = to_crep(a) if m >= n else to_crep(conj_transpose(a))
+    return _crep_rank(np.linalg.svd(c, compute_uv=False), m, n)
 
 
 @pytest.fixture
@@ -140,11 +145,62 @@ def test_exactly_singular_squares_fail_the_full_rank_test(n, svd_calls):
         assert len(svd_calls) == 1
 
 
+RECT_SHAPES = ((2, 1), (1, 3), (3, 2), (2, 5), (4, 7), (7, 4), (16, 10),
+               (10, 24), (40, 30), (30, 40), (120, 80), (80, 120))
+
+
+@pytest.mark.parametrize("m, n", RECT_SHAPES, ids=str)
+def test_rectangular_rank_equals_the_svd_rule(m, n, svd_calls):
+    # the full-rank test reads the tall orientation of A^C, 2M-by-2N, as the
+    # SVD rule does; it must never claim rank N = min(m, n) where the rule
+    # does not, at any condition (through 1/(M eps), the threshold itself)
+    # or scale, and it must spare the SVD of every A with kappa <= 1e6.  A
+    # short rank costs exactly one SVD, of the tall orientation
+    rng = np.random.default_rng(100 * m + n)
+    big, small = max(m, n), min(m, n)
+    tall = [(2 * big, 2 * small)]
+    kappas = [10.0 ** e for e in range(17)]
+    kappas += [f / (big * EPS) for f in (0.99, 1.01)]
+    spared = 0
+    for kappa in kappas:
+        base = with_spectrum(m, n, np.geomspace(1.0, 1.0 / kappa, small),
+                             rng)
+        for scale in RANK_SCALES:
+            a = base * scale
+            want = svd_rule_rank(a)
+            svd_calls.clear()
+            assert rank(a) == want, (kappa, scale)
+            assert svd_calls in ([], tall), (kappa, scale)
+            if want < small:
+                assert svd_calls == tall, (kappa, scale)
+            if kappa <= 1e6:
+                assert svd_calls == [], (kappa, scale)
+            spared += not svd_calls
+    assert spared >= 7 * len(RANK_SCALES)
+
+
+@pytest.mark.parametrize("m, n", [(5, 3), (3, 5), (16, 10), (10, 16)],
+                         ids=str)
+def test_exactly_singular_rectangles_fail_the_full_rank_test(m, n,
+                                                             svd_calls):
+    # as for squares: the shift must cover the rounding of the Gram matrix
+    # of the tall orientation, which an exactly singular A leaves
+    # semidefinite only to rounding
+    small = min(m, n)
+    sigma = np.ones(small)
+    sigma[-1] = 0.0
+    for seed in range(20):
+        a = with_spectrum(m, n, sigma, np.random.default_rng(seed))
+        svd_calls.clear()
+        assert rank(a) == small - 1, seed
+        assert svd_calls == [(2 * max(m, n), 2 * small)]
+
+
 @pytest.mark.parametrize("a", [
     QMatrix.zeros(5, 5),
     rand_rank_deficient(6, 6, 4, np.random.default_rng(1)),
-    random_qmat(7, 4, np.random.default_rng(2)),
-    random_qmat(3, 8, np.random.default_rng(3)),
+    rand_rank_deficient(7, 4, 3, np.random.default_rng(2)),
+    rand_rank_deficient(3, 8, 2, np.random.default_rng(3)),
 ], ids=["zero", "singular", "tall", "wide"])
 def test_rank_of_a_rectangular_or_singular_input_runs_one_svd(a, svd_calls):
     want = svd_rule_rank(a)
@@ -153,6 +209,16 @@ def test_rank_of_a_rectangular_or_singular_input_runs_one_svd(a, svd_calls):
     # one SVD, of the tall orientation: (A*)^C for a wide A
     m, n = a.shape
     assert svd_calls == [(2 * max(m, n), 2 * min(m, n))]
+
+
+@pytest.mark.parametrize("a", [
+    random_qmat(7, 4, np.random.default_rng(2)),
+    random_qmat(3, 8, np.random.default_rng(3)),
+], ids=["tall", "wide"])
+def test_rank_of_a_full_rank_rectangular_input_runs_no_svd(a, svd_calls):
+    assert rank(a) == min(a.shape)
+    assert svd_calls == []
+    assert svd_rule_rank(a) == min(a.shape)
 
 
 @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=str)
