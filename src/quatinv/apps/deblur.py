@@ -7,18 +7,21 @@ components A = A1*i + A2*j + A3*k with A1 = kron(T0, T1) and
 A2 = A3 = -0.5*A1.  Restoration is X_hat = pinv(A) @ B, and a real matrix
 commutes with a quaternion scalar, so
 pinv(A) = mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1))
+= kron(I_p, pinv(T1)) kron(pinv(mu T0), I_q)
 (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math., 2000).
-``pinv_solve`` inverts mu T0 and T1 on the route, one LU each when the
-factor is invertible and its compact SVD when it is not (a box band that is
-singular at its size q), and the route's product applies them to B; the
-h x h A is never factored.  For an invertible A the error grows with
+``pinv`` inverts mu T0 and T1 on the route, one LU each when the factor is
+invertible and its compact SVD when it is not (a box band that is singular
+at its size q); the h x h A is never factored.  pinv(mu T0) acts along p as
+one product of the route, on B seen as a p x (q n) matrix, and pinv(T1),
+which is real, acts along q as a real product, with no transpose and no
+panels.  For an invertible A the error grows with
 kappa(A) = kappa(T0) kappa(T1), not with a power of it.  The blur itself,
 B = mu kron(T0, T1) X, belongs to neither route: mu X is formed entrywise
 and the real T0 and T1 act on its real planes as real products (Hansen,
 Nagy & O'Leary, "Deblurring Images", SIAM, 2006, ch. 4), with no quaternion
-product.  So a ``deblur`` run does no h x h work: ``BlurOperator.a`` is
-formed only when something asks for it.  The restore's Kronecker apply and
-the metrics work on a few columns or one plane at a time, so their
+product; T1 acts along q there as in the restore.  So a ``deblur`` run does
+no h x h work: ``BlurOperator.a`` is formed only when something asks for
+it.  The metrics work on one plane or a strip of rows at a time, so their
 transient arrays stay small.
 
 A real-valued alternative stacks the three channels and solves the 3h x 3h
@@ -38,7 +41,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..qcore import QMatrix, _route_mul
 from ..factor import rank
-from ..geninv import pinv_solve
+from ..geninv import pinv
 from .ppm import ColorImage, qmat_to_image
 
 __all__ = [
@@ -65,14 +68,6 @@ _SSIM_BLOCK = 32
 
 # mu = i - j/2 - k/2, the blur's quaternion scalar, as components (w, x, y, z)
 _MU = (0.0, 1.0, -0.5, -0.5)
-
-# columns of B per pass of the restore's Kronecker apply (the blur needs
-# no panels: its real products run on all of mu X at once).  On the
-# 128 x 128 deblur with one BLAS thread, 16 columns and all of B measured
-# slower than 32, and 64 alike but paging on the crep route, whose product
-# forms a 2p x 2(q n) complex representation per pass of n columns (1 MB
-# apiece for all of B)
-_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -182,18 +177,11 @@ def blur(op: BlurOperator, img: ColorImage) -> QMatrix:
     c1.imag = w * r + y * b - z * g
     c2.real = w * g + z * r - x * b
     c2.imag = w * b + x * g - y * r
-    out = []
-    for c in (c1, c2):
-        # row (j, l) of c, j < p and l < q, is row j of c viewed as a
-        # p x (2 q n) real matrix for an image of width n, on which T0 acts;
-        # the result as a stack of p real q x 2n slices has l in their
-        # rows, on which T1 acts
-        t0c = op.t0_blur @ c.view(float).reshape(p, -1)
-        o = np.empty_like(c)
-        np.matmul(op.t1_blur, t0c.reshape(p, q, -1),
-                  out=o.view(float).reshape(p, q, -1))
-        out.append(o)
-    return QMatrix._own(*out)
+    # T0 acts along p on each component seen as a p x (2 q n) real matrix,
+    # for an image of width n, and then T1 along q
+    t0c = (op.t0_blur @ c.view(float).reshape(p, 2 * q * img.w)
+           for c in (c1, c2))
+    return QMatrix._own(*(_along_q(op.t1_blur, m) for m in t0c))
 
 
 def deblur_quaternion(op: BlurOperator, b: QMatrix,
@@ -201,16 +189,17 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
                       route: str = "direct"):
     """Restore X_hat = pinv(A) @ B and project to channels.
 
-    X_hat = mu^-1 kron(pinv(T0), pinv(T1)) B, all on ``route``.  Since
-    T1 is real, mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1)):
-    :func:`quatinv.geninv.pinv_solve` with the identity on the right gives
-    pinv(mu T0) and pinv(T1) (one LU for an invertible factor, its compact
-    SVD for a singular box band), and the route's product applies them to
-    B.  Only p x p and q x q matrices are factored, never the h x h A.
-    Ranks are decided on T0 and T1, each by its own max(n) eps sigma_1 rule,
-    not on A by h eps sigma_1(A); the two can differ only when the smallest
-    singular value of a factor lies within a factor h/p (or h/q) of its
-    threshold.  ``pinv_solve(op.a, b, route)`` is the general path.
+    Since T1 is real, X_hat = kron(pinv(mu T0), pinv(T1)) B.
+    :func:`quatinv.geninv.pinv` inverts mu T0 and T1 on ``route`` (one LU
+    for an invertible factor, its compact SVD for a singular box band);
+    pinv(mu T0) then acts along p as one product of the route, and the
+    real pinv(T1) along q as a real product.  So every quaternion operation
+    of the restore runs on ``route``, and only p x p and q x q matrices are
+    factored, never the h x h A.  Ranks are decided on T0 and T1, each by
+    its own max(n) eps sigma_1 rule, not on A by h eps sigma_1(A); the two
+    can differ only when the smallest singular value of a factor lies
+    within a factor h/p (or h/q) of its threshold.
+    ``pinv_solve(op.a, b, route)`` is the general path.
     Returns ``(image, metrics)``; metrics are computed against ``truth`` when
     it is given and are ``None`` otherwise.  A ``truth`` that ``metrics``
     cannot score (another shape than B, or smaller than the SSIM window)
@@ -225,33 +214,36 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
     return img, (metrics(truth, img) if truth is not None else None)
 
 
-def _kron_apply(mul, left: QMatrix, right: QMatrix, b: QMatrix) -> QMatrix:
-    # kron(left, right) @ b for the restore, a p x p left and a real q x q
-    # right, by the route's product mul, _PANEL columns of b at a time.
-    # Row (j, l) of a panel, j < p and l < q, is row j of the panel as a
-    # p x (q n) matrix, on which left acts; the result as a q x (p n) matrix
-    # has l in its rows, on which right acts (a real matrix commutes with
-    # the quaternion entries)
-    p, q, w = left.nrows, right.nrows, b.ncols
-    out = [np.empty((p, q, w), dtype=complex) for _ in range(2)]
-    for c in range(0, w, _PANEL):
-        cols = slice(c, min(c + _PANEL, w))
-        n = cols.stop - c
-        y = mul(left, QMatrix(*(x.reshape(p, q, w)[:, :, cols]
-                                .reshape(p, q * n) for x in (b.q1, b.q2))))
-        y = mul(right, QMatrix(*(x.reshape(p, q, n).transpose(1, 0, 2)
-                                 .reshape(q, p * n) for x in (y.q1, y.q2))))
-        for o, x in zip(out, (y.q1, y.q2)):
-            o[:, :, cols] = x.reshape(q, p, n).transpose(1, 0, 2)
-    return QMatrix(*(o.reshape(p * q, w) for o in out))
+def _along_q(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # kron(I_p, T) Y for a real q x q T and the quaternion matrix Y of p q
+    # rows whose complex component, seen as real, is the p x (2 q n) array
+    # x: row (j, l) of Y, j < p and l < q, is row l of x's j-th real
+    # q x 2n slice, and a real matrix acts on each real plane alone.
+    # Returns that component of the product, (p q) x n.  Every shape is
+    # spelled out, so an image of no columns passes too
+    p, q = x.shape[0], t.shape[0]
+    n = x.shape[1] // (2 * q)
+    out = np.empty((p * q, n), dtype=complex)
+    np.matmul(t, x.reshape(p, q, 2 * n),
+              out=out.view(float).reshape(p, q, 2 * n))
+    return out
 
 
 def _factor_solve(op: BlurOperator, b: QMatrix, route: str) -> QMatrix:
-    # X_hat = kron(pinv(mu T0), pinv(T1)) B on the route
-    t0_inv = pinv_solve(_times_mu(op.t0_blur), QMatrix.eye(op.p), route)
-    t1_inv = pinv_solve(QMatrix.from_real(op.t1_blur), QMatrix.eye(op.q),
-                        route)
-    return _kron_apply(_route_mul(route), t0_inv, t1_inv, b)
+    # X_hat = kron(I_p, pinv(T1)) kron(pinv(mu T0), I_q) B.  pinv(mu T0)
+    # acts along p as one product of the route, on B seen as a p x (q n)
+    # matrix (row j holds rows (j, 0) .. (j, q - 1) of B), and then the real
+    # pinv(T1) along q.  pinv(T1) is read as its q1.real: T1 is real, an LU
+    # of real data stays exactly real on both routes, and the compact SVD
+    # of a singular box band leaves imaginary and j parts of rounding size
+    # at most, no larger than the error pinv(T1) carries anyway
+    p, q, n = op.p, op.q, b.ncols
+    t0_inv = pinv(_times_mu(op.t0_blur), route=route)
+    t1_inv = pinv(QMatrix.from_real(op.t1_blur), route=route).q1.real
+    y = _route_mul(route)(
+        t0_inv, QMatrix(*(c.reshape(p, q * n) for c in (b.q1, b.q2))))
+    return QMatrix._own(*(_along_q(t1_inv, c.view(float))
+                          for c in (y.q1, y.q2)))
 
 
 def real_block_system(op: BlurOperator) -> np.ndarray:

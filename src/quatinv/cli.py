@@ -228,7 +228,7 @@ def cmd_deblur(args) -> int:
     b = blur(op, img)
     restored, quat_m = deblur_quaternion(op, b, truth=img, route=args.route)
     real_m = None
-    if args.compare_real:
+    if args.compare_real or args.real_out:
         real_img = real_block_restore(op, b)
         real_m = metrics(img, real_img)
         if args.real_out:
@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-real", action="store_true",
                    help="also restore through the real block system")
     p.add_argument("--real-out", default=None,
-                   help="write the real-block restoration here (PPM)")
+                   help="write the real-block restoration here (PPM); "
+                        "implies --compare-real")
     p.set_defaults(func=cmd_deblur)
 
     p = sub.add_parser("lorenz-filter", parents=[route, seed, out, report],

@@ -18,21 +18,23 @@ defining residuals; its rank(TAS) is that of the factorization that built
 X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
-A, which starts from A itself, finds the index k, ranking each power once,
-and prescribes W = A^k (W = I for an invertible A).  The walk stops at the
-first power whose computed rank does not fall (exact ranks of powers never
-rise, computed ones can), and only A^1 takes ``rank``'s square full-rank
-test: every later power is singular once A^1 is, so it goes straight to the
-singular values.  The core takes None for S or T as the identity and forms
-no product with it.  ``pinv`` (method "svd") is the core on S = T = I,
-passed as None, so W = A and the core's rule below acts on A itself: one
-LU of A for a square A of full rank, else
-the {1}-inverse from A's compact SVD with Z = 0, which is A+ and costs the
-one product (V diag(1/sigma)) U*.  Its error therefore follows cond(A),
-where the composed A* (A*AA*)^(1) A* would cube it; that expression is
-still ``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
+A, formed with the route's own product, which starts from A itself, finds
+the index k, ranking each power once, and prescribes W = A^k (W = I for an
+invertible A, passed as None and neither built nor factored).  The walk
+stops at the first power whose computed rank does not fall (exact ranks of
+powers never rise, computed ones can), and only A^1 takes ``rank``'s
+square full-rank test: every later power is singular once A^1 is, so it
+goes straight to the singular values.  The core takes None for S or T as
+the identity and forms no product with it.  ``pinv`` (method "svd") is the
+core on S = T = I, passed as None, so W = A and the core's rule below acts
+on A itself: one LU of A for a square A of full rank, else the {1}-inverse
+from A's compact SVD with Z = 0, which is A+ and costs the one product
+(V diag(1/sigma)) U*.  Its error therefore follows cond(A), where the
+composed A* (A*AA*)^(1) A* would cube it; that expression is still
+``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
 rule: it ranks a square A only, solves one of full rank by the core's LU,
-and otherwise applies A+ from A's compact SVD to B.
+and otherwise applies A+ from A's compact SVD to B; ``pinv(A)`` is
+``pinv_solve(A, I)`` bit for bit.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -40,8 +42,9 @@ raised) when that matrix is singular, since the target inverse then does not
 exist.  One factorization fixes W's right and left spaces alike, and
 X = F (G A F)^-1 G does not depend on which one is used, so ``outer_w_left``
 is ``outer_w_right`` under another label.  One helper serves both, ``pinv``
-by "frd" (W = A*, so G A F squares A's scale and condition) and the
-Drazin and group inverses (W = A^k).
+by "frd" (W = A*, so G A F squares A's scale and condition, and an A
+outside the safe range is first scaled by a power of two) and the Drazin
+and group inverses (W = A^k).
 
 Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route

@@ -15,6 +15,15 @@ which is a ring homomorphism: sums, real scalings, products, and conjugate
 transposes commute with the embedding.  A 2m-by-2n complex matrix ``C`` is a
 complex representation of some quaternion matrix exactly when it satisfies the
 symplectic constraint ``J_m C = conj(C) J_n`` with ``J_k = [[0, I],[-I, 0]]``.
+
+``to_crep`` fills one preallocated 2m-by-2n array.  A complex solution that
+satisfies the constraint only to rounding, such as the crep kernels of
+``factor`` get back from LAPACK, is read once, as the quaternion matrix
+whose representation is its symplectic projection (``symmetrize_crep``
+returns that representation).  ``fro_norm`` rescales by a power of two when
+the sum of squares would overflow or lose digits to underflow, and the
+symplectic residual and the test in ``from_crep`` are such norms too, so
+they work from 1e-300 to 1e300.
 """
 
 from __future__ import annotations

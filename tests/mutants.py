@@ -6,8 +6,9 @@ replaces it.  The runner copies ``src/`` to a temporary directory, applies
 one mutant at a time to the copy, and runs the mutant's tests against it
 with ``pytest -x``.  The run fails when a mutant survives (its tests pass),
 when an original snippet no longer matches the source (a refactor must then
-update the entry), or when the named tests do not pass on the unmutated
-copy.  The checkout itself is never edited.
+update the entry), when a named test no longer exists (its file is gone,
+or it has no ``def`` of that name), or when the named tests do not pass on
+the unmutated copy.  The checkout itself is never edited.
 
 Run from anywhere, with the test dependencies installed::
 
@@ -17,6 +18,7 @@ Run from anywhere, with the test dependencies installed::
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -88,6 +90,37 @@ MUTANTS = (
         "    range_matches = w_rank == t_rank\n",
         ("tests/test_realrep.py",),
     ),
+    Mutant(
+        "index-walk-from-the-identity",
+        "quatinv/geninv.py",
+        "nxt = mm(p, b) if k else b",
+        "nxt = mm(p if k else QMatrix.eye(a.nrows), b)",
+        ("tests/test_geninv.py::test_index_walk_multiplies_no_identity",
+         "tests/test_geninv.py::test_drazin_of_an_invertible_a_builds_no_identity"),
+    ),
+    Mutant(
+        "own-takes-any-array",
+        "quatinv/qcore.py",
+        "        if not all(c.dtype == np.complex128 and c.flags.c_contiguous\n"
+        "                   and c.flags.owndata for c in (q1, q2)):\n"
+        "            return cls(q1, q2)\n",
+        "",
+        ("tests/test_qcore.py::test_owned_results_are_read_only_and_c_contiguous",),
+    ),
+    Mutant(
+        "w-inverse-multiplies-g-equal-to-i",
+        "quatinv/geninv.py",
+        "g = fact.g if r < w.ncols else None",
+        "g = fact.g",
+        ("tests/test_geninv.py::test_w_inverses_multiply_no_identity",),
+    ),
+    Mutant(
+        "restore-applies-t1-for-its-pinv",
+        "quatinv/apps/deblur.py",
+        "_along_q(t1_inv, c.view(float))",
+        "_along_q(op.t1_blur, c.view(float))",
+        ("tests/test_apps.py::test_deblur_agrees_with_the_general_solve",),
+    ),
 )
 
 
@@ -100,6 +133,27 @@ def snippet_errors() -> list:
         if count != 1:
             errors.append(f"{mut.name}: the original occurs {count} times "
                           f"in src/{mut.path}, not once")
+    return errors
+
+
+def missing_tests(mutants=MUTANTS) -> list:
+    """One message for each test id a mutant names that does not resolve:
+    its file does not exist, or a ``::name`` in it has no ``def name`` (or
+    ``class name``) there."""
+    errors = []
+    for mut in mutants:
+        for test in mut.tests:
+            path, *names = test.split("::")
+            file = ROOT / path
+            if not file.is_file():
+                errors.append(f"{mut.name}: no file {path}")
+                continue
+            text = file.read_text()
+            for name in names:
+                name = name.split("[")[0]
+                if not re.search(rf"^\s*(def|class) {re.escape(name)}\b", text,
+                                 re.MULTILINE):
+                    errors.append(f"{mut.name}: no test {name} in {path}")
     return errors
 
 
@@ -125,7 +179,7 @@ def _module(path: str) -> str:
 
 
 def main() -> int:
-    errors = snippet_errors()
+    errors = snippet_errors() + missing_tests()
     if errors:
         print("\n".join(errors))
         return 1

@@ -203,8 +203,8 @@ def test_blur_matches_the_dense_product(p, q, width):
 
 @pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
 def test_blur_runs_no_quaternion_product(p, q, monkeypatch):
-    # the blur is real bands acting on mu X: no product of either route and
-    # no Kronecker apply of the restore, and op.a stays unformed
+    # the blur is real bands acting on mu X: no product of either route,
+    # and op.a stays unformed
     calls = []
 
     def spy(module, name):
@@ -216,8 +216,7 @@ def test_blur_runs_no_quaternion_product(p, q, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((qcore, "mat_mul"), (qcore, "crep_mul"),
-                         (deblur_mod, "_kron_apply")):
+    for module, name in ((qcore, "mat_mul"), (qcore, "crep_mul")):
         spy(module, name)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     blur(op, rand_image(p * q, 128, seed=42))
@@ -371,18 +370,67 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_deblur_factors_only_the_two_bands(route, monkeypatch):
-    # pinv_solve sees T0 (p x p) and T1 (q x q), never the h x h A
+    # pinv sees T0 (p x p) and T1 (q x q), never the h x h A
     op = build_blur(4, 8, sigma=3.0, r=3, s=3)
     shapes = []
-    solve = deblur_mod.pinv_solve
+    invert = deblur_mod.pinv
 
-    def spy(a, b, route="direct"):
+    def spy(a, method="svd", route="direct"):
         shapes.append(a.shape)
-        return solve(a, b, route=route)
+        return invert(a, method=method, route=route)
 
-    monkeypatch.setattr(deblur_mod, "pinv_solve", spy)
+    monkeypatch.setattr(deblur_mod, "pinv", spy)
     deblur_quaternion(op, blur(op, rand_image(32, 12, seed=28)), route=route)
     assert sorted(shapes) == [(4, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("width", [1, 31, 128])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_deblur_restores_by_one_product_of_its_route(route, width,
+                                                     monkeypatch):
+    # the restore applies pinv(mu T0) along p as one product of its own
+    # route, p x p times p x (q n), and the real pinv(T1) along q with no
+    # quaternion product; the invertible bands are inverted by LU alone
+    p, q = 16, 8
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    b = blur(op, rand_image(p * q, width, seed=44))
+    calls = []
+
+    def spy(name):
+        real = getattr(qcore, name)
+
+        def counted(x, y):
+            calls.append((name, x.shape, y.shape))
+            return real(x, y)
+
+        monkeypatch.setattr(qcore, name, counted)
+
+    spy("mat_mul")
+    spy("crep_mul")
+    deblur_quaternion(op, b, route=route)
+    name = {"direct": "mat_mul", "crep": "crep_mul"}[route]
+    assert calls == [(name, (p, p), (p, q * width))]
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_of_an_invertible_box_band_is_exactly_real(route):
+    # the restore reads pinv(T1) as its real part: the LU of real data on
+    # either route makes no imaginary and no j part at all
+    op = build_blur(2, 8, sigma=3.0, r=3, s=3)
+    t1_inv = geninv.pinv(QMatrix.from_real(op.t1_blur), route=route)
+    assert np.all(t1_inv.q1.imag == 0.0)
+    assert np.all(t1_inv.q2 == 0.0)
+    assert np.abs(t1_inv.q1.real).max() > 0.0
+
+
+@pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_an_image_of_no_columns_blurs_and_restores(route, p, q):
+    op = build_blur(p, q, sigma=3.0, r=3, s=3)
+    b = blur(op, ColorImage(*np.zeros((3, p * q, 0))))
+    assert b.shape == (p * q, 0)
+    img, m = deblur_quaternion(op, b, route=route)
+    assert (img.h, img.w) == (p * q, 0) and m is None
 
 
 def test_deblur_routes_agree():
@@ -421,7 +469,7 @@ def test_deblur_rejects_truth_before_the_inverse(b_shape, truth_shape,
     op = build_blur(b_shape[0] // 4, 4, sigma=3.0, r=3, s=2)
     b = blur(op, rand_image(*b_shape, seed=23))
     calls = []
-    monkeypatch.setattr(deblur_mod, "pinv_solve",
+    monkeypatch.setattr(deblur_mod, "pinv",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError):
         deblur_quaternion(op, b, truth=rand_image(*truth_shape, seed=24))

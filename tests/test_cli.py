@@ -23,7 +23,7 @@ from quatinv.qcore import (
     read_qmat,
     write_qmat,
 )
-from quatinv.apps import ColorImage, write_ppm
+from quatinv.apps import ColorImage, read_ppm, write_ppm
 from test_factor import svd_rule_rank
 
 
@@ -594,6 +594,20 @@ def test_deblur_cli(tmp_path):
     assert report["rr"] <= 1e-6
     assert np.array(report["corr_real"]).shape == (3, 3)
     assert out.exists()
+
+
+def test_deblur_real_out_implies_the_real_restoration(tmp_path):
+    # --real-out alone runs the real block restoration, writes it and
+    # reports its correlations, as with --compare-real
+    rng = np.random.default_rng(4)
+    ppm = tmp_path / "in.ppm"
+    write_ppm(ppm, ColorImage(*rng.uniform(0.1, 0.9, size=(3, 16, 16))))
+    rpt = tmp_path / "m.json"
+    real = tmp_path / "real.ppm"
+    assert main(["deblur", "--image", str(ppm), "--p", "2", "--q", "8",
+                 "--real-out", str(real), "--json", str(rpt)]) == 0
+    assert read_ppm(real).h == 16
+    assert np.array(load_json(rpt)["corr_real"]).shape == (3, 3)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
