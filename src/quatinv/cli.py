@@ -133,16 +133,14 @@ def cmd_pinv(args) -> int:
         f"{max(rep.residuals.values()):.3e}", method=args.method)
 
 
+# --side -> the outer constructor it names
+_OUTER = {"right": outer_right, "left": outer_left, "both": outer_both}
+
+
 def cmd_outer(args) -> int:
     a = read_qmat(args.infile)
-    s = read_qmat(args.s)
-    t = read_qmat(args.t)
-    if args.side == "right":
-        rep = outer_right(a, s, t, route=args.route)
-    elif args.side == "left":
-        rep = outer_left(a, s, t, route=args.route)
-    else:
-        rep = outer_both(a, s, t, route=args.route)
+    rep = _OUTER[args.side](a, read_qmat(args.s), read_qmat(args.t),
+                            route=args.route)
     flags = ", ".join(k for k, v in rep.classification.items() if v is True)
     return _finish_report(
         args, "outer", a, rep,
@@ -308,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="outer inverse from generator pair (S, T)")
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--side", choices=["right", "left", "both"],
-                   default="right")
+    p.add_argument("--side", choices=list(_OUTER), default="right")
     p.set_defaults(func=cmd_outer)
 
     p = sub.add_parser("outer-w", parents=checked,

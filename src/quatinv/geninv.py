@@ -15,7 +15,9 @@ spaces otherwise.  The prescribed-space constructors (``outer_right``,
 ``pinv_report`` therefore return an :class:`InverseReport` carrying the
 computed matrix together with the four ranks, the flags they imply, and the
 defining residuals; its rank(TAS) is that of the factorization that built
-X.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
+X.  Every report, that of an inverse that does not exist included, comes
+from one builder, which classifies the ranks for the report's side; the
+three S, T constructors share one body, and so do the two W ones.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
 A, formed with the route's own product, which starts from A itself, finds
@@ -147,17 +149,30 @@ def _check_route(route):
         raise ValueError(f"unknown route {route!r}")
 
 
-def _classify(nu, s_rank, t_rank, w_rank):
-    range_matches = w_rank == s_rank
-    null_matches = w_rank == t_rank
-    is_one = w_rank == nu
-    return {
-        "is_one_inverse": is_one,
-        "is_outer": range_matches or null_matches,
+def _classify(ranks, side):
+    # the rank conditions of X = S (TAS)^(1) T.  One side reads them from
+    # (S, T); side "both" reads the left side's from (T, S) too, so that a
+    # space flag holds on both sides and is_outer on either, and then adds
+    # each side's space flags and whether the sides disagree
+    nu, w = ranks["nu"], ranks["w"]
+    pairs = [(ranks["s"], ranks["t"])]
+    if side == "both":
+        pairs.append((ranks["t"], ranks["s"]))
+    spaces = [(w == s, w == t) for s, t in pairs]
+    range_matches, null_matches = map(all, zip(*spaces))
+    cls = {
+        "is_one_inverse": w == nu,
+        "is_outer": any(r or n for r, n in spaces),
         "range_matches": range_matches,
         "nullspace_matches": null_matches,
-        "is_12_unique": range_matches and null_matches and is_one,
+        "is_12_unique": range_matches and null_matches and w == nu,
     }
+    if side == "both":
+        for name, (r, n) in zip(("right", "left"), spaces):
+            cls[f"{name}_range_matches"] = r
+            cls[f"{name}_nullspace_matches"] = n
+        cls["sides_disagree"] = spaces[0][0] != spaces[0][1]
+    return cls
 
 
 def _defining_residuals(a, x, penrose=False):
@@ -180,13 +195,21 @@ def _defining_residuals(a, x, penrose=False):
     return res
 
 
-def _report(a, x, ranks, side, route, classification=None, penrose=False,
-            reason=""):
-    if classification is None:
-        classification = _classify(
-            ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
+_SINGULAR = ("prescribed-space inverse does not exist: "
+             "G*A*F is singular (rank {} < {})")
+
+
+def _report(a, x, ranks, side, route, penrose=False):
+    # the one InverseReport.  X None is an inverse that does not exist, a
+    # singular G A F of order r = ranks["s"]: reported as a zero X of A*'s
+    # shape, every flag False and the reason naming rank(GAF) and r
+    cls, reason = _classify(ranks, side), ""
+    if x is None:
+        x = QMatrix.zeros(a.ncols, a.nrows)
+        cls = dict.fromkeys(cls, False)
+        reason = _SINGULAR.format(ranks["w"], ranks["s"])
     return InverseReport(
-        x=x, exists=not reason, reason=reason, classification=classification,
+        x=x, exists=not reason, reason=reason, classification=cls,
         residuals=_defining_residuals(a, x, penrose),
         ranks=ranks, side=side, route=route)
 
@@ -221,6 +244,33 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
     return prod(prod(s, _one_inverse_from(sv, z, route)), t), sv.rank
 
 
+# side -> outer_<side>'s two generators by name, each with the axes on which
+# it must match A*'s shape: the core's S has A.ncols rows and its T A.nrows
+# columns, outer_left's S2 is the core's T, and outer_both's S and T have
+# A*'s shape
+_OUTER_ARGS = {"right": (("S1", (0,)), ("T1", (1,))),
+               "left": (("S2", (1,)), ("T2", (0,))),
+               "both": (("S", (0, 1)), ("T", (0, 1)))}
+
+
+def _outer(a, s, t, route, z, side):
+    # outer_right, outer_left and outer_both: the generators' shapes, the
+    # ranks of A, s and t, then X = S (TAS)^(1) T, whose S is t and T is s
+    # on the left
+    _check_route(route)
+    want = (a.ncols, a.nrows)
+    for arg, (name, axes) in zip((s, t), _OUTER_ARGS[side]):
+        for ax in axes:
+            if arg.shape[ax] != want[ax]:
+                noun = ("rows", "columns")[ax]
+                raise ValueError(
+                    f"{name} has {arg.shape[ax]} {noun}, expected {want[ax]}")
+    ranks = {"nu": rank(a), "s": rank(s), "t": rank(t)}
+    gens = (t, s) if side == "left" else (s, t)
+    x, ranks["w"] = _urquhart(a, *gens, route, z)
+    return _report(a, x, ranks, side, route)
+
+
 def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
                 z: QMatrix | None = None) -> InverseReport:
     """Outer inverse with prescribed right range R_r(S1) / null space N_r(T1).
@@ -234,15 +284,7 @@ def outer_right(a: QMatrix, s1: QMatrix, t1: QMatrix, route: str = "direct",
     rank(W) = rank(S1) = rank(T1) neither does X.  A square W of full rank
     has W^-1 as its only {1}-inverse, so z is checked and then unused.
     """
-    _check_route(route)
-    m, n = a.shape
-    if s1.nrows != n:
-        raise ValueError(f"S1 has {s1.nrows} rows, expected {n}")
-    if t1.ncols != m:
-        raise ValueError(f"T1 has {t1.ncols} columns, expected {m}")
-    ranks = {"nu": rank(a), "s": rank(s1), "t": rank(t1)}
-    x, ranks["w"] = _urquhart(a, s1, t1, route, z)
-    return _report(a, x, ranks, "right", route)
+    return _outer(a, s1, t1, route, z, "right")
 
 
 def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
@@ -253,15 +295,7 @@ def outer_left(a: QMatrix, s2: QMatrix, t2: QMatrix, route: str = "direct",
     rank(S2 A T2) against rank(S2), rank(T2), rank(A); ``z`` picks the
     {1}-inverse of S2 A T2 and has shape (T2.ncols, S2.nrows).
     """
-    _check_route(route)
-    m, n = a.shape
-    if s2.ncols != m:
-        raise ValueError(f"S2 has {s2.ncols} columns, expected {m}")
-    if t2.nrows != n:
-        raise ValueError(f"T2 has {t2.nrows} rows, expected {n}")
-    ranks = {"nu": rank(a), "s": rank(s2), "t": rank(t2)}
-    x, ranks["w"] = _urquhart(a, t2, s2, route, z)
-    return _report(a, x, ranks, "left", route)
+    return _outer(a, s2, t2, route, z, "left")
 
 
 def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
@@ -276,34 +310,7 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
     marks the asymmetric cases.  ``z`` picks the {1}-inverse of TAS as in
     :func:`outer_right`.
     """
-    _check_route(route)
-    m, n = a.shape
-    if s.shape != (n, m):
-        raise ValueError(f"S has shape {s.shape}, expected {(n, m)}")
-    if t.shape != (n, m):
-        raise ValueError(f"T has shape {t.shape}, expected {(n, m)}")
-    ranks = {"nu": rank(a), "s": rank(s), "t": rank(t)}
-    x, ranks["w"] = _urquhart(a, s, t, route, z)
-    right = _classify(ranks["nu"], ranks["s"], ranks["t"], ranks["w"])
-    left = _classify(ranks["nu"], ranks["t"], ranks["s"], ranks["w"])
-    cls = {
-        "is_one_inverse": right["is_one_inverse"],
-        "is_outer": right["is_outer"] or left["is_outer"],
-        "range_matches": right["range_matches"] and left["range_matches"],
-        "nullspace_matches":
-            right["nullspace_matches"] and left["nullspace_matches"],
-        "is_12_unique": right["is_12_unique"] and left["is_12_unique"],
-        "right_range_matches": right["range_matches"],
-        "right_nullspace_matches": right["nullspace_matches"],
-        "left_range_matches": left["range_matches"],
-        "left_nullspace_matches": left["nullspace_matches"],
-        "sides_disagree": right["range_matches"] != right["nullspace_matches"],
-    }
-    return _report(a, x, ranks, "both", route, classification=cls)
-
-
-_SINGULAR = ("prescribed-space inverse does not exist: "
-             "G*A*F is singular (rank {} < {})")
+    return _outer(a, s, t, route, z, "both")
 
 
 def _w_inverse(a, w, route):
@@ -325,17 +332,12 @@ def _w_inverse(a, w, route):
     return x, w_rank, r
 
 
-def _w_report(a, side, route, x, w_rank, r, penrose=False):
-    # the W-variants, and pinv by "frd", from _w_inverse's (X, rank(GAF), r)
-    ranks = {"nu": rank(a), "s": r, "t": r, "w": w_rank}
-    if x is not None:
-        return _report(a, x, ranks, side, route, penrose=penrose)
-    return _report(
-        a, QMatrix.zeros(a.ncols, a.nrows), ranks, side, route,
-        classification=dict.fromkeys(
-            ("is_one_inverse", "is_outer", "range_matches",
-             "nullspace_matches", "is_12_unique"), False),
-        penrose=penrose, reason=_SINGULAR.format(w_rank, r))
+def _outer_w(a, w, route, side):
+    # outer_w_right and outer_w_left: one X = F (G A F)^-1 G, labelled side
+    _check_route(route)
+    x, w_rank, r = _w_inverse(a, w, route)
+    return _report(a, x, {"nu": rank(a), "s": r, "t": r, "w": w_rank},
+                   side, route)
 
 
 def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseReport:
@@ -349,8 +351,7 @@ def outer_w_right(a: QMatrix, w1: QMatrix, route: str = "direct") -> InverseRepo
     used.  A singular G A F means no outer inverse with those spaces exists;
     the report carries ``exists=False`` instead of raising.
     """
-    _check_route(route)
-    return _w_report(a, "right", route, *_w_inverse(a, w1, route))
+    return _outer_w(a, w1, route, "right")
 
 
 def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseReport:
@@ -358,8 +359,7 @@ def outer_w_left(a: QMatrix, w2: QMatrix, route: str = "direct") -> InverseRepor
     rank decomposition fixes W2's left spaces as well as its right ones, and
     X does not depend on which one is used.
     """
-    _check_route(route)
-    return _w_report(a, "left", route, *_w_inverse(a, w2, route))
+    return _outer_w(a, w2, route, "left")
 
 
 # ======================================================= classical inverses
@@ -406,12 +406,11 @@ def pinv_report(a: QMatrix, method: str = "svd",
     scaled by a power of two.
     """
     x, w_rank, r = _moore_penrose(a, method, route)
+    ranks = {"nu": rank(a), "s": r, "t": r, "w": w_rank}
     if r is None:  # the ranks of outer_right(a, A*, A*)
         astar = conj_transpose(a)
-        ranks = {"nu": rank(a), "s": rank(astar), "t": rank(astar),
-                 "w": w_rank}
-        return _report(a, x, ranks, "right", route, penrose=True)
-    return _w_report(a, "right", route, x, w_rank, r, penrose=True)
+        ranks["s"], ranks["t"] = rank(astar), rank(astar)
+    return _report(a, x, ranks, "right", route, penrose=True)
 
 
 def pinv(a: QMatrix, method: str = "svd", route: str = "direct") -> QMatrix:

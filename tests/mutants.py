@@ -86,9 +86,25 @@ MUTANTS = (
     Mutant(
         "classify-range-against-t",
         "quatinv/geninv.py",
-        "    range_matches = w_rank == s_rank\n",
-        "    range_matches = w_rank == t_rank\n",
+        "spaces = [(w == s, w == t) for s, t in pairs]",
+        "spaces = [(w == t, w == t) for s, t in pairs]",
         ("tests/test_realrep.py",),
+    ),
+    Mutant(
+        "classify-left-side-without-the-swap",
+        "quatinv/geninv.py",
+        'pairs.append((ranks["t"], ranks["s"]))',
+        'pairs.append((ranks["s"], ranks["t"]))',
+        ("tests/test_geninv.py::test_outer_both_sides_disagree_flag",
+         "tests/test_realrep.py"),
+    ),
+    Mutant(
+        "outer-left-generators-unswapped",
+        "quatinv/geninv.py",
+        'gens = (t, s) if side == "left" else (s, t)',
+        "gens = (s, t)",
+        ("tests/test_realrep.py::test_outer_inverse_matches_the_real_representation",
+         "tests/test_geninv.py::test_outer_left_rank_condition_example"),
     ),
     Mutant(
         "index-walk-from-the-identity",

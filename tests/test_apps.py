@@ -358,7 +358,8 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
     sigma = np.linalg.svd(np.kron(op.t0_blur, op.t1_blur), compute_uv=False)
     r = int(np.sum(sigma > op.h * np.finfo(float).eps * sigma[0]))
     assert r == want_rank
-    # widths of one, several and a partial last column panel of B
+    # B of one column, of even and odd widths, and of 128 columns, the
+    # full width of the benchmark's 128x128 image
     for width in (1, 24, 31, 77, 128):
         b = blur(op, rand_image(p * q, width, seed=26, lo=0.05, hi=0.95))
         seen.clear()

@@ -1317,6 +1317,55 @@ def test_pinv_frd_raises_on_a_singular_gaf(route):
     assert str(exc.value) == rep.reason
 
 
+FLAGS = ["is_one_inverse", "is_outer", "range_matches", "nullspace_matches",
+         "is_12_unique"]
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_every_report_carries_its_keys_in_order(route):
+    # one report layout per side, keys in order (the CLI prints the flags
+    # in it): the five rank-condition flags, then for both sides each
+    # side's space flags and sides_disagree; ranks nu, s, t, w; the two
+    # defining residuals, plus the Penrose pair for pinv_report alone.  An
+    # inverse that does not exist (a singular G A F, on a rectangular A)
+    # reports a zero X of A*'s shape, every flag False, and rank(GAF) and
+    # r = rank(W) in its reason
+    rng = np.random.default_rng(64)
+    a = rand_rank_deficient(6, 4, 3, rng)
+    s, t = conj_transpose(a), rand_rank_deficient(4, 6, 2, rng)
+    both = FLAGS + ["right_range_matches", "right_nullspace_matches",
+                    "left_range_matches", "left_nullspace_matches",
+                    "sides_disagree"]
+    reports = [
+        (outer_right(a, s, t, route=route), "right", FLAGS, False),
+        (outer_left(a, t, s, route=route), "left", FLAGS, False),
+        (outer_both(a, s, t, route=route), "both", both, False),
+        (outer_w_right(a, s, route=route), "right", FLAGS, False),
+        (outer_w_left(a, s, route=route), "left", FLAGS, False),
+        (pinv_report(a, method="svd", route=route), "right", FLAGS, True),
+        (pinv_report(a, method="frd", route=route), "right", FLAGS, True),
+    ]
+    for rep, side, flags, penrose in reports:
+        assert (rep.side, rep.route, rep.exists) == (side, route, True)
+        assert list(rep.classification) == flags
+        assert list(rep.ranks) == ["nu", "s", "t", "w"]
+        assert list(rep.residuals) == ["outer", "one"] + (
+            ["p3", "p4"] if penrose else [])
+    # W's F spans e1 and its G e2, so G A F is a multiple of A[1, 0] = 0
+    a1 = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    w1 = QMatrix.from_real(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    a2 = graded_rect(8, 5, 5, 1e10, rng)[0]  # GAF squares kappa past the cut
+    missing = [(outer_w_left(a1, w1, route=route), a1, 1, "left"),
+               (pinv_report(a2, method="frd", route=route), a2, 5, "right")]
+    for rep, a, r, side in missing:
+        assert (rep.side, rep.exists) == (side, False)
+        assert rep.classification == dict.fromkeys(FLAGS, False)
+        assert rep.x.shape == (a.ncols, a.nrows) and fro_norm(rep.x) == 0.0
+        w = rep.ranks["w"]
+        assert rep.ranks["s"] == rep.ranks["t"] == r > w
+        assert rep.reason.endswith(f"G*A*F is singular (rank {w} < {r})")
+
+
 def graded_rect(m, n, r, kappa, rng):
     """(A, A+) for A = U diag(sigma) V* with r orthonormal columns in U
     (m rows) and V (n rows), sigma graded from 1 down to 1/kappa, and

@@ -1,5 +1,6 @@
-"""The Moore-Penrose and outer inverses against the real-representation
-oracle: pinv, pinv_solve, outer_right/left/both and the W-prescribed ones.
+"""The generalized inverses against the real-representation oracle: pinv,
+pinv_solve, outer_right/left/both, the W-prescribed ones, and the Drazin and
+group inverses.
 
 The oracle (tests/realrep.py) shares no code with either route, so it can
 catch a fault that both routes share, which route parity cannot see.
@@ -8,8 +9,10 @@ catch a fault that both routes share, which route parity cannot see.
 import numpy as np
 import pytest
 
-from quatinv.factor import full_rank_decompose
+from quatinv.factor import full_rank_decompose, rank
 from quatinv.geninv import (
+    drazin,
+    group_inverse,
     outer_both,
     outer_left,
     outer_right,
@@ -19,7 +22,7 @@ from quatinv.geninv import (
     pinv_report,
     pinv_solve,
 )
-from quatinv.qcore import conj_transpose, mat_mul, random_qmat
+from quatinv.qcore import QMatrix, conj_transpose, mat_mul, random_qmat
 from realrep import chi, from_chi
 from test_factor import with_spectrum
 
@@ -221,3 +224,69 @@ def test_outer_both_matches_the_real_representation(m, n, ra, rs, rt, route):
         left["range_matches"], left["nullspace_matches"])
     kappa = quaternion_cond(a, want)
     assert relative_error(rep.x, want) <= 0.5 * max(m, n) * EPS * kappa
+
+
+def direct_sum(blocks):
+    # the quaternion direct sum of square blocks, plane by plane with numpy
+    n = sum(b.nrows for b in blocks)
+    planes = np.zeros((4, n, n))
+    i = 0
+    for b in blocks:
+        planes[:, i:i + b.nrows, i:i + b.nrows] = b.components()
+        i += b.nrows
+    return QMatrix.from_components(*planes)
+
+
+def strictly_upper(k, rng):
+    # a random strictly upper triangular quaternion matrix of order k:
+    # nilpotent of index k
+    return QMatrix.from_components(
+        *(np.triu(p, 1) for p in random_qmat(k, k, rng).components()))
+
+
+def core_nilpotent(c, nil, rng):
+    # (A, chi(A^D)) for A = P (C + N) P^-1: P = U diag(d) V* with d in
+    # [1, 2], C of order c with singular values from 2 down to 1, and N the
+    # direct sum of the nilpotent blocks nil.  A and A^D = P (C^-1 + 0) P^-1
+    # are formed on chi, with numpy alone
+    n = c + sum(b.nrows for b in nil)
+    p = with_spectrum(n, n, rng.uniform(1.0, 2.0, n), rng)
+    cc = with_rank(c, c, c, rng)
+    cp, cp_inv = chi(p), np.linalg.inv(chi(p))
+    a = from_chi(cp @ chi(direct_sum([cc, *nil])) @ cp_inv)
+    c_inv = from_chi(np.linalg.inv(chi(cc)))
+    want = cp @ chi(direct_sum([c_inv, QMatrix.zeros(n - c, n - c)])) @ cp_inv
+    return a, want
+
+
+# (c, orders): C of order c and N the direct sum of one block per order,
+# strictly upper triangular for drazin (index max(orders), 2 or 3) and zero
+# for group_inverse (index 1, or 0 with no block)
+SPECTRAL_CASES = [(drazin, 6, (2,)), (drazin, 10, (3,)),
+                  (drazin, 12, (2, 3)), (drazin, 24, (3, 3)),
+                  (drazin, 34, (2, 2, 2)), (group_inverse, 8, ()),
+                  (group_inverse, 12, (4,)), (group_inverse, 30, (10,))]
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize(
+    "ctor, c, orders", SPECTRAL_CASES,
+    ids=[f"{f.__name__}-{c}-{'+'.join(map(str, o)) or 'invertible'}"
+         for f, c, o in SPECTRAL_CASES])
+def test_spectral_inverse_matches_the_real_representation(ctor, c, orders,
+                                                          route):
+    # X against P (C^-1 + 0) P^-1 within 0.5 n eps ||A|| ||X||, and rank(X)
+    # against rank(chi(X))/4 and the order of C.  The largest error measured
+    # was 0.075 n eps ||A|| ||X|| over these cases, and 0.092 over seeds
+    # 0-59 of each, on both routes, with no index misjudged.  P and C are
+    # kept well conditioned, inside the range where the walk by powers
+    # judges the index right (ROADMAP items 6-7 own the ill-conditioned
+    # rest)
+    rng = np.random.default_rng(1000 + 10 * c + sum(orders))
+    nil = [strictly_upper(k, rng) if ctor is drazin else QMatrix.zeros(k, k)
+           for k in orders]
+    a, want = core_nilpotent(c, nil, rng)
+    x = ctor(a, route=route)
+    assert rank(x) == real_rank(chi(x)) // 4 == c
+    kappa = quaternion_cond(a, want)
+    assert relative_error(x, want) <= 0.5 * a.nrows * EPS * kappa
