@@ -432,8 +432,9 @@ def deblur_report(op: BlurOperator, truth: ColorImage,
                   real_metrics: RestorationMetrics | None) -> dict:
     """JSON-ready summary of one deblurring run.
 
-    ``blur_rank`` holds the ranks of T0 and T1, one small SVD each: A is
-    singular exactly when one of them is short of its order.
+    ``blur_rank`` holds the ranks of T0 and T1, each from ``rank``: its
+    Gram-Cholesky full-rank proof, and an SVD only for a singular band.  A
+    is singular exactly when one of them is short of its order.
     """
     report = {
         "psnr_db": quat_metrics.psnr,

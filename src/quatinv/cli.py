@@ -30,6 +30,7 @@ import sys
 import numpy as np
 
 from .qcore import (
+    _ROUTES,
     QMatrix,
     QmatFormatError,
     fro_norm,
@@ -274,7 +275,7 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """The ``quatinv`` argument parser: one subcommand per constructor and
     pipeline, each taking only the shared flags its command reads."""
-    route = _flag("--route", choices=["direct", "crep"], default="direct",
+    route = _flag("--route", choices=_ROUTES, default="direct",
                   help="quaternion arithmetic or complex representation")
     seed = _flag("--seed", type=int, default=0,
                  help="seed of the measurement noise (default: 0)")

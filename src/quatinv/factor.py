@@ -24,7 +24,8 @@ Two computational routes are kept genuinely separate throughout:
   pairs the singular vectors of either side, picking the pairs its walk
   misses by largest residual, with the residual norms downdated pick by
   pick; the pivoted QR keeps only A^C's left block column, whose paired
-  rows each reflector updates, and reads the right one off it).
+  rows each reflector updates, and reads R off it for the route's square
+  solve).
 
 ``rank`` counts the singular values of A^C above max(m, n)·eps·sigma_1.
 It reads the tall orientation C of A^C, 2M-by-2N with M = max(m, n) and
@@ -58,7 +59,8 @@ callers that want unitary factors.
 
 Each route has one square solve, ``_solve(w, b, route)``: W^-1 B for a W
 whose full rank is already decided, from one LU with partial pivoting.  The
-Urquhart core of :mod:`quatinv.geninv` and ``pinv_solve`` both call it.  On
+Urquhart core of :mod:`quatinv.geninv`, ``pinv_solve`` and the crep pivoted
+QR (for R11^-1 R12, on R's rows read off its block column) call it.  On
 direct it is the LU of [W | B] on the pair array in LAPACK's unblocked
 xGETF2 form, one column and one rank-1 update at a time, which ends in the
 same upper-triangular back substitution as the direct QR of
@@ -78,6 +80,7 @@ import numpy as np
 from .qcore import (
     _EPS,
     QMatrix,
+    _check_route,
     _quaternion_part,
     _route_mul,
     _scale_to_safe,
@@ -242,8 +245,7 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
     Raises ``ValueError`` for an input with NaN or Inf entries, and
     ``np.linalg.LinAlgError`` (a ``ValueError``) if LAPACK does not converge.
     """
-    if method not in ("crep", "direct"):
-        raise ValueError(f"unknown qsvd method {method!r}")
+    _check_route(method, "qsvd method")
     _require_finite(a, "qsvd")
     m, n = a.shape
     if m == 0 or n == 0:
@@ -750,9 +752,9 @@ def _qr_crep(a: QMatrix):
     from the true pair (Q1, Q2) of column k, and applies it as the rank-2
     complex update I - tau v^C (v^C)* to rows k: of L's two halves, in
     columns k: only.  The column norms are read off L's halves as they
-    stand, since only moduli enter.  R's rows of R^C are read off L once,
-    after the loop, and X off a complex solve with the 2r-by-2r R11^C,
-    through the symplectic projection."""
+    stand, since only moduli enter.  R = R1 + R2 j is read off L once,
+    after the loop, as R1 = L_top and R2 = -conj L_bot in rows :r, and
+    X = R11^-1 R12 comes from the route's square solve, ``_solve``."""
     m, n = a.shape
     a = _scale_to_safe(a)[0]
     c = np.concatenate([a.q1, -np.conj(a.q2)])  # L = [Q1; -conj Q2]
@@ -775,11 +777,11 @@ def _qr_crep(a: QMatrix):
         bot -= np.conj(vbh.T) @ h
 
     perm, r = _pivoted_qr(m, n, lambda k: (c[k:m, k:], c[m + k:, k:]), step)
-    left = c[np.r_[:r, m:m + r]]  # R's rows of R^C: its left block column
-    right = _psi_partner(left, r)  # [R2; conj R1] = [-conj L_bot; conj L_top]
-    x = np.linalg.solve(np.hstack([left[:, :r], right[:, :r]]),
-                        np.hstack([left[:, r:], right[:, r:]]))
-    return perm, r, _quaternion_part(x)
+    if r == 0:  # no solve, so no representation with A's n columns
+        return perm, 0, QMatrix.zeros(0, n)
+    r1, r2 = c[:r], -np.conj(c[m:m + r])  # rows :r of R = R1 + R2 j
+    r11, r12 = QMatrix(r1[:, :r], r2[:, :r]), QMatrix(r1[:, r:], r2[:, r:])
+    return perm, r, _solve(r11, r12, "crep")
 
 
 def full_rank_decompose(a: QMatrix,
@@ -809,12 +811,8 @@ def full_rank_decompose(a: QMatrix,
     Raises ``ValueError`` for an input with NaN or Inf entries.
     """
     _require_finite(a, "full_rank_decompose")
-    if route == "direct":
-        perm, r, x = _qr_direct(a)
-    elif route == "crep":
-        perm, r, x = _qr_crep(a)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    _check_route(route)
+    perm, r, x = (_qr_direct if route == "direct" else _qr_crep)(a)
     # row k of G belongs to pivot column piv[k]
     order = np.argsort(perm[:r])
     piv = perm[:r][order]

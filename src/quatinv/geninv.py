@@ -17,7 +17,8 @@ computed matrix together with the four ranks, the flags they imply, and the
 defining residuals; its rank(TAS) is that of the factorization that built
 X.  Every report, that of an inverse that does not exist included, comes
 from one builder, which classifies the ranks for the report's side; the
-three S, T constructors share one body, and so do the two W ones.  ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
+three S, T constructors share one body, and so do the two W ones.
+``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
 call the core directly and compute no rank of A and no residual.  The
 Drazin and group inverses come from one walk over the normalized powers of
 A, formed with the route's own product, which starts from A itself, finds
@@ -50,7 +51,8 @@ and group inverses (W = A^k).
 
 Every constructor takes ``route`` in {"direct", "crep"}: native quaternion
 arithmetic versus complex-representation arithmetic end to end.  The route
-is checked on entry, and all five outer-inverse constructors (and both
+is checked on entry, by the package's one route check in
+:mod:`quatinv.qcore`, and all five outer-inverse constructors (and both
 Moore-Penrose realizations) evaluate the expression through one private
 core, differing only in S and T, the free matrix z that picks the
 {1}-inverse of TAS, and whether a singular TAS means the inverse does not
@@ -88,6 +90,7 @@ from .factor import (
 )
 from .qcore import (
     QMatrix,
+    _check_route,
     _route_mul,
     _scale_to_safe,
     conj_transpose,
@@ -142,11 +145,6 @@ class InverseReport:
     ranks: dict = field(default_factory=dict)
     side: str = "right"
     route: str = "direct"
-
-
-def _check_route(route):
-    if route not in ("direct", "crep"):
-        raise ValueError(f"unknown route {route!r}")
 
 
 def _classify(ranks, side):

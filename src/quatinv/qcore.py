@@ -228,14 +228,20 @@ def crep_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(row[:, :n], row[:, n:])
 
 
+# the two arithmetic routes, in the order the CLI offers them
+_ROUTES = ("direct", "crep")
+
+
+def _check_route(route: str, what: str = "route") -> None:
+    # the one refusal of an unknown route name; what names it in the message
+    if route not in _ROUTES:
+        raise ValueError(f"unknown {what} {route!r}")
+
+
 def _route_mul(route: str):
-    # the product of a route ("direct" or "crep"), read from the module
-    # globals at call time so wrappers installed on those names are seen
-    if route == "direct":
-        return mat_mul
-    if route == "crep":
-        return crep_mul
-    raise ValueError(f"unknown route {route!r}")
+    # the product of a route already checked, read from the module globals
+    # at call time so wrappers installed on those names are seen
+    return mat_mul if route == "direct" else crep_mul
 
 
 def conj_transpose(a: QMatrix) -> QMatrix:

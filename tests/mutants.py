@@ -137,6 +137,22 @@ MUTANTS = (
         "_along_q(op.t1_blur, c.view(float))",
         ("tests/test_apps.py::test_deblur_agrees_with_the_general_solve",),
     ),
+    Mutant(
+        "route-check-accepts-any-name",
+        "quatinv/qcore.py",
+        "    if route not in _ROUTES:\n",
+        "    if False:\n",
+        ("tests/test_factor.py::test_unknown_route_raises_on_every_shape",
+         "tests/test_geninv.py::test_unknown_route_is_rejected_before_any_rank"),
+    ),
+    Mutant(
+        "crep-qr-reads-r2-without-its-conjugate",
+        "quatinv/factor.py",
+        "-np.conj(c[m:m + r])",
+        "-c[m:m + r]",
+        ("tests/test_factor.py::test_frd_reconstructs_and_has_full_rank_factors",
+         "tests/test_factor.py::test_frd_routes_agree"),
+    ),
 )
 
 

@@ -836,3 +836,46 @@ def test_filter_csv(tmp_path):
     assert row[1] == fs.d.q1.imag[0, 0]
     # filtered estimate reproduces the target to the solve tolerance
     assert abs(row[4] - row[1]) <= 1e-6
+
+
+# ---- refusals no other test reaches ----
+
+@pytest.mark.parametrize("data, message", [
+    (b"P3\n2 x\n255\n", "truncated or non-numeric header"),
+    (b"P3\n1 1\n255\n1 two 3\n", "non-numeric raster sample"),
+    (b"P3\n1 1\n255\n1 256 3\n", r"sample out of range 0\.\.255"),
+])
+def test_ppm_refusals_name_their_fault(tmp_path, data, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    with pytest.raises(PpmFormatError, match=message):
+        read_ppm(path)
+
+
+@pytest.mark.parametrize("restore", ["quaternion", "real"])
+def test_restores_refuse_data_of_another_height(restore):
+    op = build_blur(2, 3, sigma=1.0, r=1, s=1)
+    b = QMatrix.zeros(5, 4)
+    with pytest.raises(ValueError, match="blurred data height 5 does not "
+                                         "match operator 6"):
+        if restore == "quaternion":
+            deblur_quaternion(op, b)
+        else:
+            real_block_restore(op, b)
+
+
+@pytest.mark.parametrize("order, delay", [(-1, 0), (2, -3)])
+def test_filter_system_refuses_a_negative_order_or_delay(order, delay):
+    traj = lorenz_simulate(1.0, 0.01)
+    with pytest.raises(ValueError, match=f"order and delay must be >= 0, "
+                                         f"got {order}, {delay}"):
+        build_filter_system(traj, 0.01, delay, 0.0, order)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_filter_system_refuses_an_all_zero_target(route):
+    # the origin is a fixed point of the Lorenz system, so every sample is 0
+    traj = lorenz_simulate(1.0, 0.01, start=(0.0, 0.0, 0.0))
+    assert not traj.any()
+    with pytest.raises(ValueError, match="target signal is identically zero"):
+        build_filter_system(traj, 0.01, 2, 0.0, 3, route=route)

@@ -828,3 +828,17 @@ def test_every_private_top_level_name_is_read():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert [where for where, name in defined.items() if name not in read] == []
+
+
+def test_without_json_the_report_goes_to_stdout(rand_mat, capsys):
+    # stdout holds the JSON report, then the one-line summary
+    a, a_path = rand_mat
+    assert main(["frd", "--in", a_path, "--route", "crep"]) == 0
+    out, err = capsys.readouterr()
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert report["op"] == "frd" and report["route"] == "crep"
+    assert report["rank"] == 4 and report["shape"] == [6, 4]
+    assert report["f_shape"] == [6, 4] and report["g_shape"] == [4, 4]
+    assert out[end:].strip() == (
+        f"frd: rank 4, ||FG-A|| = {report['reconstruction_residual']:.3e}")
+    assert err == ""

@@ -1602,3 +1602,22 @@ def test_defining_residuals_match_a_crep_oracle(shape, route):
         scale = max(m, n) * EPS * fro_norm(a) * fro_norm(rep.x)
         assert abs(rep.residuals["one"] - one) <= scale * fro_norm(a)
         assert abs(rep.residuals["outer"] - outer) <= scale * fro_norm(rep.x)
+
+
+# ------------------------------------------- refusals no other test reaches
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("build", [pinv, pinv_report])
+def test_unknown_pinv_method_is_refused(build, route):
+    with pytest.raises(ValueError, match="unknown pinv method 'qr'"):
+        build(QMatrix.eye(3), method="qr", route=route)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("build", [outer_w_right, outer_w_left])
+def test_w_of_the_wrong_shape_is_refused(build, route):
+    a = QMatrix.zeros(4, 3)
+    with pytest.raises(ValueError,
+                       match=r"W has shape \(4, 3\), expected \(3, 4\)"):
+        build(a, QMatrix.zeros(4, 3), route=route)

@@ -456,3 +456,70 @@ def test_qmat_17_digit_contract(tmp_path):
     write_qmat(path, a)
     b = read_qmat(path)
     assert parts(b) == parts(a)
+
+
+# ---- refusals and operators no other test reaches ----
+
+def test_qmatrix_refuses_a_1d_array_and_unequal_components():
+    with pytest.raises(ValueError,
+                       match=r"expected a 2-D array, got shape \(3,\)"):
+        QMatrix(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError,
+                       match=r"component shapes differ: \(2, 2\) vs \(2, 3\)"):
+        QMatrix(np.ones((2, 2)), np.ones((2, 3)))
+
+
+def test_qmatrix_refuses_attribute_assignment():
+    a = QMatrix.eye(2)
+    with pytest.raises(AttributeError, match="QMatrix is immutable"):
+        a.q1 = np.zeros((2, 2))
+    with pytest.raises(AttributeError, match="QMatrix is immutable"):
+        a.extra = 1
+    assert np.array_equal(a.q1, np.eye(2))
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_sum_and_difference_refuse_different_shapes(op):
+    a, b = QMatrix.zeros(2, 3), QMatrix.zeros(3, 2)
+    with pytest.raises(ValueError,
+                       match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
+        a + b if op == "add" else a - b
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_products_refuse_disagreeing_inner_dimensions(product):
+    with pytest.raises(ValueError, match=r"inner dimensions disagree: "
+                                         r"\(2, 3\) @ \(2, 3\)"):
+        product(QMatrix.zeros(2, 3), QMatrix.zeros(2, 3))
+
+
+def test_matmul_operator_is_mat_mul():
+    rng = np.random.default_rng(3)
+    a, b = random_qmat(4, 3, rng), random_qmat(3, 5, rng)
+    x, y = a @ b, mat_mul(a, b)
+    assert np.array_equal(x.q1, y.q1) and np.array_equal(x.q2, y.q2)
+
+
+@pytest.mark.parametrize("header", ["QMAT 2 two", "QMAT 1.5 1"])
+def test_qmat_refuses_a_non_integer_dimension(tmp_path, header):
+    path = tmp_path / "bad.qmat"
+    path.write_text(header + "\n1 0 0 0\n")
+    with pytest.raises(QmatFormatError, match="bad header"):
+        read_qmat(path)
+
+
+def test_qmat_refuses_a_negative_dimension(tmp_path):
+    path = tmp_path / "bad.qmat"
+    path.write_text("QMAT -1 2\n")
+    with pytest.raises(QmatFormatError,
+                       match="negative dimensions in 'QMAT -1 2'"):
+        read_qmat(path)
+
+
+def test_qmat_skips_comment_lines_among_the_entries(tmp_path):
+    path = tmp_path / "c.qmat"
+    path.write_text("QMAT 1 2\n1 2 3 4\n# between entries\n\n5 6 7 8\n")
+    w, x, y, z = read_qmat(path).components()
+    assert np.array_equal(np.stack([w, x, y, z]),
+                          [[[1.0, 5.0]], [[2.0, 6.0]], [[3.0, 7.0]],
+                           [[4.0, 8.0]]])

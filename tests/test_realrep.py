@@ -290,3 +290,83 @@ def test_spectral_inverse_matches_the_real_representation(ctor, c, orders,
     assert rank(x) == real_rank(chi(x)) // 4 == c
     kappa = quaternion_cond(a, want)
     assert relative_error(x, want) <= 0.5 * a.nrows * EPS * kappa
+
+
+# ------------------------------------------------ at the workloads' sizes
+#
+# The benchmark's inputs (perfbench/workloads.py, full size), built the same
+# way with this module's helpers.  Each oracle is formed once per module and
+# checked on both routes, within the bound of the rows above.
+
+
+@pytest.fixture(scope="module")
+def pinv_workload():
+    # the pinv workload's family: a 120x80 product of uniform factors,
+    # 120x60 and 60x80, of rank 60
+    rng = np.random.default_rng(1200)
+    a = mat_mul(random_qmat(120, 60, rng), random_qmat(60, 80, rng))
+    c = chi(a)
+    return a, oracle_pinv(c), real_rank(c) // 4
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_pinv_report_matches_the_real_representation_at_workload_size(
+        pinv_workload, route):
+    # the largest c measured was 0.0010 (crep; direct 0.0009)
+    a, want, k = pinv_workload
+    assert k == 60
+    rep = pinv_report(a, route=route)
+    assert rep.ranks == {"nu": k, "s": k, "t": k, "w": k}
+    assert rep.classification == flags_of(rep.ranks)
+    kappa = quaternion_cond(a, want)
+    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+
+
+@pytest.fixture(scope="module")
+def w_workload():
+    # the prescribed workload's outer_w_* inputs: a uniform 120x80 A and an
+    # 80x120 W of rank 40 with singular values in [1, 2]
+    rng = np.random.default_rng(1210)
+    a = random_qmat(120, 80, rng)
+    w = with_spectrum(80, 120, rng.uniform(1.0, 2.0, 40), rng)
+    return a, w, *oracle_w_inverse(a, w)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("ctor", [outer_w_right, outer_w_left],
+                         ids=["right", "left"])
+def test_w_inverse_matches_the_real_representation_at_workload_size(
+        w_workload, ctor, route):
+    # the largest c measured was 0.0007 (crep; direct 0.0006), the same
+    # on both sides
+    a, w, want, k = w_workload
+    assert k == 4 * 40
+    rep = ctor(a, w, route=route)
+    assert rep.exists
+    assert rep.ranks == {"nu": 80, "s": 40, "t": 40, "w": 40}
+    assert rep.classification == flags_of(rep.ranks)
+    kappa = quaternion_cond(a, want)
+    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+
+
+def shift(k):
+    # the k-by-k shift block, ones on the superdiagonal: nilpotent of index k
+    return QMatrix.from_real(np.eye(k, k, 1))
+
+
+@pytest.fixture(scope="module")
+def drazin_workload():
+    # the prescribed workload's Drazin input: a 60x60 P (C + N) P^-1 with C
+    # of order 48 and N four 3x3 shift blocks, so Ind(A) = 3
+    return core_nilpotent(48, [shift(3)] * 4, np.random.default_rng(1220))
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_drazin_matches_the_real_representation_at_workload_size(
+        drazin_workload, route):
+    # the largest c measured was 0.0062 (crep; direct 0.0059)
+    a, want = drazin_workload
+    x = drazin(a, route=route)
+    assert rank(x) == real_rank(chi(x)) // 4 == 48
+    kappa = quaternion_cond(a, want)
+    assert relative_error(x, want) <= 0.5 * 60 * EPS * kappa
