@@ -200,16 +200,22 @@ _SINGULAR = ("prescribed-space inverse does not exist: "
 def _report(a, x, ranks, side, route, penrose=False):
     # the one InverseReport.  X None is an inverse that does not exist, a
     # singular G A F of order r = ranks["s"]: reported as a zero X of A*'s
-    # shape, every flag False and the reason naming rank(GAF) and r
+    # shape, every flag False and the reason naming rank(GAF) and r.  The
+    # residuals of that zero X are known without a product: XAX - X = 0,
+    # AXA - A = -A, and AX = XA = 0 are Hermitian
     cls, reason = _classify(ranks, side), ""
     if x is None:
         x = QMatrix.zeros(a.ncols, a.nrows)
         cls = dict.fromkeys(cls, False)
         reason = _SINGULAR.format(ranks["w"], ranks["s"])
+        res = {"outer": 0.0, "one": fro_norm(a)}
+        if penrose:
+            res["p3"] = res["p4"] = 0.0
+    else:
+        res = _defining_residuals(a, x, penrose)
     return InverseReport(
         x=x, exists=not reason, reason=reason, classification=cls,
-        residuals=_defining_residuals(a, x, penrose),
-        ranks=ranks, side=side, route=route)
+        residuals=res, ranks=ranks, side=side, route=route)
 
 
 def _urquhart(a, s, t, route, z=None, need_inverse=False):

@@ -153,6 +153,16 @@ MUTANTS = (
         ("tests/test_factor.py::test_frd_reconstructs_and_has_full_rank_factors",
          "tests/test_factor.py::test_frd_routes_agree"),
     ),
+    Mutant(
+        "ssim-block-offset-one-row-short",
+        "quatinv/apps/deblur.py",
+        "(s0, c * s1, s2, s1)",
+        "(s0, (c - 1) * s1, s2, s1)",
+        ("tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[42x74]",
+         "tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[74x42]",
+         "tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[139x40]",
+         "tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[266x30]"),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,6 +597,17 @@ def _constant(h, w, value):
                  id="11x200"),
     pytest.param(rand_image(200, 11, seed=40), rand_image(200, 11, seed=41),
                  id="200x11"),
+    # window rows or columns a whole number of blocks (32 and 64)
+    pytest.param(rand_image(42, 74, seed=42), rand_image(42, 74, seed=43),
+                 id="42x74"),
+    pytest.param(rand_image(74, 42, seed=44), rand_image(74, 42, seed=45),
+                 id="74x42"),
+    # windows across a strip boundary: one window row past a strip, and
+    # two full strips
+    pytest.param(rand_image(139, 40, seed=46), rand_image(139, 40, seed=47),
+                 id="139x40"),
+    pytest.param(rand_image(266, 30, seed=48), rand_image(266, 30, seed=49),
+                 id="266x30"),
 ])
 def test_metrics_ssim_matches_the_2d_window(ref, est):
     want = np.mean([ssim_2d_window(x, y)
@@ -614,6 +626,22 @@ def test_ssim_of_a_constant_plane_matches_the_2d_window(est):
     want = [ssim_2d_window(x, y) for x, y in zip(ref.planes(), est.planes())]
     got = deblur_mod._ssim_planes(ref.planes(), est.planes())
     assert np.abs(got - want).max() <= 1e-13
+
+
+def test_ssim_transient_memory_does_not_grow_with_height():
+    # the planes run in strips of a fixed number of window rows, so the
+    # peak allocation depends on the width alone
+    peaks = []
+    for h in (400, 800, 1600):
+        x, y = (np.random.default_rng(seed).uniform(size=(1, h, 256))
+                for seed in (50, 51))
+        tracemalloc.start()
+        try:
+            deblur_mod._ssim_planes(x, y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.1 * min(peaks), peaks
 
 
 def test_metrics_correlation_of_identical_channels():

@@ -370,14 +370,32 @@ def test_outer_w_right_prescribes_spaces():
     assert same_row_span(x, w1)  # N_r(X) = N_r(W1)
 
 
-def test_outer_w_right_singular_small_matrix_flags_nonexistence():
+def test_outer_w_right_singular_small_matrix_flags_nonexistence(monkeypatch):
     # W nilpotent against A = I: G*F is strictly triangular, so no outer
-    # inverse with R_r(W), N_r(W) exists
-    rep = outer_w_right(QMatrix.eye(2), NILP)
-    assert not rep.exists
-    assert "singular" in rep.reason
-    assert fro_norm(rep.x) == 0.0
-    assert not rep.classification["is_outer"]
+    # inverse with R_r(W), N_r(W) exists.  On both routes the zero X's
+    # residuals are known, ||XAX - X|| = 0 and ||AXA - A|| = ||A||, and the
+    # report forms no product on that X
+    zero_operands = []
+
+    def spy(mul):
+        def wrapped(x, y):
+            zero_operands.extend(
+                m.shape for m in (x, y) if not (m.q1.any() or m.q2.any()))
+            return mul(x, y)
+        return wrapped
+
+    monkeypatch.setattr(geninv, "mat_mul", spy(mat_mul))
+    monkeypatch.setattr(qcore, "mat_mul", spy(mat_mul))
+    monkeypatch.setattr(qcore, "crep_mul", spy(qcore.crep_mul))
+    a = QMatrix.eye(2)
+    for route in ("direct", "crep"):
+        rep = outer_w_right(a, NILP, route=route)
+        assert not rep.exists
+        assert "singular" in rep.reason
+        assert fro_norm(rep.x) == 0.0
+        assert not rep.classification["is_outer"]
+        assert rep.residuals == {"outer": 0.0, "one": fro_norm(a)}
+    assert zero_operands == []
 
 
 def test_outer_w_right_zero_w():
@@ -1328,8 +1346,8 @@ def test_every_report_carries_its_keys_in_order(route):
     # side's space flags and sides_disagree; ranks nu, s, t, w; the two
     # defining residuals, plus the Penrose pair for pinv_report alone.  An
     # inverse that does not exist (a singular G A F, on a rectangular A)
-    # reports a zero X of A*'s shape, every flag False, and rank(GAF) and
-    # r = rank(W) in its reason
+    # reports a zero X of A*'s shape, every flag False, its known residuals,
+    # and rank(GAF) and r = rank(W) in its reason
     rng = np.random.default_rng(64)
     a = rand_rank_deficient(6, 4, 3, rng)
     s, t = conj_transpose(a), rand_rank_deficient(4, 6, 2, rng)
@@ -1355,10 +1373,13 @@ def test_every_report_carries_its_keys_in_order(route):
     a1 = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     w1 = QMatrix.from_real(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
     a2 = graded_rect(8, 5, 5, 1e10, rng)[0]  # GAF squares kappa past the cut
-    missing = [(outer_w_left(a1, w1, route=route), a1, 1, "left"),
-               (pinv_report(a2, method="frd", route=route), a2, 5, "right")]
-    for rep, a, r, side in missing:
+    missing = [(outer_w_left(a1, w1, route=route), a1, 1, "left", {}),
+               (pinv_report(a2, method="frd", route=route), a2, 5, "right",
+                {"p3": 0.0, "p4": 0.0})]
+    for rep, a, r, side, penrose in missing:
         assert (rep.side, rep.exists) == (side, False)
+        # the zero X's residuals: XAX - X = 0, AXA - A = -A, AX = XA = 0
+        assert rep.residuals == {"outer": 0.0, "one": fro_norm(a), **penrose}
         assert rep.classification == dict.fromkeys(FLAGS, False)
         assert rep.x.shape == (a.ncols, a.nrows) and fro_norm(rep.x) == 0.0
         w = rep.ranks["w"]

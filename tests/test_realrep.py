@@ -295,7 +295,8 @@ def test_spectral_inverse_matches_the_real_representation(ctor, c, orders,
 # ------------------------------------------------ at the workloads' sizes
 #
 # The benchmark's inputs (perfbench/workloads.py, full size), built the same
-# way with this module's helpers.  Each oracle is formed once per module and
+# way with this module's helpers, and inputs of the same size for the
+# constructors no workload runs.  Each oracle is formed once per module and
 # checked on both routes, within the bound of the rows above.
 
 
@@ -370,3 +371,56 @@ def test_drazin_matches_the_real_representation_at_workload_size(
     assert rank(x) == real_rank(chi(x)) // 4 == 48
     kappa = quaternion_cond(a, want)
     assert relative_error(x, want) <= 0.5 * 60 * EPS * kappa
+
+
+@pytest.fixture(scope="module")
+def outer_workload():
+    # a uniform 120x80 A; for outer_right/left an 80x48 S and a 40x120 T,
+    # and for outer_both an 80x120 S and T, each of rank 40 with singular
+    # values in [1, 2], so that every W = T A S is rectangular and of rank
+    # 40 and goes to its compact SVD
+    rng = np.random.default_rng(1230)
+    a = random_qmat(120, 80, rng)
+    gens = {"one": (with_spectrum(80, 48, rng.uniform(1.0, 2.0, 40), rng),
+                    with_spectrum(40, 120, rng.uniform(1.0, 2.0, 40), rng)),
+            "both": (with_spectrum(80, 120, rng.uniform(1.0, 2.0, 40), rng),
+                     with_spectrum(80, 120, rng.uniform(1.0, 2.0, 40), rng))}
+    return a, {key: (s, t, *oracle_outer(a, s, t))
+               for key, (s, t) in gens.items()}
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+@pytest.mark.parametrize("side", ["right", "left", "both"])
+def test_outer_inverse_matches_the_real_representation_at_workload_size(
+        outer_workload, side, route):
+    # outer_right(A, S, T), outer_left(A, T, S) and outer_both(A, S, T) all
+    # build X = S (T A S)^+ T.  The largest c measured was 0.0006 on one
+    # side (both routes) and 0.0005 on both sides (crep; direct 0.0004)
+    a, gens = outer_workload
+    s, t, want, w = gens["both" if side == "both" else "one"]
+    assert w == 40
+    if side == "right":
+        rep = outer_right(a, s, t, route=route)
+    elif side == "left":
+        rep = outer_left(a, t, s, route=route)
+    else:
+        rep = outer_both(a, s, t, route=route)
+    assert rep.exists
+    assert rep.ranks == {"nu": 80, "s": 40, "t": 40, "w": 40}
+    flags = flags_of(rep.ranks)
+    assert {key: rep.classification[key] for key in flags} == flags
+    kappa = quaternion_cond(a, want)
+    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_group_inverse_matches_the_real_representation_at_workload_size(
+        route):
+    # a 120x120 P (C + 0) P^-1 with C of order 90, so Ind(A) = 1.  The
+    # largest c measured was 0.0025, on both routes
+    a, want = core_nilpotent(90, [QMatrix.zeros(30, 30)],
+                             np.random.default_rng(1240))
+    x = group_inverse(a, route=route)
+    assert rank(x) == real_rank(chi(x)) // 4 == 90
+    kappa = quaternion_cond(a, want)
+    assert relative_error(x, want) <= 0.5 * 120 * EPS * kappa
