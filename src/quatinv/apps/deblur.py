@@ -9,12 +9,12 @@ commutes with a quaternion scalar, so
 pinv(A) = mu^-1 kron(pinv(T0), pinv(T1)) = kron(pinv(mu T0), pinv(T1))
 = kron(I_p, pinv(T1)) kron(pinv(mu T0), I_q)
 (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math., 2000).
-``pinv`` inverts mu T0 and T1 on the route, one LU each when the factor is
-invertible and its compact SVD when it is not (a box band that is singular
-at its size q); the h x h A is never factored.  pinv(mu T0) acts along p as
-one product of the route, on B seen as a p x (q n) matrix, and pinv(T1),
-which is real, acts along q as a real product, with no transpose and no
-panels.  For an invertible A the error grows with
+``pinv`` inverts mu T0 and T1 on the route, one square solve each when the
+factor is invertible and its compact SVD when it is not (a box band that is
+singular at its size q); the h x h A is never factored.  pinv(mu T0) acts
+along p as one product of the route, on B seen as a p x (q n) matrix, and
+pinv(T1), which is real, acts along q as a real product, with no transpose
+and no panels.  For an invertible A the error grows with
 kappa(A) = kappa(T0) kappa(T1), not with a power of it.  The blur itself,
 B = mu kron(T0, T1) X, belongs to neither route: mu X is formed entrywise
 and the real T0 and T1 act on its real planes as real products (Hansen,
@@ -195,15 +195,15 @@ def deblur_quaternion(op: BlurOperator, b: QMatrix,
     """Restore X_hat = pinv(A) @ B and project to channels.
 
     Since T1 is real, X_hat = kron(pinv(mu T0), pinv(T1)) B.
-    :func:`quatinv.geninv.pinv` inverts mu T0 and T1 on ``route`` (one LU
-    for an invertible factor, its compact SVD for a singular box band);
-    pinv(mu T0) then acts along p as one product of the route, and the
-    real pinv(T1) along q as a real product.  So every quaternion operation
-    of the restore runs on ``route``, and only p x p and q x q matrices are
-    factored, never the h x h A.  Ranks are decided on T0 and T1, each by
-    its own max(n) eps sigma_1 rule, not on A by h eps sigma_1(A); the two
-    can differ only when the smallest singular value of a factor lies
-    within a factor h/p (or h/q) of its threshold.
+    :func:`quatinv.geninv.pinv` inverts mu T0 and T1 on ``route`` (one
+    square solve for an invertible factor, its compact SVD for a singular
+    box band); pinv(mu T0) then acts along p as one product of the route,
+    and the real pinv(T1) along q as a real product.  So every quaternion
+    operation of the restore runs on ``route``, and only p x p and q x q
+    matrices are factored, never the h x h A.  Ranks are decided on T0 and
+    T1, each by its own max(n) eps sigma_1 rule, not on A by
+    h eps sigma_1(A); the two can differ only when the smallest singular
+    value of a factor lies within a factor h/p (or h/q) of its threshold.
     ``pinv_solve(op.a, b, route)`` is the general path.
     Returns ``(image, metrics)``; metrics are computed against ``truth`` when
     it is given and are ``None`` otherwise.  A ``truth`` that ``metrics``
@@ -238,10 +238,11 @@ def _factor_solve(op: BlurOperator, b: QMatrix, route: str) -> QMatrix:
     # X_hat = kron(I_p, pinv(T1)) kron(pinv(mu T0), I_q) B.  pinv(mu T0)
     # acts along p as one product of the route, on B seen as a p x (q n)
     # matrix (row j holds rows (j, 0) .. (j, q - 1) of B), and then the real
-    # pinv(T1) along q.  pinv(T1) is read as its q1.real: T1 is real, an LU
-    # of real data stays exactly real on both routes, and the compact SVD
-    # of a singular box band leaves imaginary and j parts of rounding size
-    # at most, no larger than the error pinv(T1) carries anyway
+    # pinv(T1) along q.  pinv(T1) is read as its q1.real: T1 is real, the
+    # square solve of real data (reflectors on direct, an LU on crep) stays
+    # exactly real on both routes, and the compact SVD of a singular box
+    # band leaves imaginary and j parts of rounding size at most, no larger
+    # than the error pinv(T1) carries anyway
     p, q, n = op.p, op.q, b.ncols
     t0_inv = pinv(_times_mu(op.t0_blur), route=route)
     t1_inv = pinv(QMatrix.from_real(op.t1_blur), route=route).q1.real

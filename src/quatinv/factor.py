@@ -4,14 +4,14 @@ Two computational routes are kept genuinely separate throughout:
 
 * ``direct`` — native quaternion arithmetic on the Cayley-Dickson component
   pair (quaternion Householder reflectors: bidiagonalization to a real
-  bidiagonal, whose SVD is then real LAPACK work, and the column-pivoted QR
-  of the full rank decomposition; Gaussian elimination for the square
+  bidiagonal, whose SVD is then real LAPACK work, the column-pivoted QR
+  of the full rank decomposition, and the unpivoted QR of the square
   solve).  Every direct kernel holds its matrix as one C-contiguous
   (rows, cols, 2) complex "pair array", X1 and X2 side by side.  Since
-  (s1 + s2 j) y = s1 y + s2 (j y), each quaternion rank-1 (LU) or rank-2
-  (reflector) update is one complex product of its column(s) with the row
-  expanded to [y; j y], and one in-place subtraction; a row times a block
-  is A1 X + A2 (j X), two complex products on the flattened pair arrays.
+  (s1 + s2 j) y = s1 y + s2 (j y), each quaternion rank-2 (reflector)
+  update is one complex product of its columns with the row expanded to
+  [y; j y], and one in-place subtraction; a row times a block is
+  A1 X + A2 (j X), two complex products on the flattened pair arrays.
   Only rows are expanded: A^C is never formed.  The bidiagonalization loop
   applies only the reflectors; one scalar pass then finds the
   unit-quaternion phases that make the bidiagonal real.  U and V are formed
@@ -58,14 +58,15 @@ Z of W*'s shape, takes the compact SVD alone; the full one serves only
 callers that want unitary factors.
 
 Each route has one square solve, ``_solve(w, b, route)``: W^-1 B for a W
-whose full rank is already decided, from one LU with partial pivoting.  The
-Urquhart core of :mod:`quatinv.geninv`, ``pinv_solve`` and the crep pivoted
-QR (for R11^-1 R12, on R's rows read off its block column) call it.  On
-direct it is the LU of [W | B] on the pair array in LAPACK's unblocked
-xGETF2 form, one column and one rank-1 update at a time, which ends in the
-same upper-triangular back substitution as the direct QR of
-``full_rank_decompose``; on crep it is LAPACK's LU of W^C with B^C, whose
-solution is read through the symplectic projection.
+whose full rank is already decided.  The Urquhart core of
+:mod:`quatinv.geninv`, ``pinv_solve`` and the crep pivoted QR (for
+R11^-1 R12, on R's rows read off its block column) call it.  On direct it
+is the unpivoted Householder QR of [W | B] on the pair array, one
+reflector per column with the direct QR's own kernels, which ends in the
+same upper-triangular back substitution as the QR of
+``full_rank_decompose``; so the direct route eliminates by reflectors
+alone.  On crep it is LAPACK's LU with partial pivoting of W^C with B^C,
+whose solution is read through the symplectic projection.
 
 Both must agree to rounding; the test suite enforces this.
 """
@@ -363,14 +364,14 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
 # The direct kernels hold a quaternion matrix X = X1 + X2 j as one
 # C-contiguous pair array of shape (rows, cols, 2), with X1 in [..., 0] and
 # X2 in [..., 1]; a row or a column is a (k, 2) pair array, a scalar a (2,)
-# one.  A quaternion s = s1 + s2 j times y is s1 y + s2 (j y), so a rank-1
-# (LU) or rank-2 (reflector) update is one complex product of the (k, 2)
-# column(s) with a row expanded to [y; j y] (_outer), and one in-place
-# subtraction.  A row times a block is A1 X + A2 (j X), two complex
-# matrix-vector products on the flattened pair arrays (_back_substitute);
-# one product of the interleaved row with X expanded would mix the A1 and
-# the A2 terms in one sum, which cost a blocked LU of the lorenz system
-# 0.13 digits.  Only rows are expanded; A^C is never formed.
+# one.  A quaternion s = s1 + s2 j times y is s1 y + s2 (j y), so a rank-2
+# (reflector) update is one complex product of the (k, 2) columns with a
+# row expanded to [y; j y] (_outer), and one in-place subtraction.  A row
+# times a block is A1 X + A2 (j X), two complex matrix-vector products on
+# the flattened pair arrays (_back_substitute); one product of the
+# interleaved row with X expanded would mix the A1 and the A2 terms in one
+# sum, which cost a blocked elimination of the lorenz system 0.13 digits.
+# Only rows are expanded; A^C is never formed.
 
 
 def _pair(a: QMatrix) -> np.ndarray:
@@ -691,20 +692,19 @@ def _qr_direct(a: QMatrix):
 
 
 def _solve_direct(w: QMatrix, b: QMatrix | None) -> QMatrix:
-    """W^{-1} B for a square W of full rank, by the LU of [W | B] with
-    partial pivoting on rows, on one pair array (B None is the identity,
-    written straight into it).
+    """W^{-1} B for a square W of full rank, by the Householder QR of
+    [W | B] on one pair array (B None is the identity, written straight
+    into it).
 
-    Right-looking and one column at a time, as LAPACK's xGETF2 is.  Step k
-    takes as pivot p the row of largest |w_ik| in column k of W, swaps rows,
-    stores the multipliers l = w_ik p^-1 (right division by the pivot) in
-    place, and updates the trailing rows of [W | B] by one rank-1 pair
-    product.  B's columns ride along to L^-1 P B, so the back substitution
-    with U gives W^-1 B with no permutation to undo.  B never supplies a
-    pivot: W alone sets the scale, and B is scaled by the same power of two.
-    The growth of partial pivoting is the same risk the crep route's LU of
-    W^C (xGETRF) already carries.  Raises ``np.linalg.LinAlgError`` if a
-    pivot column is exactly zero.
+    Unpivoted and one column at a time, with the reflectors of the direct
+    QR: step k builds a reflector from column k of W, rows k:, and applies
+    it to rows k: of [W | B].  B's columns ride along to Q* B, so the back
+    substitution with R gives W^-1 B.  Only W's columns shape a reflector:
+    W alone sets the scale, and B is scaled by the same power of two.  A
+    reflector has no growth factor, so the solve is backward stable for
+    every W (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 19.4), where an LU with partial pivoting can grow by 2^(n-1).
+    Raises ``np.linalg.LinAlgError`` if a column is exactly zero.
     """
     n = w.ncols
     w, k = _scale_to_safe(w)
@@ -715,28 +715,20 @@ def _solve_direct(w: QMatrix, b: QMatrix | None) -> QMatrix:
     else:
         a = _pair(hstack_q([w, b * math.ldexp(1.0, k) if k else b]))
     for c in range(n):
-        q = a[c:, c:]  # the rows and columns not yet eliminated, a view
-        mag = np.abs(q[:, 0]) ** 2
-        mag = mag[:, 0] + mag[:, 1]
-        j = int(np.argmax(mag))
-        if mag[j] == 0.0:
+        ref = _reflector(a[c:, c])
+        if ref is None:
             raise np.linalg.LinAlgError("Singular matrix")
-        # the multipliers left of column c are not read again and stay put
-        q[[0, j]] = q[[j, 0]]
-        # l = x p^-1 is x @ [p^-1; j p^-1], built from Python scalars
-        p1, p2 = complex(q[0, 0, 0]), complex(q[0, 0, 1])
-        inv = np.array([[p1.conjugate(), -p2], [p2.conjugate(), p1]])
-        q[1:, 0] = q[1:, 0] @ (inv / (abs(p1) ** 2 + abs(p2) ** 2))
-        q[1:, 1:] -= _outer(q[1:, 0], q[0, 1:])
+        _reflect_rows(a[c:, c:], *ref)
     return _from_pair(_back_substitute(a, n))
 
 
 def _solve(w: QMatrix, b: QMatrix | None, route: str) -> QMatrix:
-    # W^-1 B for a square W of full rank, from one LU with partial pivoting
-    # in the route's own arithmetic; B None is the identity, so W^-1 itself
-    # is solved for with no QMatrix.eye.  On crep the solution of
-    # W^C Y = B^C is symplectic only to rounding, and it is read once,
-    # through the projection of qcore._quaternion_part
+    # W^-1 B for a square W of full rank, from one factorization in the
+    # route's own arithmetic: the Householder QR of [W | B] on direct, and
+    # LAPACK's LU with partial pivoting of W^C on crep.  B None is the
+    # identity, so W^-1 itself is solved for with no QMatrix.eye.  On crep
+    # the solution of W^C Y = B^C is symplectic only to rounding, and it is
+    # read once, through the projection of qcore._quaternion_part
     if route == "direct":
         return _solve_direct(w, b)
     rhs = np.eye(2 * w.nrows, dtype=complex) if b is None else to_crep(b)

@@ -30,14 +30,14 @@ square full-rank test: every later power is singular once A^1 is, so it
 goes straight to the singular values.  The core takes None for S or T as
 the identity and forms no product with it.  ``pinv`` (method "svd") is the
 core on S = T = I, passed as None, so W = A and the core's rule below acts
-on A itself: one LU of A for a square A of full rank, else the {1}-inverse
-from A's compact SVD with Z = 0, which is A+ and costs the one product
-(V diag(1/sigma)) U*.  Its error therefore follows cond(A), where the
-composed A* (A*AA*)^(1) A* would cube it; that expression is still
+on A itself: one square solve for a square A of full rank, else the
+{1}-inverse from A's compact SVD with Z = 0, which is A+ and costs the one
+product (V diag(1/sigma)) U*.  Its error therefore follows cond(A), where
+the composed A* (A*AA*)^(1) A* would cube it; that expression is still
 ``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
-rule: it ranks a square A only, solves one of full rank by the core's LU,
-and otherwise applies A+ from A's compact SVD to B; ``pinv(A)`` is
-``pinv_solve(A, I)`` bit for bit.
+rule: it ranks a square A only, solves one of full rank by the core's
+square solve, and otherwise applies A+ from A's compact SVD to B;
+``pinv(A)`` is ``pinv_solve(A, I)`` bit for bit.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -58,20 +58,20 @@ core, differing only in S and T, the free matrix z that picks the
 {1}-inverse of TAS, and whether a singular TAS means the inverse does not
 exist.  The core has one rule: when W = TAS is square and rank(W) equals
 its order, its only {1}-inverse is W^-1, and X = (S W^-1) T, with W^-1
-alone from one LU with partial pivoting in the route's own arithmetic (of
-W^C by LAPACK on crep, of [W | I] in quaternion pair arithmetic on
-direct), with no SVD of W.  T has at least rank(W) columns, so the LU
-carries W's order of right-hand sides, never T's width.  That LU is
-``factor._solve``, the one square solve of each route, and ``pinv_solve``
-calls it too.  The rule covers the Moore-Penrose inverse of a square
-invertible A, every W-prescribed constructor (Drazin and group inverses
-included) and any outer inverse whose TAS is square and nonsingular; a
-rectangular or singular W = TAS takes its {1}-inverse W+ + Z - W+ W Z W W+
-from its compact SVD, whose rank is the rank(TAS) reported (on a near tie
-it can differ from ``rank(TAS)``, which only decides whether the LU
-applies).  So this module factors nothing and forms no complex
-representation itself: it composes ``factor``'s kernels with the route's
-product.
+alone from one factorization in the route's own arithmetic (LAPACK's LU
+with partial pivoting of W^C on crep, the Householder QR of [W | I] in
+quaternion pair arithmetic on direct), with no SVD of W.  T has at least
+rank(W) columns, so the solve carries W's order of right-hand sides, never
+T's width.  That solve is ``factor._solve``, the one square solve of each
+route, and ``pinv_solve`` calls it too.  The rule covers the Moore-Penrose
+inverse of a square invertible A, every W-prescribed constructor (Drazin
+and group inverses included) and any outer inverse whose TAS is square and
+nonsingular; a rectangular or singular W = TAS takes its {1}-inverse
+W+ + Z - W+ W Z W W+ from its compact SVD, whose rank is the rank(TAS)
+reported (on a near tie it can differ from ``rank(TAS)``, which only
+decides whether the square solve applies).  So this module factors nothing
+and forms no complex representation itself: it composes ``factor``'s
+kernels with the route's product.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def _urquhart(a, s, t, route, z=None, need_inverse=False):
     # and no product is formed with it.  z picks the {1}-inverse of W = TAS
     # as in one_inverse and must have W*'s shape.  rank(W) only picks the
     # square solve: a square W of full rank has one {1}-inverse, W^-1, so
-    # X = (S W^-1) T, with W^-1 alone from factor._solve, the LU pinv_solve
-    # also takes, and z unused: T has at least rank(T) >= rank(W) columns,
-    # so W^-1 T would carry more right-hand sides through the LU.  Any other
-    # W: with need_inverse X is None (the prescribed-space inverse does not
-    # exist), else X and the rank reported both come from one compact SVD
+    # X = (S W^-1) T, with W^-1 alone from factor._solve, the square solve
+    # pinv_solve also takes, and z unused: T has at least rank(T) >= rank(W)
+    # columns, so W^-1 T would carry more right-hand sides through it.  Any
+    # other W: with need_inverse X is None (the prescribed-space inverse does
+    # not exist), else X and the rank reported both come from one compact SVD
     # of W
     mm = _route_mul(route)
 
@@ -377,8 +377,8 @@ def penrose_residuals(a: QMatrix, x: QMatrix) -> dict:
 def _moore_penrose(a, method, route):
     # (X, rank W, r) of the Moore-Penrose inverse X = S (TAS)^(1) T.  By
     # "svd" S = T = I, passed as None so that no product with I is formed,
-    # and W = A: the core's rule acts on A itself, one LU for a square A of
-    # full rank, else A+ from A's compact SVD (r is None).
+    # and W = A: the core's rule acts on A itself, one square solve for a
+    # square A of full rank, else A+ from A's compact SVD (r is None).
     # By "frd" the W-inverse of W = A* of rank r, X None when GAF is
     # singular; GAF squares A's scale, so an A outside the safe range runs
     # scaled by 2^e to [1/2, 1)
@@ -400,14 +400,14 @@ def pinv_report(a: QMatrix, method: str = "svd",
     """Moore-Penrose inverse with the full report and Penrose residuals.
 
     method selects the formula realization: "svd" runs the core on
-    S = T = I, so W = A, which one LU inverts when A is square of full rank
-    and A's compact SVD pseudo-inverts otherwise; "frd" factors A* and
-    inverts the small matrix (the W-prescribed construction with W = A*).
-    Combined with route this gives four realizations.  For "svd" the ranks
-    are those of the spaces the Moore-Penrose inverse prescribes, R(A*) and
-    N(A*): s = t = rank(A*), and w is the rank of A's factorization.  Ranks
-    and residuals are those of the caller's A, also when "frd" ran on A
-    scaled by a power of two.
+    S = T = I, so W = A, which one square solve inverts when A is square of
+    full rank and A's compact SVD pseudo-inverts otherwise; "frd" factors
+    A* and inverts the small matrix (the W-prescribed construction with
+    W = A*).  Combined with route this gives four realizations.  For "svd"
+    the ranks are those of the spaces the Moore-Penrose inverse prescribes,
+    R(A*) and N(A*): s = t = rank(A*), and w is the rank of A's
+    factorization.  Ranks and residuals are those of the caller's A, also
+    when "frd" ran on A scaled by a power of two.
     """
     x, w_rank, r = _moore_penrose(a, method, route)
     ranks = {"nu": rank(a), "s": r, "t": r, "w": w_rank}
@@ -433,16 +433,17 @@ def pinv_solve(a: QMatrix, b: QMatrix, route: str = "direct") -> QMatrix:
     """Minimum-norm least-squares solution pinv(A) @ B, by the core's rule.
 
     A square A whose rank equals its order has pinv(A) = A^-1, and A^-1 B
-    comes from one LU with partial pivoting in the route's own arithmetic:
-    the same kernel by which the core solves a square nonsingular TAS.  Any
-    other A (rectangular, which is not ranked, or rank deficient) gets
-    A+ = V diag(1/sigma) U*, built as the core builds a {1}-inverse from
-    the compact rank-revealing SVD of A itself (only its r pairs above the
-    rank cut), then applied to B.  Either path loses accuracy only with
-    cond(A).  ``pinv(A)`` is the same rule applied to B = I and equals
-    ``pinv_solve(A, I)``.  Use this for solving linear systems; use
-    :func:`pinv` when the inverse matrix itself is the object of study.
-    A or B with a NaN or Inf entry raises ``ValueError``.
+    comes from one factorization in the route's own arithmetic (the
+    Householder QR of [A | B] on direct, LAPACK's LU with partial pivoting
+    of A^C on crep): the same kernel by which the core solves a square
+    nonsingular TAS.  Any other A (rectangular, which is not ranked, or
+    rank deficient) gets A+ = V diag(1/sigma) U*, built as the core builds
+    a {1}-inverse from the compact rank-revealing SVD of A itself (only its
+    r pairs above the rank cut), then applied to B.  Either path loses
+    accuracy only with cond(A).  ``pinv(A)`` is the same rule applied to
+    B = I and equals ``pinv_solve(A, I)``.  Use this for solving linear
+    systems; use :func:`pinv` when the inverse matrix itself is the object
+    of study.  A or B with a NaN or Inf entry raises ``ValueError``.
     """
     _check_route(route)
     if a.shape[0] != b.shape[0]:

@@ -163,6 +163,14 @@ MUTANTS = (
          "tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[139x40]",
          "tests/test_apps.py::test_metrics_ssim_matches_the_2d_window[266x30]"),
     ),
+    Mutant(
+        "direct-solve-reflects-only-w",
+        "quatinv/factor.py",
+        "_reflect_rows(a[c:, c:], *ref)",
+        "_reflect_rows(a[c:, c:n], *ref)",
+        ("tests/test_factor.py::test_direct_solve_matches_the_crep_oracle_at_every_block_edge",
+         "tests/test_factor.py::test_direct_solve_backward_error"),
+    ),
 )
 
 

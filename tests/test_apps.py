@@ -312,8 +312,8 @@ def test_deblur_round_trip_desk_scale():
 def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
     # A = kron(T0, T1) mu with the quaternion scalar mu = i - j/2 - k/2, so
     # kappa(A) = kappa(T0) kappa(T1); the unclamped X_hat of an invertible
-    # blur is one LU solve per factor and products, so its error stays within
-    # h kappa(A) eps
+    # blur is one square solve per factor and products, so its error stays
+    # within h kappa(A) eps
     truth = rand_image(p * q, 24, seed=25, lo=0.05, hi=0.95)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     seen = []
@@ -392,7 +392,8 @@ def test_deblur_restores_by_one_product_of_its_route(route, width,
                                                      monkeypatch):
     # the restore applies pinv(mu T0) along p as one product of its own
     # route, p x p times p x (q n), and the real pinv(T1) along q with no
-    # quaternion product; the invertible bands are inverted by LU alone
+    # quaternion product; the invertible bands are inverted by the square
+    # solve alone
     p, q = 16, 8
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     b = blur(op, rand_image(p * q, width, seed=44))
@@ -416,8 +417,9 @@ def test_deblur_restores_by_one_product_of_its_route(route, width,
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_of_an_invertible_box_band_is_exactly_real(route):
-    # the restore reads pinv(T1) as its real part: the LU of real data on
-    # either route makes no imaginary and no j part at all
+    # the restore reads pinv(T1) as its real part: the square solve of real
+    # data (reflectors on direct, an LU on crep) makes no imaginary and no
+    # j part at all
     op = build_blur(2, 8, sigma=3.0, r=3, s=3)
     t1_inv = geninv.pinv(QMatrix.from_real(op.t1_blur), route=route)
     assert np.all(t1_inv.q1.imag == 0.0)

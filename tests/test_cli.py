@@ -402,9 +402,9 @@ def test_drazin_of_an_invertible_input_reports_index_zero(tmp_path):
     ["pinv"], ["pinv", "--method", "frd"], ["drazin"], ["group"],
 ], ids=" ".join)
 def test_huge_input_inverts_on_both_routes(argv, tmp_path, capsys):
-    # pinv by "svd" inverts A itself by one LU, "frd" runs on A scaled by
-    # a power of two, and the index walk normalizes by a scale-safe norm,
-    # so X = A^-1 on both routes
+    # pinv by "svd" inverts A itself by one square solve, "frd" runs on A
+    # scaled by a power of two, and the index walk normalizes by a
+    # scale-safe norm, so X = A^-1 on both routes
     path = tmp_path / "huge.qmat"
     path.write_text(HUGE)
     a = read_qmat(path)

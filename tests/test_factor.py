@@ -824,8 +824,9 @@ def test_frd_rank_of_uniform_rank_40_product(route, seed):
 
 
 def test_direct_solve_pivots_only_among_w_columns():
-    # W's first column is small and B's columns are large: B never supplies
-    # a pivot, so the small column is eliminated first all the same
+    # W's first column is small and B's columns are large: only W's columns
+    # shape a reflector, so the small column is reflected first all the
+    # same, and B's size does not enter the solve's scale
     rng = np.random.default_rng(60)
     w = random_qmat(5, 5, rng)
     w = hstack_q([QMatrix(1e-3 * w.q1[:, :1], 1e-3 * w.q2[:, :1]),
@@ -846,7 +847,8 @@ def test_direct_solve_rejects_an_exactly_singular_w():
 
 
 def crep_solve(w, b):
-    # the oracle: numpy's LU solve with W^C, and kappa(W)
+    # the oracle: numpy's LU solve with W^C, and kappa(W); these W have no
+    # large growth, so the LU is a fair oracle here
     wc = to_crep(w)
     x = np.linalg.solve(wc, to_crep(b))[:w.nrows]
     return QMatrix(*np.split(x, 2, 1)), np.linalg.cond(wc)
@@ -867,10 +869,11 @@ def test_direct_solve_matches_the_crep_oracle_at_every_block_edge(n):
 def test_direct_solve_interchanges_rows_at_every_step():
     # W is L U with its rows shifted down by one (W's first row is the last
     # of L U).  L is unit lower triangular with multipliers of modulus at
-    # most 1/2 and last row e_n, so step k pivots on L's row k, which sits
-    # one row below row k, and the row it displaces, L U's last, is exactly
-    # zero in every column but the last: a step without its interchange
-    # would meet a zero pivot
+    # most 1/2 and last row e_n, so W's first row is exactly zero in every
+    # column but the last: an LU without row interchanges would meet a zero
+    # pivot at its first step, and one with partial pivoting interchanges
+    # rows at every step.  The reflectors need no interchange, and must
+    # solve W all the same
     n = 35
     rng = np.random.default_rng(61)
     q = random_qmat(n, n, rng)
@@ -1127,8 +1130,8 @@ def test_direct_solve_backward_error(n, nrhs, kappa):
     # both sides of 16 and 32, at 128 x 128 with 128 right-hand sides, and
     # at the orders and right-hand side counts the benchmark's workloads
     # solve.  The residual is formed with numpy on the complex
-    # representation; the largest c measured over these cases was 0.033
-    # (at n = 8)
+    # representation; the largest c measured over these cases was 0.055
+    # (at n = 8, kappa = 1e12; 0.033 for the LU this solve replaced)
     rng = np.random.default_rng(int(np.log10(kappa)) * 1000 + n)
     w = with_spectrum(n, n, np.logspace(0, -np.log10(kappa), n), rng)
     b = random_qmat(n, nrhs, rng)

@@ -607,7 +607,8 @@ def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
     assert calls == []
     pinv_solve(a, b, route="direct")
     assert len(calls) == 2
-    # a square A of full rank: the LU solve, with no product on either route
+    # a square A of full rank: the square solve, with no product on either
+    # route
     del calls[:]
     a = random_qmat(6, 6, rng)
     pinv_solve(a, b, route="crep")
@@ -618,8 +619,9 @@ def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
 # ------------------------------------------- square nonsingular W = TAS
 #
 # A square W of full rank has W^-1 as its only {1}-inverse, and X = S W^-1 T
-# comes from one LU with partial pivoting in the route's own arithmetic (of
-# W^C on crep, of [W | T] in pair arithmetic on direct), with no SVD of W.
+# comes from one factorization in the route's own arithmetic (LAPACK's LU
+# with partial pivoting of W^C on crep, the Householder QR of [W | I] in
+# pair arithmetic on direct), with no SVD of W.
 
 EPS = np.finfo(float).eps
 
@@ -795,7 +797,7 @@ def test_pinv_report_of_invertible_a_is_its_inverse(route):
     a = random_qmat(6, 6, rng)
     rep = pinv_report(a, route=route)
     inv = np.linalg.inv(crep(a))
-    # W = A: one LU of A itself, so the error follows kappa(A)
+    # W = A: one square solve of A itself, so the error follows kappa(A)
     kappa = np.linalg.cond(crep(a))
     assert rel_gap(crep(rep.x), inv) <= 6 * kappa * EPS
     assert rep.ranks == {"nu": 6, "s": 6, "t": 6, "w": 6}
@@ -831,8 +833,8 @@ def test_z_on_a_nonsingular_w_is_checked_and_ignored(route):
 # ------------------------------------------- pinv_solve by the square rule
 #
 # A square A of full rank has pinv(A) = A^-1, and pinv_solve takes A^-1 B
-# from the core's LU; any other A applies its compact SVD.  A rectangular A
-# is not ranked.
+# from the core's square solve; any other A applies its compact SVD.  A
+# rectangular A is not ranked.
 
 
 def factor_spy(monkeypatch):
@@ -858,7 +860,7 @@ def factor_spy(monkeypatch):
 def test_pinv_solve_factorizations(route, monkeypatch):
     calls = factor_spy(monkeypatch)
     rng = np.random.default_rng(58)
-    # square of full rank: one rank, then the LU
+    # square of full rank: one rank, then the square solve
     a, b = random_qmat(6, 6, rng), random_qmat(6, 2, rng)
     x = pinv_solve(a, b, route=route)
     assert calls == [("rank", (6, 6))]
@@ -878,7 +880,8 @@ def test_pinv_solve_factorizations(route, monkeypatch):
 
 def test_direct_pinv_solve_never_forms_a_crep(monkeypatch):
     # as in test_direct_square_solve_never_forms_a_crep: rank() reads A^C,
-    # so a numpy oracle stands in for it, and the LU must not call to_crep
+    # so a numpy oracle stands in for it, and the solve must not call
+    # to_crep
     from quatinv import factor
 
     rng = np.random.default_rng(59)
@@ -913,6 +916,36 @@ def test_pinv_solve_square_error_grows_with_kappa_times_eps(kappa):
         assert rel_gap(crep(xs[0]), crep(xs[1])) <= bound
 
 
+@pytest.mark.parametrize("route", [
+    "direct",
+    pytest.param("crep", marks=pytest.mark.xfail(
+        strict=True, reason="the crep square solve is LAPACK's LU with "
+        "partial pivoting, whose growth on this matrix is 2^(n-1) "
+        "(ROADMAP item 22)")),
+])
+def test_pinv_solve_on_wilkinsons_growth_matrix(route):
+    # W = I minus the strict lower ones, with a last column of ones
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 9.4): kappa(W) is only ~27, but partial pivoting grows its last
+    # column to 2^(n-1), and at n = 60 the LU's relative error reads
+    # 0.3-1.8.  Householder reflectors have no growth factor.  The oracle
+    # is the QR of W^C with back substitution, never an LU; the largest
+    # error measured over seeds 0-4 was 0.0076 n kappa eps on direct
+    n = 60
+    w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    w[:, -1] = 1.0
+    a = QMatrix.from_real(w)
+    assert rank(a) == n
+    b = random_qmat(n, 1, np.random.default_rng(0))
+    q, r = np.linalg.qr(crep(a))
+    y = np.conj(q.T) @ crep(b)
+    want = np.zeros_like(y)
+    for k in reversed(range(2 * n)):
+        want[k] = (y[k] - r[k, k + 1:] @ want[k + 1:]) / r[k, k]
+    x = pinv_solve(a, b, route=route)
+    assert rel_gap(crep(x), want) <= 0.1 * n * np.linalg.cond(crep(a)) * EPS
+
+
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_solve_edge_cases(route, monkeypatch):
     calls = factor_spy(monkeypatch)
@@ -938,8 +971,8 @@ def test_pinv_solve_edge_cases(route, monkeypatch):
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_solve_refuses_a_non_finite_b(route, bad, shape, monkeypatch):
     # as rank refuses a non-finite A, a NaN or Inf in B raises before any
-    # factorization, on the LU and on the SVD path alike, rather than give
-    # a non-finite X
+    # factorization, on the square and on the SVD path alike, rather than
+    # give a non-finite X
     calls = factor_spy(monkeypatch)
     rng = np.random.default_rng(61)
     b = random_qmat(shape[0], 2, rng)
@@ -1286,8 +1319,8 @@ def test_drazin_tests_only_a_and_gaf_for_full_rank(route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_square_core_solves_for_w_inverse_alone(route, monkeypatch):
-    # X = (S W^-1) T: with S or T given, the LU carries no right-hand side
-    # but the identity's, whatever T's width
+    # X = (S W^-1) T: with S or T given, the square solve carries no
+    # right-hand side but the identity's, whatever T's width
     rng = np.random.default_rng(64)
     a = random_qmat(7, 5, rng)
     solved = []
@@ -1419,7 +1452,7 @@ def test_pinv_svd_error_grows_with_kappa_times_eps(kappa, shape, route):
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_is_pinv_solve_of_the_identity(case, route):
     # one rule: pinv(A) is the core on W = I A I = A, and pinv_solve(A, I)
-    # applies the same LU or the same compact SVD to B = I
+    # applies the same square solve or the same compact SVD to B = I
     rng = np.random.default_rng(65)
     a = {"tall": lambda: random_qmat(7, 4, rng),
          "wide": lambda: random_qmat(4, 7, rng),
@@ -1474,7 +1507,7 @@ SQUARE_SOLVES = {
 @pytest.mark.parametrize("name", sorted(SQUARE_SOLVES))
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_square_solves_are_scale_safe(name, route):
-    # each takes the square LU, whose solution here has entries near 1e160
+    # each takes the square solve, whose solution here has entries near 1e160
     # or 1e200: their squares overflow, yet the result is the unscaled one
     # rescaled, to rounding, with no floating-point error raised (the
     # largest ratio to kappa eps measured over 30 seeds was 0.23)
@@ -1531,9 +1564,9 @@ PINV_CASES = {"tall": ((7, 4), 4), "wide": ((4, 7), 4),
 @pytest.mark.parametrize("case", sorted(PINV_CASES))
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_forms_only_the_route_product(case, route, monkeypatch):
-    # S = T = I are not multiplied in: a square A of full rank takes the LU
-    # with no product, any other A the one product (V Sigma^-1) U* of its
-    # compact SVD, in the route's own arithmetic
+    # S = T = I are not multiplied in: a square A of full rank takes the
+    # square solve with no product, any other A the one product
+    # (V Sigma^-1) U* of its compact SVD, in the route's own arithmetic
     (m, n), r = PINV_CASES[case]
     a = rand_rank_deficient(m, n, r, np.random.default_rng(67))
     calls = product_spy(monkeypatch)
