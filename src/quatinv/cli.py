@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 the requested inverse does not exist (a diagnostic
 JSON is still produced); 2 usage, input-format or numerical errors (one line
 on stderr, no traceback), a floating-point overflow, invalid value or
-division by zero in numpy included.  All machine-readable
+division by zero in numpy included, and an output that cannot be written,
+even after an inverse that does not exist.  All machine-readable
 output is JSON (``--json``) or the documented CSV/PPM/.qmat files; stdout
 carries a short human summary.
 
@@ -32,7 +33,6 @@ import numpy as np
 from .qcore import (
     _ROUTES,
     QMatrix,
-    QmatFormatError,
     fro_norm,
     mat_mul,
     read_qmat,
@@ -110,21 +110,16 @@ def _maybe_write(args, x: QMatrix) -> None:
         write_qmat(args.out, x)
 
 
-def _finish_report(args, op, a, rep, summary, **extra) -> int:
-    # the one exit path of pinv, outer and outer-w: --out only for an X that
-    # exists, then the JSON, then the summary (0) or the reason on stderr (1)
+def _finish_report(args, op, a, rep, summary, **extra):
+    # pinv, outer and outer-w: the report's payload, whose "exists" and
+    # "reason" main reads; --out only for an X that exists
     payload = {**_report_payload(op, a, rep, args.tol), **extra}
     if rep.exists:
         _maybe_write(args, rep.x)
-    _emit_json(args, payload)
-    if not rep.exists:
-        print(f"{op}: {rep.reason}", file=sys.stderr)
-        return 1
-    print(summary)
-    return 0
+    return payload, summary
 
 
-def cmd_pinv(args) -> int:
+def cmd_pinv(args):
     a = read_qmat(args.infile)
     rep = pinv_report(a, method=args.method, route=args.route)
     return _finish_report(
@@ -138,7 +133,7 @@ def cmd_pinv(args) -> int:
 _OUTER = {"right": outer_right, "left": outer_left, "both": outer_both}
 
 
-def cmd_outer(args) -> int:
+def cmd_outer(args):
     a = read_qmat(args.infile)
     rep = _OUTER[args.side](a, read_qmat(args.s), read_qmat(args.t),
                             route=args.route)
@@ -148,7 +143,7 @@ def cmd_outer(args) -> int:
         f"outer side={args.side}: {flags or 'no classification flags set'}")
 
 
-def cmd_outer_w(args) -> int:
+def cmd_outer_w(args):
     a = read_qmat(args.infile)
     rep = outer_w_right(a, read_qmat(args.w), route=args.route)
     return _finish_report(
@@ -156,7 +151,7 @@ def cmd_outer_w(args) -> int:
         f"outer-w: outer residual {rep.residuals['outer']:.3e}")
 
 
-def _cmd_spectral(args, group: bool) -> int:
+def _cmd_spectral(args, group: bool):
     # drazin and group: X from the one index walk, then three residuals
     op = "group" if group else "drazin"
     a = read_qmat(args.infile)
@@ -174,50 +169,45 @@ def _cmd_spectral(args, group: bool) -> int:
         res["power"] = fro_norm(mat_mul(a, mat_mul(pow_k, x)) - pow_k)
         summary = (f"index {k}, residuals outer={res['outer']:.3e} "
                    f"commute={res['commute']:.3e} power={res['power']:.3e}")
-    _emit_json(args, {"op": op, "route": args.route, "index": k,
-                      "shape": list(a.shape), "residuals": res})
-    print(f"{op}: {summary}")
-    return 0
+    return ({"op": op, "route": args.route, "index": k,
+             "shape": list(a.shape), "residuals": res}, f"{op}: {summary}")
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args):
     a = read_qmat(args.infile)
     r = qrank(a)
-    _emit_json(args, {"op": "rank", "shape": list(a.shape), "rank": r})
-    print(f"rank {r}")
-    return 0
+    return {"op": "rank", "shape": list(a.shape), "rank": r}, f"rank {r}"
 
 
-def cmd_frd(args) -> int:
+def cmd_frd(args):
     a = read_qmat(args.infile)
     fact = full_rank_decompose(a, route=args.route)
     if args.out:
         write_qmat(args.out + ".F.qmat", fact.f)
         write_qmat(args.out + ".G.qmat", fact.g)
     recon = fro_norm(mat_mul(fact.f, fact.g) - a)
-    _emit_json(args, {"op": "frd", "route": args.route,
-                      "rank": fact.r, "shape": list(a.shape),
-                      "f_shape": list(fact.f.shape),
-                      "g_shape": list(fact.g.shape),
-                      "reconstruction_residual": recon})
-    print(f"frd: rank {fact.r}, ||FG-A|| = {recon:.3e}")
-    return 0
+    return ({"op": "frd", "route": args.route,
+             "rank": fact.r, "shape": list(a.shape),
+             "f_shape": list(fact.f.shape),
+             "g_shape": list(fact.g.shape),
+             "reconstruction_residual": recon},
+            f"frd: rank {fact.r}, ||FG-A|| = {recon:.3e}")
 
 
-def cmd_svd(args) -> int:
+def cmd_svd(args):
     a = read_qmat(args.infile)
     sv = qsvd(a, method=args.route)
     if args.out:
         write_qmat(args.out + ".U.qmat", sv.u)
         write_qmat(args.out + ".V.qmat", sv.v)
-    _emit_json(args, {"op": "svd", "route": args.route,
-                      "shape": list(a.shape), "rank": sv.rank,
-                      "sigma": [float(s) for s in sv.sigma]})
-    print(f"svd: rank {sv.rank}, sigma_max {sv.sigma[0] if len(sv.sigma) else 0.0:.6g}")
-    return 0
+    return ({"op": "svd", "route": args.route,
+             "shape": list(a.shape), "rank": sv.rank,
+             "sigma": [float(s) for s in sv.sigma]},
+            f"svd: rank {sv.rank}, sigma_max "
+            f"{sv.sigma[0] if len(sv.sigma) else 0.0:.6g}")
 
 
-def cmd_deblur(args) -> int:
+def cmd_deblur(args):
     img = read_ppm(args.image)
     # before build_blur, whose p x p and q x q bands can outgrow memory
     if args.p * args.q != img.h:
@@ -234,13 +224,12 @@ def cmd_deblur(args) -> int:
             write_ppm(args.real_out, real_img)
     if args.out:
         write_ppm(args.out, restored)
-    _emit_json(args, deblur_report(op, img, quat_m, real_m))
-    print(f"deblur {img.h}x{img.w}: PSNR {quat_m.psnr:.2f} dB, "
-          f"SSIM {quat_m.ssim:.4f}, RR {quat_m.rr:.3e}")
-    return 0
+    return (deblur_report(op, img, quat_m, real_m),
+            f"deblur {img.h}x{img.w}: PSNR {quat_m.psnr:.2f} dB, "
+            f"SSIM {quat_m.ssim:.4f}, RR {quat_m.rr:.3e}")
 
 
-def cmd_lorenz_filter(args) -> int:
+def cmd_lorenz_filter(args):
     traj = lorenz_simulate(args.T, args.dt)
     delay = round(1.0 / args.dt)
     order = args.order if args.order is not None \
@@ -250,13 +239,12 @@ def cmd_lorenz_filter(args) -> int:
     if args.out:
         write_trajectory_csv(args.out + ".trajectory.csv", traj, args.dt)
         write_filter_csv(args.out + ".filter.csv", fs, args.dt)
-    _emit_json(args, {"op": "lorenz-filter", "T": args.T, "dt": args.dt,
-                      "n_samples": int(traj.shape[0]),
-                      "delay_samples": delay, "order": order,
-                      "noise_sigma": args.noise_sigma, "seed": args.seed,
-                      "relative_error": fs.e})
-    print(f"lorenz-filter: C is {order + 1}x{order + 1}, e = {fs.e:.6e}")
-    return 0
+    return ({"op": "lorenz-filter", "T": args.T, "dt": args.dt,
+             "n_samples": int(traj.shape[0]),
+             "delay_samples": delay, "order": order,
+             "noise_sigma": args.noise_sigma, "seed": args.seed,
+             "relative_error": fs.e},
+            f"lorenz-filter: C is {order + 1}x{order + 1}, e = {fs.e:.6e}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,14 +362,21 @@ def main(argv=None) -> int:
         # a numpy overflow (or an invalid value or division by zero) stops
         # the command rather than printing a warning and going on with Inf
         with np.errstate(all="raise", under="ignore"):
-            return args.func(args)
-    except InverseExistenceError as exc:
-        _emit_json(args, {"op": args.command, "exists": False,
-                          "reason": str(exc)})
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (QmatFormatError, PpmFormatError, ValueError, OSError,
-            RuntimeError) as exc:
+            try:
+                payload, summary = args.func(args)
+            except InverseExistenceError as exc:
+                payload = {"op": args.command, "exists": False,
+                           "reason": str(exc)}
+            # the one exit path: the JSON, then the summary (0) or the
+            # reason the inverse does not exist (1).  An error in either,
+            # such as a --json that cannot be written, is an exit 2 below
+            _emit_json(args, payload)
+            if payload.get("exists", True):
+                print(summary)
+                return 0
+            print(f"{args.command}: {payload['reason']}", file=sys.stderr)
+            return 1
+    except (PpmFormatError, ValueError, OSError, RuntimeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError) as exc:

@@ -18,14 +18,14 @@ Two computational routes are kept genuinely separate throughout:
   only in the columns returned: the phases times the real SVD's factors,
   with the stored reflectors applied to them, last first.
 * ``crep``  — complex structure-preserving arithmetic on the doubled complex
-  representation (one complex SVD / GEMM of doubled size, and no other
-  factorization; a complex solution is read back once, as the quaternion
-  matrix whose representation is its symplectic projection; one routine
-  pairs the singular vectors of either side, picking the pairs its walk
-  misses by largest residual, with the residual norms downdated pick by
-  pick; the pivoted QR keeps only A^C's left block column, whose paired
-  rows each reflector updates, and reads R off it for the route's square
-  solve).
+  representation: LAPACK's SVD and GEMM of doubled size, LAPACK's LU for
+  the square solve, and the column-pivoted QR of the full rank
+  decomposition on A^C's left block column alone, whose paired rows each
+  reflector updates and off which R is read for the route's square solve.
+  A complex solution is read back once, as the quaternion matrix whose
+  representation is its symplectic projection; one routine pairs the
+  singular vectors of either side, picking the pairs its walk misses by
+  largest residual, with the residual norms downdated pick by pick.
 
 ``rank`` counts the singular values of A^C above max(m, n)·eps·sigma_1.
 It reads the tall orientation C of A^C, 2M-by-2N with M = max(m, n) and

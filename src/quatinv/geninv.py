@@ -19,25 +19,27 @@ X.  Every report, that of an inverse that does not exist included, comes
 from one builder, which classifies the ranks for the report's side; the
 three S, T constructors share one body, and so do the two W ones.
 ``pinv``, ``drazin`` and ``group_inverse`` return the bare matrix: they
-call the core directly and compute no rank of A and no residual.  The
-Drazin and group inverses come from one walk over the normalized powers of
-A, formed with the route's own product, which starts from A itself, finds
-the index k, ranking each power once, and prescribes W = A^k (W = I for an
-invertible A, passed as None and neither built nor factored).  The walk
-stops at the first power whose computed rank does not fall (exact ranks of
-powers never rise, computed ones can), and only A^1 takes ``rank``'s
-square full-rank test: every later power is singular once A^1 is, so it
-goes straight to the singular values.  The core takes None for S or T as
-the identity and forms no product with it.  ``pinv`` (method "svd") is the
-core on S = T = I, passed as None, so W = A and the core's rule below acts
-on A itself: one square solve for a square A of full rank, else the
-{1}-inverse from A's compact SVD with Z = 0, which is A+ and costs the one
-product (V diag(1/sigma)) U*.  Its error therefore follows cond(A), where
-the composed A* (A*AA*)^(1) A* would cube it; that expression is still
-``outer_right(a, A*, A*)``.  ``pinv_solve`` returns pinv(A) B by the same
-rule: it ranks a square A only, solves one of full rank by the core's
-square solve, and otherwise applies A+ from A's compact SVD to B;
-``pinv(A)`` is ``pinv_solve(A, I)`` bit for bit.
+call the core directly and compute no residual and no rank for a report.
+The Drazin and group inverses come from one walk over the normalized powers
+of A, formed with the route's own product, which starts from A itself,
+finds the index k, ranking each power once, and prescribes W = A^k.  The
+walk stops at the first power whose computed rank does not fall (exact
+ranks of powers never rise, computed ones can), and only A^1 takes
+``rank``'s square full-rank test: every later power is singular once A^1
+is, so it goes straight to the singular values.  An invertible A (k = 0,
+its full rank proved by that one test) takes A^-1 from the core's square
+solve, as ``pinv`` does, with W = I neither built, factored nor ranked
+again.  The core takes None for S or T as the identity and forms no product
+with it.  ``pinv`` (method "svd") is the core on S = T = I, passed as None,
+so W = A and the core's rule below acts on A itself: one square solve for a
+square A of full rank, else the {1}-inverse from A's compact SVD with
+Z = 0, which is A+ and costs the one product (V diag(1/sigma)) U*.  Its
+error therefore follows cond(A), where the composed A* (A*AA*)^(1) A* would
+cube it; that expression is still ``outer_right(a, A*, A*)``.
+``pinv_solve`` returns pinv(A) B by the same rule: it ranks a square A
+only, solves one of full rank by the core's square solve, and otherwise
+applies A+ from A's compact SVD to B; ``pinv(A)`` is ``pinv_solve(A, I)``
+bit for bit.
 
 The W-prescribed variants factor a single matrix W = F G by full rank
 decomposition and invert the small matrix G A F; they fail (reported, not
@@ -320,19 +322,14 @@ def outer_both(a: QMatrix, s: QMatrix, t: QMatrix, route: str = "direct",
 def _w_inverse(a, w, route):
     # (X, rank(GAF), r) of X = F (G A F)^-1 G for the full rank
     # decomposition W = F G of rank r; X is None when G A F is singular.
-    # W None is the identity of a square A: F = G = I go to the core as
-    # None and r = n, with nothing factored.  G = I when W has full column
-    # rank, and goes as None too
-    f = g = None
-    r = a.ncols
-    if w is not None:
-        if w.shape != (a.ncols, a.nrows):
-            raise ValueError(
-                f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
-        fact = full_rank_decompose(w, route=route)
-        f, r = fact.f, fact.r
-        g = fact.g if r < w.ncols else None
-    x, w_rank = _urquhart(a, f, g, route, need_inverse=True)
+    # G = I when W has full column rank, and goes to the core as None
+    if w.shape != (a.ncols, a.nrows):
+        raise ValueError(
+            f"W has shape {w.shape}, expected {(a.ncols, a.nrows)}")
+    fact = full_rank_decompose(w, route=route)
+    r = fact.r
+    g = fact.g if r < w.ncols else None
+    x, w_rank = _urquhart(a, fact.f, g, route, need_inverse=True)
     return x, w_rank, r
 
 
@@ -465,7 +462,8 @@ def _spectral(a: QMatrix, route, group: bool = False):
     # power is singular and goes straight to the SVD rule, _svd_rank.
     # P = A^k so rescaled, None for k = 0 (the identity, never built); X the
     # outer inverse with W = P (the Drazin inverse), None when route is
-    # None; for k = 0 W goes to _w_inverse as None, so I is never factored.
+    # None.  For k = 0 rank() has proved A of full rank, so X is A^-1 from
+    # the route's square solve, with nothing factored or ranked again.
     # The powers are the route's products (direct ones when route is None).
     # With group, Ind(A) > 1 raises before X is built.  A NaN or Inf is
     # refused before the walk's normalization can meet it
@@ -492,6 +490,8 @@ def _spectral(a: QMatrix, route, group: bool = False):
             f"group inverse does not exist: Ind(A) = {k} > 1")
     if route is None:
         return k, p, None
+    if not k:
+        return k, p, _solve(a, None, route)
     x, w_rank, r = _w_inverse(a, p, route)
     if x is None:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(_SINGULAR.format(w_rank, r))
@@ -532,12 +532,13 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
 def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     """Group inverse: Drazin inverse restricted to Ind(A) <= 1.
 
-    Invertible inputs (index 0) return the ordinary inverse, solved from
-    W = A^0 = I; index >= 2 raises :class:`InverseExistenceError` since the
-    group inverse requires rank(A^2) = rank(A).  Like :func:`drazin`, it
-    trusts the walk by powers, which can misjudge the index on an
-    ill-conditioned similarity input (ROADMAP items 6-7): X then fails
-    A^2 X = A, XAX = X and AX = XA, and no error is raised.
+    Invertible inputs (index 0) return the ordinary inverse A^-1, from the
+    square solve of ``pinv`` once the index walk's ``rank`` of A has proved
+    it of full rank; index >= 2 raises :class:`InverseExistenceError`,
+    since the group inverse requires rank(A^2) = rank(A).  Like
+    :func:`drazin`, it trusts the walk by powers, which can misjudge the
+    index on an ill-conditioned similarity input (ROADMAP items 6-7): X then
+    fails A^2 X = A, XAX = X and AX = XA, and no error is raised.
     """
     _check_route(route)
     return _spectral(a, route, group=True)[2]

@@ -171,6 +171,15 @@ MUTANTS = (
         ("tests/test_factor.py::test_direct_solve_matches_the_crep_oracle_at_every_block_edge",
          "tests/test_factor.py::test_direct_solve_backward_error"),
     ),
+    Mutant(
+        "cli-exits-0-for-every-payload",
+        "quatinv/cli.py",
+        'if payload.get("exists", True):',
+        "if True:",
+        ("tests/test_cli.py::test_outer_w_existence_failure_exits_1",
+         "tests/test_cli.py::test_missing_inverse_exits_1_with_its_reason_alone",
+         "tests/test_cli.py::test_drazin_and_group_on_block_example"),
+    ),
 )
 
 

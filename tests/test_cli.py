@@ -192,6 +192,28 @@ def test_missing_inverse_exits_1_with_its_reason_alone(case, tmp_path,
     assert captured.err == f"{argv[0]}: {report['reason']}\n"
 
 
+@pytest.mark.parametrize("command", ["group", "outer-w", "rank", "pinv"])
+def test_unwritable_json_exits_2_on_one_line(command, tmp_path, capsys):
+    # a --json that cannot be written is an exit 2 with one stderr line,
+    # also after an inverse that does not exist: the group inverse of the
+    # index-2 nilpotent block, and outer-w with a singular G*A*F
+    nilp = QMatrix.from_real(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    if command == "outer-w":
+        p = write_inputs(tmp_path, A=QMatrix.from_real(np.diag([1.0, 0.0])),
+                         W=QMatrix.from_real(np.diag([0.0, 1.0])))
+        argv = ["outer-w", "--in", p["A"], "--w", p["W"]]
+    else:
+        a = nilp if command == "group" else random_qmat(
+            6, 4, np.random.default_rng(7))
+        argv = [command, "--in", write_inputs(tmp_path, A=a)["A"]]
+    rpt = tmp_path / "missing_dir" / "r.json"
+    assert main(argv + ["--json", str(rpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not rpt.exists()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"{command}: error: ")
+
+
 def test_drazin_and_group_on_block_example(tmp_path):
     # invertible 1x1 block (+) nilpotent 2x2 Jordan block -> index 2
     q1 = np.diag([2.0, 0.0, 0.0]).astype(complex)

@@ -1318,6 +1318,28 @@ def test_drazin_tests_only_a_and_gaf_for_full_rank(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
+def test_invertible_drazin_and_group_prove_full_rank_once(route, monkeypatch):
+    # the walk's rank of A^1 proves an invertible A of full rank, and the
+    # square solve takes A^-1 with no second proof; X is pinv(A) bit for bit
+    from quatinv import factor
+
+    a = random_qmat(6, 6, np.random.default_rng(71))
+    want = pinv(a, route=route)
+    inner = factor._gram_proves_full_rank
+    for fn in (drazin, group_inverse):
+        tested = []
+
+        def spy(c):
+            tested.append(c.shape)
+            return inner(c)
+
+        monkeypatch.setattr(factor, "_gram_proves_full_rank", spy)
+        x = fn(a, route=route)
+        assert tested == [(12, 12)]
+        assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
+
+
+@pytest.mark.parametrize("route", ["direct", "crep"])
 def test_square_core_solves_for_w_inverse_alone(route, monkeypatch):
     # X = (S W^-1) T: with S or T given, the square solve carries no
     # right-hand side but the identity's, whatever T's width
@@ -1580,8 +1602,8 @@ def test_pinv_forms_only_the_route_product(case, route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_drazin_of_an_invertible_a_builds_no_identity(route, monkeypatch):
-    # W = A^0 = I is passed as None, and the core solves for A^-1 with the
-    # identity written straight into the solve, so no QMatrix.eye is built
+    # W = A^0 = I is never built: the square solve takes A^-1 with the
+    # identity written straight into it, so no QMatrix.eye is built
     a = random_qmat(5, 5, np.random.default_rng(69))
     want = pinv(a, route=route)
     built = []
@@ -1611,9 +1633,9 @@ def test_index_walk_multiplies_no_identity(route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_w_inverses_multiply_no_identity(route, monkeypatch):
-    # the factors of W are G = I when W has full column rank and F = I when
-    # W is I, and neither is multiplied in.  An invertible A prescribes
-    # W = A^0 = I, so its Drazin and group inverses are one solve with A,
+    # the factor G of W is I when W has full column rank, and is not
+    # multiplied in.  An invertible A prescribes W = A^0 = I, which is never
+    # factored, so its Drazin and group inverses are one solve with A,
     # with no product and no factorization of I; pinv by "frd" of a wide A
     # of full row rank factors W = A* with G = I
     rng = np.random.default_rng(70)

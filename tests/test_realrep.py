@@ -297,7 +297,11 @@ def test_spectral_inverse_matches_the_real_representation(ctor, c, orders,
 # The benchmark's inputs (perfbench/workloads.py, full size), built the same
 # way with this module's helpers, and inputs of the same size for the
 # constructors no workload runs.  Each oracle is formed once per module and
-# checked on both routes, within the bound of the rows above.
+# checked on both routes.  Each row has its own constant c in the bound
+# c max(m, n) eps ||A|| ||X||: 4 times the largest c measured over ten
+# seeds of its family (the fixture's seed and the nine after it), on both
+# routes, with one BLAS thread and with the default threads, rounded up to
+# two significant digits.
 
 
 @pytest.fixture(scope="module")
@@ -313,14 +317,14 @@ def pinv_workload():
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_pinv_report_matches_the_real_representation_at_workload_size(
         pinv_workload, route):
-    # the largest c measured was 0.0010 (crep; direct 0.0009)
+    # the largest c measured was 0.00203 (crep, seed 1209; direct 0.00161)
     a, want, k = pinv_workload
     assert k == 60
     rep = pinv_report(a, route=route)
     assert rep.ranks == {"nu": k, "s": k, "t": k, "w": k}
     assert rep.classification == flags_of(rep.ranks)
     kappa = quaternion_cond(a, want)
-    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+    assert relative_error(rep.x, want) <= 0.0082 * 120 * EPS * kappa
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +342,7 @@ def w_workload():
                          ids=["right", "left"])
 def test_w_inverse_matches_the_real_representation_at_workload_size(
         w_workload, ctor, route):
-    # the largest c measured was 0.0007 (crep; direct 0.0006), the same
+    # the largest c measured was 0.00067 (crep; direct 0.00061), the same
     # on both sides
     a, w, want, k = w_workload
     assert k == 4 * 40
@@ -347,7 +351,7 @@ def test_w_inverse_matches_the_real_representation_at_workload_size(
     assert rep.ranks == {"nu": 80, "s": 40, "t": 40, "w": 40}
     assert rep.classification == flags_of(rep.ranks)
     kappa = quaternion_cond(a, want)
-    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+    assert relative_error(rep.x, want) <= 0.0027 * 120 * EPS * kappa
 
 
 def shift(k):
@@ -365,12 +369,12 @@ def drazin_workload():
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_drazin_matches_the_real_representation_at_workload_size(
         drazin_workload, route):
-    # the largest c measured was 0.0062 (crep; direct 0.0059)
+    # the largest c measured was 0.0070 (crep; direct 0.0067)
     a, want = drazin_workload
     x = drazin(a, route=route)
     assert rank(x) == real_rank(chi(x)) // 4 == 48
     kappa = quaternion_cond(a, want)
-    assert relative_error(x, want) <= 0.5 * 60 * EPS * kappa
+    assert relative_error(x, want) <= 0.028 * 60 * EPS * kappa
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +398,8 @@ def outer_workload():
 def test_outer_inverse_matches_the_real_representation_at_workload_size(
         outer_workload, side, route):
     # outer_right(A, S, T), outer_left(A, T, S) and outer_both(A, S, T) all
-    # build X = S (T A S)^+ T.  The largest c measured was 0.0006 on one
-    # side (both routes) and 0.0005 on both sides (crep; direct 0.0004)
+    # build X = S (T A S)^+ T.  The largest c measured was 0.00086 over
+    # the three sides (crep; direct 0.00082)
     a, gens = outer_workload
     s, t, want, w = gens["both" if side == "both" else "one"]
     assert w == 40
@@ -410,17 +414,17 @@ def test_outer_inverse_matches_the_real_representation_at_workload_size(
     flags = flags_of(rep.ranks)
     assert {key: rep.classification[key] for key in flags} == flags
     kappa = quaternion_cond(a, want)
-    assert relative_error(rep.x, want) <= 0.5 * 120 * EPS * kappa
+    assert relative_error(rep.x, want) <= 0.0035 * 120 * EPS * kappa
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_group_inverse_matches_the_real_representation_at_workload_size(
         route):
     # a 120x120 P (C + 0) P^-1 with C of order 90, so Ind(A) = 1.  The
-    # largest c measured was 0.0025, on both routes
+    # largest c measured was 0.00255 (direct; crep 0.00252)
     a, want = core_nilpotent(90, [QMatrix.zeros(30, 30)],
                              np.random.default_rng(1240))
     x = group_inverse(a, route=route)
     assert rank(x) == real_rank(chi(x)) // 4 == 90
     kappa = quaternion_cond(a, want)
-    assert relative_error(x, want) <= 0.5 * 120 * EPS * kappa
+    assert relative_error(x, want) <= 0.011 * 120 * EPS * kappa
