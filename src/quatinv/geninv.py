@@ -29,8 +29,17 @@ ranks of powers never rise, computed ones can), and only A^1 takes
 is, so it goes straight to the singular values.  An invertible A (k = 0,
 its full rank proved by that one test) takes A^-1 from the core's square
 solve, as ``pinv`` does, with W = I neither built, factored nor ranked
-again.  The core takes None for S or T as the identity and forms no product
-with it.  ``pinv`` (method "svd") is the core on S = T = I, passed as None,
+again.  For k >= 1 the walk can misjudge the index or rank(A^k), so its X
+is checked with four products of the route, AX, XA, X(AX) and P(AX) (P, the
+walk's normalized A^k, commutes with A): X is rejected with
+:class:`InverseExistenceError`, naming g, when
+
+    g = max(||AX - XA|| / (||A|| ||X||), ||XAX - X|| / (||A|| ||X||^2),
+            ||APX - P|| / (||P|| max(1, ||A|| ||X||)))
+
+exceeds sqrt(eps).  Every X that passes is returned as built.  A wrong X
+whose large ||X|| absorbs its error passes (see ``drazin``).  The core
+takes None for S or T as the identity and forms no product with it.  ``pinv`` (method "svd") is the core on S = T = I, passed as None,
 so W = A and the core's rule below acts on A itself: one square solve for a
 square A of full rank, else the {1}-inverse from A's compact SVD with
 Z = 0, which is A+ and costs the one product (V diag(1/sigma)) U*.  Its
@@ -91,6 +100,7 @@ from .factor import (
     rank,
 )
 from .qcore import (
+    _EPS,
     QMatrix,
     _check_route,
     _route_mul,
@@ -495,7 +505,38 @@ def _spectral(a: QMatrix, route, group: bool = False):
     x, w_rank, r = _w_inverse(a, p, route)
     if x is None:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(_SINGULAR.format(w_rank, r))
+    gap = _drazin_gap(a, p, x, mm)
+    if gap > _GAP_BOUND:
+        raise InverseExistenceError(
+            f"{'group' if group else 'Drazin'} inverse rejected: X misses "
+            f"its defining equations by g = {gap:.2e} > sqrt(eps), so the "
+            "walk by powers misjudged Ind(A) or rank(A^k)")
     return k, p, x
+
+
+# the bound on g above which _spectral rejects its X.  On the exact-index
+# family of tests/test_exact_index.py (seeds 0-199, both routes) every right
+# X read g <= 1.6e-12 and every caught wrong one g >= 2.6e-3
+_GAP_BOUND = math.sqrt(_EPS)
+
+
+def _drazin_gap(a, p, x, mm):
+    # g, the largest of ||AX - XA|| / (||A|| ||X||), ||XAX - X|| /
+    # (||A|| ||X||^2) and ||APX - P|| / (||P|| max(1, ||A|| ||X||)), with
+    # the route's product mm: four products, as P, a power of A, commutes
+    # with A and A P X is P (A X).  Each is 0 for the Drazin inverse with
+    # P = A^k up to scale.  A quotient whose numerator is 0 reads 0, which
+    # covers X = 0 and the P = 0 of a nilpotent A
+    def quotient(num, den):
+        return num / den if num else 0.0
+
+    ax = mm(a, x)
+    nx = fro_norm(x)
+    anx = fro_norm(a) * nx
+    return max(quotient(fro_norm(ax - mm(x, a)), anx),
+               quotient(fro_norm(mm(x, ax) - x), anx * nx),
+               quotient(fro_norm(mm(p, ax) - p),
+                        fro_norm(p) * max(1.0, anx)))
 
 
 def mat_index(a: QMatrix) -> int:
@@ -519,11 +560,13 @@ def drazin(a: QMatrix, route: str = "direct") -> QMatrix:
     rescaling leaves untouched, so normalized powers feed it directly.
     X satisfies A^{k+1} X = A^k, XAX = X and AX = XA when the walk by
     powers judges the index and rank(A^k) right.  On an ill-conditioned
-    similarity input A = P J P^-1 it can misjudge them (ROADMAP items 6-7):
-    X then fails those equations and no error is raised.  The strict-xfail
-    reproducers are ``test_index_walk_outside_the_family`` in
-    ``tests/test_exact_index.py`` (seed 0 on crep and seed 18 on direct
-    return such an X).
+    similarity input A = P J P^-1 it can misjudge them (ROADMAP items 6-7),
+    so for k >= 1 X is checked against those equations, scaled by ||A||,
+    ||X|| and ||A^k||, and :class:`InverseExistenceError` is raised when the
+    largest relative residual g exceeds sqrt(eps).  The check cannot see a
+    wrong X whose norm absorbs its error: on ``tests/test_exact_index.py``'s
+    family, seed 18 on direct and seed 66 on crep return an X of the wrong
+    rank with g ~ 1e-13 and ||A|| ||X|| ~ 1e14, and no error is raised.
     """
     _check_route(route)
     return _spectral(a, route)[2]
@@ -536,9 +579,14 @@ def group_inverse(a: QMatrix, route: str = "direct") -> QMatrix:
     square solve of ``pinv`` once the index walk's ``rank`` of A has proved
     it of full rank; index >= 2 raises :class:`InverseExistenceError`,
     since the group inverse requires rank(A^2) = rank(A).  Like
-    :func:`drazin`, it trusts the walk by powers, which can misjudge the
-    index on an ill-conditioned similarity input (ROADMAP items 6-7): X then
-    fails A^2 X = A, XAX = X and AX = XA, and no error is raised.
+    :func:`drazin`, it checks an X of index 1 against A^2 X = A, XAX = X
+    and AX = XA, and raises :class:`InverseExistenceError` when the walk by
+    powers has misjudged the index or rank(A) on an ill-conditioned
+    similarity input (ROADMAP items 6-7).  The check is :func:`drazin`'s,
+    and misses a wrong X whose large norm absorbs its error.  The two such
+    inputs known, seed 18 on direct and seed 66 on crep of
+    ``tests/test_exact_index.py``'s family, read index 2, so this function
+    refuses them before any X is built.
     """
     _check_route(route)
     return _spectral(a, route, group=True)[2]

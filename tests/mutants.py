@@ -180,6 +180,22 @@ MUTANTS = (
          "tests/test_cli.py::test_missing_inverse_exits_1_with_its_reason_alone",
          "tests/test_cli.py::test_drazin_and_group_on_block_example"),
     ),
+    Mutant(
+        "pinv-solve-ranks-a-twice",
+        "quatinv/geninv.py",
+        "if a.nrows == a.ncols == rank(a):",
+        "if a.nrows == a.ncols == rank(a) == rank(a):",
+        ("tests/test_counts.py::test_factorization_counts[direct-pinv_solve]",
+         "tests/test_counts.py::test_factorization_counts[crep-pinv_solve]"),
+    ),
+    Mutant(
+        "drazin-check-switched-off",
+        "quatinv/geninv.py",
+        "    if gap > _GAP_BOUND:\n",
+        "    if False:\n",
+        ("tests/test_exact_index.py::test_drazin_rejects_an_x_that_misses_its_equations",
+         "tests/test_exact_index.py::test_cli_drazin_exits_1_with_the_rejection"),
+    ),
 )
 
 

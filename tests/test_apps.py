@@ -203,22 +203,11 @@ def test_blur_matches_the_dense_product(p, q, width):
 
 
 @pytest.mark.parametrize("p,q", [(16, 8), (2, 16)], ids=["h128", "box2x16"])
-def test_blur_runs_no_quaternion_product(p, q, monkeypatch):
+def test_blur_runs_no_quaternion_product(p, q, record):
     # the blur is real bands acting on mu X: no product of either route,
     # and op.a stays unformed
-    calls = []
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    for module, name in ((qcore, "mat_mul"), (qcore, "crep_mul")):
-        spy(module, name)
+    calls = record(qcore.mat_mul, lambda x, y: "mat_mul")
+    record(qcore.crep_mul, lambda x, y: "crep_mul", calls)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     blur(op, rand_image(p * q, 128, seed=42))
     assert calls == []
@@ -309,21 +298,14 @@ def test_deblur_round_trip_desk_scale():
 
 @pytest.mark.parametrize("p,q", [(8, 8), (16, 8)], ids=["h64", "h128"])
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
+def test_deblur_error_is_bounded_by_kappa(route, p, q, record):
     # A = kron(T0, T1) mu with the quaternion scalar mu = i - j/2 - k/2, so
     # kappa(A) = kappa(T0) kappa(T1); the unclamped X_hat of an invertible
     # blur is one square solve per factor and products, so its error stays
     # within h kappa(A) eps
     truth = rand_image(p * q, 24, seed=25, lo=0.05, hi=0.95)
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
-    seen = []
-    show = deblur_mod.qmat_to_image
-
-    def capture(x):
-        seen.append(x)
-        return show(x)
-
-    monkeypatch.setattr(deblur_mod, "qmat_to_image", capture)
+    seen = record(deblur_mod.qmat_to_image, lambda x: x)
     deblur_quaternion(op, blur(op, truth), route=route)
     x = image_to_qmat(truth)
     rr = fro_norm(seen[0] - x) / fro_norm(x)
@@ -336,7 +318,7 @@ def test_deblur_error_is_bounded_by_kappa(route, p, q, monkeypatch):
                          ids=["h64", "h128", "box2x16", "box4x16"])
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
-                                              monkeypatch):
+                                              record):
     # the unclamped X_hat against pinv_solve of the whole A on the same
     # route.  The box band of halfwidth 3 has rank 15 at q = 16, and its zero
     # singular values (~1e-17 sigma_1) lie far below both rank rules, so
@@ -348,14 +330,7 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
     # pseudo-inverses", BIT, 1973), which is kappa(T0) kappa(T1) for an
     # invertible A: the gap stays within h kappa_r eps
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
-    seen = []
-    show = deblur_mod.qmat_to_image
-
-    def capture(x):
-        seen.append(x)
-        return show(x)
-
-    monkeypatch.setattr(deblur_mod, "qmat_to_image", capture)
+    seen = record(deblur_mod.qmat_to_image, lambda x: x)
     sigma = np.linalg.svd(np.kron(op.t0_blur, op.t1_blur), compute_uv=False)
     r = int(np.sum(sigma > op.h * np.finfo(float).eps * sigma[0]))
     assert r == want_rank
@@ -371,17 +346,10 @@ def test_deblur_agrees_with_the_general_solve(route, p, q, want_rank,
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_deblur_factors_only_the_two_bands(route, monkeypatch):
+def test_deblur_factors_only_the_two_bands(route, record):
     # pinv sees T0 (p x p) and T1 (q x q), never the h x h A
     op = build_blur(4, 8, sigma=3.0, r=3, s=3)
-    shapes = []
-    invert = deblur_mod.pinv
-
-    def spy(a, method="svd", route="direct"):
-        shapes.append(a.shape)
-        return invert(a, method=method, route=route)
-
-    monkeypatch.setattr(deblur_mod, "pinv", spy)
+    shapes = record(deblur_mod.pinv, lambda a, **kwargs: a.shape)
     deblur_quaternion(op, blur(op, rand_image(32, 12, seed=28)), route=route)
     assert sorted(shapes) == [(4, 4), (8, 8)]
 
@@ -389,7 +357,7 @@ def test_deblur_factors_only_the_two_bands(route, monkeypatch):
 @pytest.mark.parametrize("width", [1, 31, 128])
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_deblur_restores_by_one_product_of_its_route(route, width,
-                                                     monkeypatch):
+                                                     record):
     # the restore applies pinv(mu T0) along p as one product of its own
     # route, p x p times p x (q n), and the real pinv(T1) along q with no
     # quaternion product; the invertible bands are inverted by the square
@@ -397,19 +365,8 @@ def test_deblur_restores_by_one_product_of_its_route(route, width,
     p, q = 16, 8
     op = build_blur(p, q, sigma=3.0, r=3, s=3)
     b = blur(op, rand_image(p * q, width, seed=44))
-    calls = []
-
-    def spy(name):
-        real = getattr(qcore, name)
-
-        def counted(x, y):
-            calls.append((name, x.shape, y.shape))
-            return real(x, y)
-
-        monkeypatch.setattr(qcore, name, counted)
-
-    spy("mat_mul")
-    spy("crep_mul")
+    calls = record(qcore.mat_mul, lambda x, y: ("mat_mul", x.shape, y.shape))
+    record(qcore.crep_mul, lambda x, y: ("crep_mul", x.shape, y.shape), calls)
     deblur_quaternion(op, b, route=route)
     name = {"direct": "mat_mul", "crep": "crep_mul"}[route]
     assert calls == [(name, (p, p), (p, q * width))]

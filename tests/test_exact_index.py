@@ -16,8 +16,9 @@ import pytest
 
 import qexact
 from quatinv.factor import rank
-from quatinv.geninv import _spectral, drazin, mat_index
-from quatinv.qcore import QMatrix, fro_norm, mat_mul, to_crep
+from quatinv.cli import main
+from quatinv.geninv import InverseExistenceError, _spectral, drazin, mat_index
+from quatinv.qcore import QMatrix, fro_norm, mat_mul, to_crep, write_qmat
 
 # the family's conditioning bound.  Over seeds 0-199 (54 inputs inside it)
 # nothing inside it went wrong; the best-conditioned input that did had
@@ -76,8 +77,8 @@ def test_index_walk_matches_the_exact_oracle(route):
 
 # (seed, route) of the inputs outside the family on which the walk goes
 # wrong: mat_index misses the index (13, 17, 18, 31), drazin raises
-# InverseExistenceError (7, 22, 26, 28, 31, 33, 39) or returns an X of the
-# wrong rank whose Drazin residual is ~1 (0 on crep, 18 on direct)
+# InverseExistenceError (0, 7, 22, 26, 28, 31, 33, 39 on crep, 18 on crep)
+# or returns an X of the wrong rank (18 on direct), which its check misses
 OUTSIDE_WRONG = [
     (0, "crep"), (7, "crep"), (13, "direct"), (13, "crep"),
     (17, "direct"), (17, "crep"), (18, "direct"), (18, "crep"),
@@ -106,3 +107,25 @@ def test_walk_stops_when_the_computed_rank_rises(route):
     for _ in range(k):
         ak = mat_mul(ak, a)
     assert fro_norm(mat_mul(mat_mul(ak, a), x) - ak) <= 1.1e-10 * fro_norm(ak)
+
+
+# (seed, route) of the inputs, among seeds 0-199, on which the walk returned
+# a wrong X that drazin's check rejects, with g from 2.6e-3 to 5.5e-2; on
+# every right X of those seeds g <= 1.6e-12
+REJECTED = [(55, "direct"), (171, "direct"), (86, "crep"), (138, "crep")]
+
+
+@pytest.mark.parametrize("seed,route", REJECTED)
+def test_drazin_rejects_an_x_that_misses_its_equations(seed, route):
+    assert case(seed)[3] > KAPPA_MAX
+    with pytest.raises(InverseExistenceError, match=r"by g = \S+ > sqrt"):
+        drazin(case(seed)[0], route=route)
+
+
+def test_cli_drazin_exits_1_with_the_rejection(tmp_path, capsys):
+    path = tmp_path / "A.qmat"
+    write_qmat(path, case(55)[0])
+    assert main(["drazin", "--in", str(path), "--route", "direct"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("drazin: Drazin inverse rejected: ")
+    assert err.count("\n") == 1

@@ -89,16 +89,8 @@ def svd_rule_rank(a):
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    calls = []
-    inner = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return calls
+def svd_calls(record):
+    return record(np.linalg.svd, lambda c, *args, **kwargs: c.shape)
 
 
 RANK_ORDERS = (1, 2, 3, 4, 5, 7, 10, 16, 24, 40, 64, 91)
@@ -374,23 +366,18 @@ def walk_keeps(cands, half, count):
 
 
 @pytest.fixture
-def completions(monkeypatch):
+def completions(record):
     """Record (half, short) for every pairing the crep route runs, where
     short is the number of pairs the in-order walk falls short by and so the
     completion must supply."""
     import quatinv.factor as factor
 
-    calls = []
-    inner = factor._pairs
-
-    def spy(cands, half, count, more=None):
-        calls.append((half, count - walk_keeps(cands, half, count)))
-        reps, src = inner(cands, half, count, more)
+    def short(out, cands, half, count, more=None):
+        reps, src = out
         assert len(set(src)) == count == reps.shape[1]
-        return reps, src
+        return half, count - walk_keeps(cands, half, count)
 
-    monkeypatch.setattr(factor, "_pairs", spy)
-    return calls
+    return record(factor._pairs, short, result=True)
 
 
 @pytest.mark.parametrize("method", ["crep", "direct"])
@@ -496,16 +483,12 @@ def test_pairs_reads_the_fallback_only_when_the_walk_falls_short():
 
 @pytest.mark.parametrize("m,n,r", [(9, 4, 2), (4, 9, 2), (10, 7, 3),
                                    (9, 4, 4), (4, 9, 4)])
-def test_qsvd_crep_factors_once(m, n, r, monkeypatch):
+def test_qsvd_crep_factors_once(m, n, r, record):
     # the left pairs are completed from the one complex SVD's own left
     # vectors, with no second factorization of the pairs already found
     a = rand_rank_deficient(m, n, r, np.random.default_rng(m * n + r))
-    calls = []
-    for name in ("svd", "qr"):
-        def spy(*args, _name=name, _inner=getattr(np.linalg, name), **kw):
-            calls.append(_name)
-            return _inner(*args, **kw)
-        monkeypatch.setattr(np.linalg, name, spy)
+    calls = record(np.linalg.svd, lambda *args, **kw: "svd")
+    record(np.linalg.qr, lambda *args, **kw: "qr", calls)
     res = qsvd(a, method="crep")
     assert calls == ["svd"]
     assert res.rank == r
@@ -601,28 +584,20 @@ def test_compact_qsvd_wide_and_tall_rank_deficient(method, m, n, r):
 
 
 @pytest.mark.parametrize("method", ["crep", "direct"])
-def test_zero_block_one_inverse_uses_the_compact_svd(method, monkeypatch):
+def test_zero_block_one_inverse_uses_the_compact_svd(method, monkeypatch,
+                                                     record):
     # one compact qsvd, with or without z; on crep that is one thin complex
     # SVD and no QR
     import quatinv.factor as factor
 
     w = rand_rank_deficient(9, 6, 3, np.random.default_rng(5))
-    modes, thin = [], []
-    inner_qsvd, inner_svd = factor.qsvd, np.linalg.svd
-
-    def qsvd_spy(a, method="crep", full=True):
-        modes.append(full)
-        return inner_qsvd(a, method=method, full=full)
-
-    def svd_spy(*args, **kw):
-        thin.append(not kw.get("full_matrices", True))
-        return inner_svd(*args, **kw)
+    modes = record(factor.qsvd, lambda a, method="crep", full=True: full)
+    thin = record(np.linalg.svd,
+                  lambda *args, **kw: not kw.get("full_matrices", True))
 
     def qr_spy(*args, **kw):
         raise AssertionError("np.linalg.qr called")
 
-    monkeypatch.setattr(factor, "qsvd", qsvd_spy)
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(np.linalg, "qr", qr_spy)
     one_inverse(w, method=method)
     one_inverse(w, z=random_qmat(6, 9, np.random.default_rng(6)),
@@ -738,22 +713,19 @@ REFLECTOR_INPUTS = {
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("case", sorted(REFLECTOR_INPUTS))
 def test_direct_qsvd_applies_reflectors_to_the_columns_it_returns(
-        monkeypatch, case, full):
+        record, case, full):
     # the compact SVD forms r columns of U and V, never all m or n of them
     # and then slices; every operand is C-contiguous, so _reflect_rows's
     # reshape is a view and not a copy per reflector
     import quatinv.factor as factor
 
     a = REFLECTOR_INPUTS[case](np.random.default_rng(43))
-    shapes = []
-    inner = factor._apply_reflectors
 
-    def spy(y, tau, x):
+    def shape(y, tau, x):
         assert x.flags.c_contiguous
-        shapes.append(x.shape)
-        return inner(y, tau, x)
+        return x.shape
 
-    monkeypatch.setattr(factor, "_apply_reflectors", spy)
+    shapes = record(factor._apply_reflectors, shape)
     res = qsvd(a, method="direct", full=full)
     m, n = a.shape
     tall = (max(m, n), min(m, n))  # the direct route factors A* when wide
@@ -1023,19 +995,13 @@ def test_downdated_pivots_match_a_qr_that_recomputes_every_norm(family,
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
 def test_norms_are_computed_again_only_at_the_start_and_when_stale(
-        route, monkeypatch):
+        route, record):
     # every full pass over the trailing column norms goes through
     # factor._sq_norms: once at the start over all n columns, and again
     # only for the columns the safeguard finds stale
     import quatinv.factor as factor
 
-    passes = []
-    inner = factor._sq_norms
-
-    def spy(x1, x2):
-        passes.append(x1.shape[1])
-        return inner(x1, x2)
-    monkeypatch.setattr(factor, "_sq_norms", spy)
+    passes = record(factor._sq_norms, lambda x1, x2: x1.shape[1])
     qr = factor._qr_direct if route == "direct" else factor._qr_crep
     rng = np.random.default_rng(410)
     for m, n in [(40, 40), (60, 30), (30, 45)]:
@@ -1050,7 +1016,7 @@ def test_norms_are_computed_again_only_at_the_start_and_when_stale(
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_stop_test_reads_the_exact_pivot_norm(route, monkeypatch):
+def test_stop_test_reads_the_exact_pivot_norm(route, record):
     # A = [x, c] with unit columns x and y, y orthogonal to x, and
     # c = alpha x + beta y.  beta lies 3e-9 relative above the threshold
     # t = max(m, n) eps ||x||, and alpha = 5000 t.  Downdating c's squared
@@ -1061,13 +1027,10 @@ def test_stop_test_reads_the_exact_pivot_norm(route, monkeypatch):
     # is 2 by the exact norm, 1 by the estimate
     import quatinv.factor as factor
 
-    estimates = []
-    inner = factor._downdate
-
-    def spy(nrm, exact, x1, x2):
-        inner(nrm, exact, x1, x2)
-        estimates.append(np.sqrt(nrm[0]))
-    monkeypatch.setattr(factor, "_downdate", spy)
+    # the estimate of the next pivot's norm, as the downdate leaves it
+    estimates = record(factor._downdate,
+                       lambda out, nrm, exact, x1, x2: np.sqrt(nrm[0]),
+                       result=True)
     qr = factor._qr_direct if route == "direct" else factor._qr_crep
     m, straddles = 6, 0
     for seed in range(20):
@@ -1094,20 +1057,14 @@ def test_stop_test_reads_the_exact_pivot_norm(route, monkeypatch):
 @pytest.mark.parametrize("m, n, r", [(8, 12, 4), (12, 8, 6), (6, 6, 4),
                                      (5, 7, 0)],
                          ids=["wide", "tall", "square", "zero"])
-def test_crep_qr_never_forms_a_representation_of_a(m, n, r, monkeypatch):
+def test_crep_qr_never_forms_a_representation_of_a(m, n, r, record):
     # the crep QR keeps A^C's left block column alone: no call to to_crep
     # may receive A, or any matrix with A's n columns.  The shapes are the
     # benchmark's W (wide) and Drazin power (square) at small size, a tall
     # input, and a zero matrix, whose QR stops at r = 0
     import quatinv.factor as factor
 
-    seen = []
-    inner = factor.to_crep
-
-    def spy(x):
-        seen.append(x)
-        return inner(x)
-    monkeypatch.setattr(factor, "to_crep", spy)
+    seen = record(factor.to_crep, lambda x: x)
     a = (rand_rank_deficient(m, n, r, np.random.default_rng(420 + m)) if r
          else QMatrix.zeros(m, n))
     assert factor._qr_crep(a)[1] == r
@@ -1343,18 +1300,12 @@ def test_crep_kernels_read_their_solution_without_from_crep(monkeypatch):
     assert full_rank_decompose(w, route="crep").r == 4
 
 
-def test_crep_kernels_read_the_symplectic_projection(monkeypatch):
+def test_crep_kernels_read_the_symplectic_projection(record):
     # bit for bit the projection then the extraction of the same LAPACK
     # solution, written out here as the reference
     import quatinv.factor as factor
 
-    solutions = []
-    lapack_solve = np.linalg.solve
-
-    def spy(x, y):
-        solutions.append(lapack_solve(x, y))
-        return solutions[-1]
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    solutions = record(np.linalg.solve, lambda out, x, y: out, result=True)
     rng = np.random.default_rng(62)
     w, b = random_qmat(5, 5, rng), random_qmat(5, 3, rng)
     x = _solve(w, b, "crep")

@@ -202,19 +202,11 @@ def test_near_tie_reports_the_rank_x_was_built_at(seed, route):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_random_free_blocks_take_one_svd(route, monkeypatch):
+def test_random_free_blocks_take_one_svd(route, record):
     # a free matrix z takes the same one compact qsvd as z = None
     from quatinv import factor
 
-    calls = []
-    inner = factor.qsvd
-
-    def spy(a, method="crep", full=True):
-        calls.append(full)
-        return inner(a, method=method, full=full)
-
-    monkeypatch.setattr(factor, "qsvd", spy)
-    monkeypatch.setattr(geninv, "qsvd", spy)
+    calls = record(factor.qsvd, lambda a, method="crep", full=True: full)
     rng = np.random.default_rng(31)
     a = rand_rank_deficient(5, 4, 2, rng)
     s1, t1 = random_qmat(4, 3, rng), random_qmat(3, 5, rng)
@@ -370,23 +362,17 @@ def test_outer_w_right_prescribes_spaces():
     assert same_row_span(x, w1)  # N_r(X) = N_r(W1)
 
 
-def test_outer_w_right_singular_small_matrix_flags_nonexistence(monkeypatch):
+def test_outer_w_right_singular_small_matrix_flags_nonexistence(record):
     # W nilpotent against A = I: G*F is strictly triangular, so no outer
     # inverse with R_r(W), N_r(W) exists.  On both routes the zero X's
     # residuals are known, ||XAX - X|| = 0 and ||AXA - A|| = ||A||, and the
     # report forms no product on that X
-    zero_operands = []
+    def zero_shapes(x, y):
+        return [m.shape for m in (x, y) if not (m.q1.any() or m.q2.any())]
 
-    def spy(mul):
-        def wrapped(x, y):
-            zero_operands.extend(
-                m.shape for m in (x, y) if not (m.q1.any() or m.q2.any()))
-            return mul(x, y)
-        return wrapped
-
-    monkeypatch.setattr(geninv, "mat_mul", spy(mat_mul))
-    monkeypatch.setattr(qcore, "mat_mul", spy(mat_mul))
-    monkeypatch.setattr(qcore, "crep_mul", spy(qcore.crep_mul))
+    # the shapes of each product's zero operands
+    zero_operands = record(qcore.mat_mul, zero_shapes)
+    record(qcore.crep_mul, zero_shapes, zero_operands)
     a = QMatrix.eye(2)
     for route in ("direct", "crep"):
         rep = outer_w_right(a, NILP, route=route)
@@ -395,7 +381,7 @@ def test_outer_w_right_singular_small_matrix_flags_nonexistence(monkeypatch):
         assert fro_norm(rep.x) == 0.0
         assert not rep.classification["is_outer"]
         assert rep.residuals == {"outer": 0.0, "one": fro_norm(a)}
-    assert zero_operands == []
+    assert not any(zero_operands)
 
 
 def test_outer_w_right_zero_w():
@@ -591,18 +577,11 @@ def test_pinv_solve_minimum_norm_on_rank_deficient():
     assert fro_norm(pinv_solve(zero, random_qmat(3, 2, rng))) == 0.0
 
 
-def test_pinv_solve_crep_route_makes_no_pair_product(monkeypatch):
+def test_pinv_solve_crep_route_makes_no_pair_product(record):
     # the crep route applies its SVD factors with crep products only
     rng = np.random.default_rng(41)
     a, b = random_qmat(6, 4, rng), random_qmat(6, 2, rng)
-    calls = []
-
-    def spy(x, y):
-        calls.append((x.shape, y.shape))
-        return mat_mul(x, y)
-
-    monkeypatch.setattr(geninv, "mat_mul", spy)
-    monkeypatch.setattr(qcore, "mat_mul", spy)
+    calls = record(qcore.mat_mul, lambda x, y: (x.shape, y.shape))
     pinv_solve(a, b, route="crep")
     assert calls == []
     pinv_solve(a, b, route="direct")
@@ -649,19 +628,10 @@ def graded(k, kappa, rng):
                    conj_transpose(rand_unitary(k, rng)))
 
 
-def qsvd_spy(monkeypatch):
+def qsvd_spy(record):
     from quatinv import factor
 
-    calls = []
-    inner = factor.qsvd
-
-    def spy(a, method="crep", full=True):
-        calls.append(a.shape)
-        return inner(a, method=method, full=full)
-
-    monkeypatch.setattr(factor, "qsvd", spy)
-    monkeypatch.setattr(geninv, "qsvd", spy)
-    return calls
+    return record(factor.qsvd, lambda a, method="crep", full=True: a.shape)
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
@@ -719,8 +689,8 @@ def test_square_solve_route_parity_for_every_constructor():
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_square_nonsingular_w_runs_no_qsvd(route, monkeypatch):
-    calls = qsvd_spy(monkeypatch)
+def test_square_nonsingular_w_runs_no_qsvd(route, record):
+    calls = qsvd_spy(record)
     rng = np.random.default_rng(52)
     a = random_qmat(6, 5, rng)
     outer_right(a, random_qmat(5, 3, rng), random_qmat(3, 6, rng), route=route)
@@ -731,8 +701,8 @@ def test_square_nonsingular_w_runs_no_qsvd(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_singular_or_rectangular_w_runs_one_qsvd(route, monkeypatch):
-    calls = qsvd_spy(monkeypatch)
+def test_singular_or_rectangular_w_runs_one_qsvd(route, record):
+    calls = qsvd_spy(record)
     rng = np.random.default_rng(53)
     a = rand_rank_deficient(6, 5, 2, rng)
     # W 3x3 of rank 2, then W 2x3
@@ -837,28 +807,18 @@ def test_z_on_a_nonsingular_w_is_checked_and_ignored(route):
 # rectangular A is not ranked.
 
 
-def factor_spy(monkeypatch):
+def factor_spy(record):
     # the rank and qsvd calls pinv_solve makes, in order:
     # ("rank", shape) and ("qsvd", shape, full)
-    calls = []
-    real_rank, real_qsvd = geninv.rank, geninv.qsvd
-
-    def spy_rank(a):
-        calls.append(("rank", a.shape))
-        return real_rank(a)
-
-    def spy_qsvd(a, method="crep", full=True):
-        calls.append(("qsvd", a.shape, full))
-        return real_qsvd(a, method=method, full=full)
-
-    monkeypatch.setattr(geninv, "rank", spy_rank)
-    monkeypatch.setattr(geninv, "qsvd", spy_qsvd)
+    calls = record(geninv.rank, lambda a: ("rank", a.shape))
+    record(geninv.qsvd,
+           lambda a, method="crep", full=True: ("qsvd", a.shape, full), calls)
     return calls
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_pinv_solve_factorizations(route, monkeypatch):
-    calls = factor_spy(monkeypatch)
+def test_pinv_solve_factorizations(route, record):
+    calls = factor_spy(record)
     rng = np.random.default_rng(58)
     # square of full rank: one rank, then the square solve
     a, b = random_qmat(6, 6, rng), random_qmat(6, 2, rng)
@@ -947,8 +907,8 @@ def test_pinv_solve_on_wilkinsons_growth_matrix(route):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_pinv_solve_edge_cases(route, monkeypatch):
-    calls = factor_spy(monkeypatch)
+def test_pinv_solve_edge_cases(route, record):
+    calls = factor_spy(record)
     rng = np.random.default_rng(60)
     # 0x0: rank 0 equals the order, and the solve returns 0 x k
     x = pinv_solve(QMatrix.zeros(0, 0), QMatrix.zeros(0, 3), route=route)
@@ -969,11 +929,11 @@ def test_pinv_solve_edge_cases(route, monkeypatch):
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3)], ids=["square", "rect"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_pinv_solve_refuses_a_non_finite_b(route, bad, shape, monkeypatch):
+def test_pinv_solve_refuses_a_non_finite_b(route, bad, shape, record):
     # as rank refuses a non-finite A, a NaN or Inf in B raises before any
     # factorization, on the square and on the SVD path alike, rather than
     # give a non-finite X
-    calls = factor_spy(monkeypatch)
+    calls = factor_spy(record)
     rng = np.random.default_rng(61)
     b = random_qmat(shape[0], 2, rng)
     for part in range(4):
@@ -1001,15 +961,8 @@ CONSTRUCTORS = {
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
-def test_unknown_route_is_rejected_before_any_rank(name, monkeypatch):
-    ranked = []
-    real_rank = geninv.rank
-
-    def spy(x):
-        ranked.append(x.shape)
-        return real_rank(x)
-
-    monkeypatch.setattr(geninv, "rank", spy)
+def test_unknown_route_is_rejected_before_any_rank(name, record):
+    ranked = record(geninv.rank, lambda x: x.shape)
     a = NILP + QMatrix.eye(2)
     with pytest.raises(ValueError, match="unknown route"):
         CONSTRUCTORS[name](a, "complex")
@@ -1144,19 +1097,13 @@ def test_group_inverse_fails_for_index_two():
         group_inverse(NILP)
 
 
-def test_crep_drazin_and_group_make_no_pair_product(monkeypatch):
-    # the index walk forms A^2, A^3, ... with the route's own product, so
-    # the crep Drazin and group inverses run crep arithmetic end to end
+def test_crep_drazin_and_group_make_no_pair_product(record):
+    # the index walk forms A^2, A^3, ... with the route's own product, and
+    # so does the check of X, so the crep Drazin and group inverses run
+    # crep arithmetic end to end
     rng = np.random.default_rng(34)
     a = block_diag_q(random_qmat(2, 2, rng), NILP)  # Ind(A) = 2
-    calls = []
-
-    def spy(x, y):
-        calls.append((x.shape, y.shape))
-        return mat_mul(x, y)
-
-    monkeypatch.setattr(geninv, "mat_mul", spy)
-    monkeypatch.setattr(qcore, "mat_mul", spy)
+    calls = record(qcore.mat_mul, lambda x, y: (x.shape, y.shape))
     drazin(a, route="crep")
     group_inverse(random_qmat(4, 4, rng), route="crep")
     assert calls == []
@@ -1236,27 +1183,22 @@ def test_classification_soundness():
 # pinv, drazin and group_inverse build no report: no rank(A), no residuals
 
 
-def rank_spy(monkeypatch, names=("rank",)):
-    # every matrix geninv ranks through the named functions, in call order
+def rank_spy(record, names=("rank",)):
+    # every matrix geninv ranks through the named functions, in call order;
+    # rank's own call of _svd_rank, on the same matrix, is not geninv's
     ranked = []
     for name in names:
-        inner = getattr(geninv, name)
-
-        def spy(x, inner=inner):
-            ranked.append(x)
-            return inner(x)
-
-        monkeypatch.setattr(geninv, name, spy)
+        record(getattr(geninv, name), lambda x: x, ranked, modules=[geninv])
     return ranked
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (5, 5)], ids=str)
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_pinv_svd_ranks_only_w(shape, route, monkeypatch):
+def test_pinv_svd_ranks_only_w(shape, route, record):
     rng = np.random.default_rng(60)
     a = random_qmat(*shape, rng)
     want = pinv_report(a, route=route).x
-    ranked = rank_spy(monkeypatch)
+    ranked = rank_spy(record)
     x = pinv(a, route=route)
     # W = I A I = A, m by n
     assert [r.shape for r in ranked] == [shape]
@@ -1265,28 +1207,21 @@ def test_pinv_svd_ranks_only_w(shape, route, monkeypatch):
 
 @pytest.mark.parametrize("method", ["svd", "frd"])
 @pytest.mark.parametrize("shape", [(6, 4), (5, 5)], ids=str)
-def test_crep_pinv_makes_no_pair_product(method, shape, monkeypatch):
+def test_crep_pinv_makes_no_pair_product(method, shape, record):
     rng = np.random.default_rng(61)
     a = random_qmat(*shape, rng)
-    calls = []
-
-    def spy(x, y):
-        calls.append((x.shape, y.shape))
-        return mat_mul(x, y)
-
-    monkeypatch.setattr(geninv, "mat_mul", spy)
-    monkeypatch.setattr(qcore, "mat_mul", spy)
+    calls = record(qcore.mat_mul, lambda x, y: (x.shape, y.shape))
     pinv(a, method=method, route="crep")
     assert calls == []
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_drazin_ranks_each_power_once_and_never_a(route, monkeypatch):
+def test_drazin_ranks_each_power_once_and_never_a(route, record):
     rng = np.random.default_rng(62)
     # ||A|| > 1, so no normalized power can equal A
     a = block_diag_q(random_qmat(3, 3, rng) * 4.0, NILP)
     k = mat_index(a)
-    ranked = rank_spy(monkeypatch, ("rank", "_svd_rank"))
+    ranked = rank_spy(record, ("rank", "_svd_rank"))
     x = drazin(a, route=route)
     # A^1, ..., A^{k+1}, then G A F of the frd of A^k (rank 3)
     assert k == 2 and len(ranked) == k + 2
@@ -1297,62 +1232,43 @@ def test_drazin_ranks_each_power_once_and_never_a(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_drazin_tests_only_a_and_gaf_for_full_rank(route, monkeypatch):
+def test_drazin_tests_only_a_and_gaf_for_full_rank(route, record):
     # every power past a singular A^1 is singular too, so the walk runs the
     # full-rank test on A^1 alone, and the core on G A F
     from quatinv import factor
 
     rng = np.random.default_rng(62)
     a = block_diag_q(random_qmat(3, 3, rng) * 4.0, NILP)
-    tested = []
-    inner = factor._gram_proves_full_rank
-
-    def spy(c):
-        tested.append(c.shape)
-        return inner(c)
-
-    monkeypatch.setattr(factor, "_gram_proves_full_rank", spy)
+    tested = record(factor._gram_proves_full_rank, lambda c: c.shape)
     x = drazin(a, route=route)
     assert tested == [(10, 10), (6, 6)]
     assert all(v <= 1e-10 for v in drazin_residuals(a, x, 2))
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_invertible_drazin_and_group_prove_full_rank_once(route, monkeypatch):
+def test_invertible_drazin_and_group_prove_full_rank_once(route, record):
     # the walk's rank of A^1 proves an invertible A of full rank, and the
     # square solve takes A^-1 with no second proof; X is pinv(A) bit for bit
     from quatinv import factor
 
     a = random_qmat(6, 6, np.random.default_rng(71))
     want = pinv(a, route=route)
-    inner = factor._gram_proves_full_rank
+    tested = record(factor._gram_proves_full_rank, lambda c: c.shape)
     for fn in (drazin, group_inverse):
-        tested = []
-
-        def spy(c):
-            tested.append(c.shape)
-            return inner(c)
-
-        monkeypatch.setattr(factor, "_gram_proves_full_rank", spy)
+        tested.clear()
         x = fn(a, route=route)
         assert tested == [(12, 12)]
         assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_square_core_solves_for_w_inverse_alone(route, monkeypatch):
+def test_square_core_solves_for_w_inverse_alone(route, record):
     # X = (S W^-1) T: with S or T given, the square solve carries no
-    # right-hand side but the identity's, whatever T's width
+    # right-hand side but the identity's, whatever T's width.  The crep
+    # QR's own solve, for R11^-1 R12, is factor's and not the core's
     rng = np.random.default_rng(64)
     a = random_qmat(7, 5, rng)
-    solved = []
-    inner = geninv._solve
-
-    def spy(w, b, route):
-        solved.append(b)
-        return inner(w, b, route)
-
-    monkeypatch.setattr(geninv, "_solve", spy)
+    solved = record(geninv._solve, lambda w, b, route: b, modules=[geninv])
     w = rand_rank_deficient(5, 7, 3, rng)
     s1, t1 = random_qmat(5, 4, rng), random_qmat(4, 7, rng)
     d = block_diag_q(random_qmat(3, 3, rng), NILP)
@@ -1553,20 +1469,10 @@ def test_mat_index_is_scale_safe(s):
 # ------------------------------------------------ products with no identity
 
 
-def product_spy(monkeypatch):
+def product_spy(record):
     """(product, left operand, right operand) of every route product."""
-    calls = []
-
-    def spy(name, inner):
-        def product(x, y):
-            calls.append((name, x, y))
-            return inner(x, y)
-        return product
-
-    direct = spy("direct", qcore.mat_mul)
-    monkeypatch.setattr(qcore, "mat_mul", direct)
-    monkeypatch.setattr(geninv, "mat_mul", direct)
-    monkeypatch.setattr(qcore, "crep_mul", spy("crep", qcore.crep_mul))
+    calls = record(qcore.mat_mul, lambda x, y: ("direct", x, y))
+    record(qcore.crep_mul, lambda x, y: ("crep", x, y), calls)
     return calls
 
 
@@ -1585,13 +1491,13 @@ PINV_CASES = {"tall": ((7, 4), 4), "wide": ((4, 7), 4),
 
 @pytest.mark.parametrize("case", sorted(PINV_CASES))
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_pinv_forms_only_the_route_product(case, route, monkeypatch):
+def test_pinv_forms_only_the_route_product(case, route, record):
     # S = T = I are not multiplied in: a square A of full rank takes the
     # square solve with no product, any other A the one product
     # (V Sigma^-1) U* of its compact SVD, in the route's own arithmetic
     (m, n), r = PINV_CASES[case]
     a = rand_rank_deficient(m, n, r, np.random.default_rng(67))
-    calls = product_spy(monkeypatch)
+    calls = product_spy(record)
     pinv(a, route=route)
     want = [] if m == n == r else [(route, (n, r), (r, m))]
     assert [(name, x.shape, y.shape) for name, x, y in calls] == want
@@ -1601,15 +1507,12 @@ def test_pinv_forms_only_the_route_product(case, route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_drazin_of_an_invertible_a_builds_no_identity(route, monkeypatch):
+def test_drazin_of_an_invertible_a_builds_no_identity(route, record):
     # W = A^0 = I is never built: the square solve takes A^-1 with the
     # identity written straight into it, so no QMatrix.eye is built
     a = random_qmat(5, 5, np.random.default_rng(69))
     want = pinv(a, route=route)
-    built = []
-    eye = QMatrix.eye
-    monkeypatch.setattr(QMatrix, "eye",
-                        classmethod(lambda cls, n: built.append(n) or eye(n)))
+    built = record(QMatrix.eye, lambda n: n)
     for x in (drazin(a, route=route), group_inverse(a, route=route)):
         assert np.array_equal(x.q1, want.q1) and np.array_equal(x.q2, want.q2)
     assert geninv._spectral(a, route)[:2] == (0, None)
@@ -1617,10 +1520,10 @@ def test_drazin_of_an_invertible_a_builds_no_identity(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_index_walk_multiplies_no_identity(route, monkeypatch):
+def test_index_walk_multiplies_no_identity(route, record):
     # the walk starts from A^1 = A scaled, not from I A
     rng = np.random.default_rng(68)
-    calls = product_spy(monkeypatch)
+    calls = product_spy(record)
     assert mat_index(random_qmat(4, 4, rng)) == 0
     assert calls == []
     index_two = block_diag_q(random_qmat(3, 3, rng), NILP)
@@ -1632,7 +1535,7 @@ def test_index_walk_multiplies_no_identity(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["direct", "crep"])
-def test_w_inverses_multiply_no_identity(route, monkeypatch):
+def test_w_inverses_multiply_no_identity(route, record):
     # the factor G of W is I when W has full column rank, and is not
     # multiplied in.  An invertible A prescribes W = A^0 = I, which is never
     # factored, so its Drazin and group inverses are one solve with A,
@@ -1641,13 +1544,9 @@ def test_w_inverses_multiply_no_identity(route, monkeypatch):
     rng = np.random.default_rng(70)
     a, wide = random_qmat(5, 5, rng), random_qmat(4, 7, rng)
     inv, want = np.linalg.inv(crep(a)), crep(pinv(wide))
-    calls = product_spy(monkeypatch)
-    factored = []
-
-    def frd_spy(w, route="direct"):
-        factored.append(w)
-        return full_rank_decompose(w, route=route)
-    monkeypatch.setattr(geninv, "full_rank_decompose", frd_spy)
+    calls = product_spy(record)
+    factored = record(geninv.full_rank_decompose,
+                      lambda w, route="direct": w)
     for fn in (drazin, group_inverse):
         x = fn(a, route=route)
         assert calls == [] and factored == []

@@ -241,7 +241,7 @@ def test_constructor_copies_caller_arrays():
     np.testing.assert_array_equal(b.q2, want[1])
 
 
-def test_owned_results_are_read_only_and_c_contiguous(monkeypatch):
+def test_owned_results_are_read_only_and_c_contiguous(monkeypatch, record):
     # the module's arithmetic, and factor's, take over their fresh results
     # without a copy; every result, owned or copied, is read-only
     import quatinv.factor as factor
@@ -265,14 +265,7 @@ def test_owned_results_are_read_only_and_c_contiguous(monkeypatch):
     res = factor.qsvd(a, method="direct")
     owned["qsvd-u"], owned["qsvd-v"] = res.u, res.v
     # V Sigma^-1, the first operand of the route's product
-    operands = []
-
-    def capture(route):
-        def mul(x, y):
-            operands.append(x)
-            return mat_mul(x, y)
-        return mul
-    monkeypatch.setattr(factor, "_route_mul", capture)
+    operands = record(qcore.mat_mul, lambda x, y: x)
     factor.one_inverse(low, method="direct")
     owned["v-over-sigma"] = operands[0]
     # the direct solve and QR read their result off the pair array into
