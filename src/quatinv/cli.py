@@ -33,6 +33,7 @@ import numpy as np
 from .qcore import (
     _ROUTES,
     QMatrix,
+    _route_mul,
     fro_norm,
     mat_mul,
     read_qmat,
@@ -41,6 +42,7 @@ from .qcore import (
 from .factor import full_rank_decompose, qsvd, rank as qrank
 from .geninv import (
     InverseExistenceError,
+    _drazin_check,
     _spectral,
     outer_both,
     outer_left,
@@ -152,21 +154,21 @@ def cmd_outer_w(args):
 
 
 def _cmd_spectral(args, group: bool):
-    # drazin and group: X from the one index walk, then three residuals
+    # drazin and group: X from the one index walk, and the residuals its
+    # check formed with the route's product (formed here for k = 0, which
+    # the walk does not check); group adds ||(AX) A - A||
     op = "group" if group else "drazin"
     a = read_qmat(args.infile)
-    k, pow_k, x = _spectral(a, args.route, group=group)
+    k, pow_k, x, check = _spectral(a, args.route, group=group)
     _maybe_write(args, x)
-    ax, xa = mat_mul(a, x), mat_mul(x, a)
-    res = {"outer": fro_norm(mat_mul(xa, x) - x), "commute": fro_norm(ax - xa)}
+    mm = _route_mul(args.route)
+    ax, res = check or _drazin_check(a, pow_k, x, mm)[:2]
     if group:
-        res["one"] = fro_norm(mat_mul(ax, a) - a)
+        res = {"outer": res["outer"], "commute": res["commute"],
+               "one": fro_norm(mm(ax, a) - a)}
         summary = (f"residuals one={res['one']:.3e} "
                    f"commute={res['commute']:.3e}")
     else:
-        if pow_k is None:  # A^0 = I
-            pow_k = QMatrix.eye(a.nrows)
-        res["power"] = fro_norm(mat_mul(a, mat_mul(pow_k, x)) - pow_k)
         summary = (f"index {k}, residuals outer={res['outer']:.3e} "
                    f"commute={res['commute']:.3e} power={res['power']:.3e}")
     return ({"op": op, "route": args.route, "index": k,

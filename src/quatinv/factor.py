@@ -259,12 +259,12 @@ def qsvd(a: QMatrix, method: str = "crep", full: bool = True) -> QSvdResult:
     return _qsvd_direct(a, full)
 
 
-def _psi_partner(w: np.ndarray, half: int) -> np.ndarray:
-    # -J conj(w): the forced partner column of a symplectic block basis
-    out = np.empty_like(w)
-    out[:half] = -np.conj(w[half:])
-    out[half:] = np.conj(w[:half])
-    return out
+def _psi_partner(w: np.ndarray, half: int, out: np.ndarray) -> None:
+    # out := -J conj(w), the forced partner column of a symplectic block
+    # basis
+    np.conj(w[half:], out=out[:half])
+    np.negative(out[:half], out=out[:half])
+    np.conj(w[:half], out=out[half:])
 
 
 def _pairs(cands: np.ndarray, half: int, count: int,
@@ -295,11 +295,12 @@ def _pairs(cands: np.ndarray, half: int, count: int,
         if k:
             kept = basis[:, :k]
             v -= kept @ np.conj(np.conj(v) @ kept)
-        nrm = np.linalg.norm(v)
+        # np.linalg.norm's own arithmetic, without its argument checks
+        nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
         if nrm <= math.sqrt(0.5):
             continue  # partner of an earlier keep
-        basis[:, k] = v / nrm
-        basis[:, k + 1] = _psi_partner(basis[:, k], half)
+        np.divide(v, nrm, out=basis[:, k])
+        _psi_partner(basis[:, k], half, basis[:, k + 1])
         src.append(idx)
         k += 2
     if k < want:
@@ -314,8 +315,9 @@ def _pairs(cands: np.ndarray, half: int, count: int,
         kept = basis[:, :k]
         for _ in range(2):
             v -= kept @ np.conj(np.conj(v) @ kept)
-        basis[:, k] = v / np.linalg.norm(v)
-        basis[:, k + 1] = _psi_partner(basis[:, k], half)
+        nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+        np.divide(v, nrm, out=basis[:, k])
+        _psi_partner(basis[:, k], half, basis[:, k + 1])
         resid -= np.sum(np.abs(basis[:, k:k + 2].conj().T @ cands) ** 2, axis=0)
         resid[t] = -np.inf
         src.append(t)
@@ -366,12 +368,16 @@ def _qsvd_crep(a: QMatrix, full: bool) -> QSvdResult:
 # X2 in [..., 1]; a row or a column is a (k, 2) pair array, a scalar a (2,)
 # one.  A quaternion s = s1 + s2 j times y is s1 y + s2 (j y), so a rank-2
 # (reflector) update is one complex product of the (k, 2) columns with a
-# row expanded to [y; j y] (_outer), and one in-place subtraction.  A row
-# times a block is A1 X + A2 (j X), two complex matrix-vector products on
-# the flattened pair arrays (_back_substitute); one product of the
-# interleaved row with X expanded would mix the A1 and the A2 terms in one
-# sum, which cost a blocked elimination of the lorenz system 0.13 digits.
-# Only rows are expanded; A^C is never formed.
+# row expanded to [y; j y], and one in-place subtraction.  A row times a
+# block is A1 X + A2 (j X), two complex matrix-vector products on the
+# flattened pair arrays (_back_substitute); one product of the interleaved
+# row with X expanded would mix the A1 and the A2 terms in one sum, which
+# cost a blocked elimination of the lorenz system 0.13 digits.  Only rows
+# are expanded; A^C is never formed.  The per-column loops run at orders
+# where each numpy call's overhead weighs as much as its flops, so each
+# step writes through views and reused buffers, and moves columns only
+# when the pivot moves.  Each product keeps its operands' layout: a
+# strided conjugate row can round a matrix-vector product differently
 
 
 def _pair(a: QMatrix) -> np.ndarray:
@@ -401,22 +407,6 @@ def _jmul(y, out=None):
     return out
 
 
-def _expand(y):
-    # the (2, 2 l) complex operand [y; j y] of a quaternion row y held as an
-    # (l, 2) pair array: [s1, s2] @ [y; j y] is s y, flattened, for any
-    # quaternion s = s1 + s2 j
-    e = np.empty((2,) + y.shape, dtype=complex)
-    e[0] = y
-    _jmul(y, out=e[1])
-    return e.reshape(2, -1)
-
-
-def _outer(x, y):
-    # the quaternion outer product of a column x and a row y, (k, 2) and
-    # (l, 2) pair arrays: one complex product with y's expansion
-    return (x @ _expand(y)).reshape(x.shape[0], y.shape[0], 2)
-
-
 def _reflector(x, beta=None):
     """Householder data (v, tau) with (I - tau v v*) x = -mu*beta*e1, for a
     quaternion column x held as a (k, 2) pair array.
@@ -431,7 +421,8 @@ def _reflector(x, beta=None):
                          + np.vdot(x[:, 1], x[:, 1]).real)
     if beta == 0.0:
         return None
-    habs = math.sqrt(abs(complex(x[0, 0])) ** 2 + abs(complex(x[0, 1])) ** 2)
+    x1, x2 = x[0].tolist()
+    habs = math.sqrt(abs(x1) ** 2 + abs(x2) ** 2)
     v = x.copy()
     if habs == 0.0:
         v[0, 0] += beta
@@ -444,20 +435,25 @@ def _reflect_rows(b, v, tau):
     # B := (I - tau v v*) B in place on the pair view b, as B -= v w for
     # w = tau v* B = tau (t0 - j t1), where t0 = conj(v1)^T B and
     # t1 = conj(v2)^T B are matrix-vector products.  The pair product v w
-    # is v @ [w; j w], and [w; j w] = tau ([t0; t1] + [-j t1; j t0]).  One
+    # is v @ [w; j w], and [w; j w] = tau ([t0; t1] + [-j t1; j t0]), whose
+    # second term is [t1; t0] conjugated with its components swapped, and
+    # then negated where the row and the component differ.  One
     # (2, k) @ (k, 2 l) product in place of the two matrix-vector ones took
     # the 80-by-120 QR from 3.3 to 5.1 ms (one BLAS thread) and the direct
     # pinv accuracy on the benchmark from 13.13 to 13.12 digits
     k, l = b.shape[:2]
     bf = b.reshape(k, 2 * l)
-    e = np.empty((2, l, 2), dtype=complex)
-    np.matmul(np.conj(v[:, 0]), bf, out=e[0].reshape(2 * l))
-    np.matmul(np.conj(v[:, 1]), bf, out=e[1].reshape(2 * l))
-    jt = _jmul(e)
-    e[0] -= jt[1]
-    e[1] += jt[0]
+    vh = np.conj(v.T, order="C")
+    e = np.empty((2, 2 * l), dtype=complex)
+    np.matmul(vh[0], bf, out=e[0])
+    np.matmul(vh[1], bf, out=e[1])
+    e3 = e.reshape(2, l, 2)
+    mix = np.conj(e3[::-1, :, ::-1])
+    np.negative(mix[0, :, 1], out=mix[0, :, 1])
+    np.negative(mix[1, :, 0], out=mix[1, :, 0])
+    e3 += mix
     e *= tau
-    b -= (v @ e.reshape(2, 2 * l)).reshape(k, l, 2)
+    b -= (v @ e).reshape(k, l, 2)
 
 
 def _apply_reflectors(y, tau, x):
@@ -466,9 +462,9 @@ def _apply_reflectors(y, tau, x):
     # a C-contiguous (rows, l, 2) pair array; a skipped reflector has
     # tau_c = 0.  Applied last first, each acts on X's rows c: alone
     # (Golub & Van Loan, Matrix Computations, 4th ed., 5.1.6)
-    for c in reversed(range(tau.size)):
-        if tau[c] != 0.0:
-            _reflect_rows(x[c:], y[c:, c], tau[c])
+    for c, t in reversed(list(enumerate(tau.tolist()))):
+        if t != 0.0:
+            _reflect_rows(x[c:], y[c:, c], t)
 
 
 def _unit_product(x1, x2, s1, s2):
@@ -506,6 +502,9 @@ def _bidiagonalize(a: QMatrix):
     yv = np.zeros((n, n - 1, 2), dtype=complex)
     tau_u = np.zeros(n)
     tau_v = np.zeros(n - 1)
+    # the right update's buffers, whose leading entries step c reads as
+    # C-contiguous arrays: tau B v, rows c:, and [v*; j v*]
+    tbuf, ebuf = np.empty(2 * m, dtype=complex), np.empty(4 * n, dtype=complex)
 
     for c in range(n):
         ref = _reflector(b[c:, c])
@@ -523,9 +522,15 @@ def _bidiagonalize(a: QMatrix):
                 yv[c + 1:, c] = v
                 blk = b[c:, c + 1:]
                 b1, b2 = blk[..., 0], blk[..., 1]
-                t = np.stack([b1 @ v[:, 0] - b2 @ np.conj(v[:, 1]),
-                              b1 @ v[:, 1] + b2 @ np.conj(v[:, 0])], axis=-1)
-                blk -= _outer(tau_v[c] * t, _qconj(v))
+                k, l = blk.shape[:2]
+                t = tbuf[:2 * k].reshape(k, 2)
+                np.subtract(b1 @ v[:, 0], b2 @ np.conj(v[:, 1]), out=t[:, 0])
+                np.add(b1 @ v[:, 1], b2 @ np.conj(v[:, 0]), out=t[:, 1])
+                t *= tau_v[c]
+                e = ebuf[:4 * l].reshape(2, l, 2)
+                e[0] = _qconj(v)
+                _jmul(e[0], out=e[1])
+                blk -= (t @ e.reshape(2, 2 * l)).reshape(k, l, 2)
 
     diag = b[np.arange(n), np.arange(n)]
     sup = b[np.arange(n - 1), np.arange(1, n)]
@@ -598,38 +603,40 @@ def _sq_norms(x1, x2):
     return np.sum(np.abs(x1) ** 2 + np.abs(x2) ** 2, axis=0)
 
 
-def _downdate(nrm, exact, x1, x2):
+def _downdate(nrm, floor, x1, x2):
     # nrm -= |R[k, j]|^2 for the columns of the pair (x1, x2), whose first
-    # row is the new row k of R; a column whose downdated norm is stale
-    # against its last exact one, exact, is computed again from the rows
-    # below
+    # row is the new row k of R; a column whose downdated norm is stale,
+    # below its floor (_STALE times its last exact one), is computed again
+    # from the rows below, and its floor with it
     nrm -= np.abs(x1[0]) ** 2 + np.abs(x2[0]) ** 2
-    stale = nrm < _STALE * exact
+    stale = nrm < floor
     if stale.any():
-        nrm[stale] = exact[stale] = _sq_norms(x1[1:, stale], x2[1:, stale])
+        nrm[stale] = _sq_norms(x1[1:, stale], x2[1:, stale])
+        floor[stale] = _STALE * nrm[stale]
 
 
-def _pivoted_qr(m, n, block, step):
+def _pivoted_qr(m, n, pairs, step):
     """The pivot and stop rule of both pivoted QRs: (perm, r).
 
-    block(k) returns the pair (x1, x2) of rows k: and columns k: as they
-    stand, and step(k, j, beta) swaps columns k and j and applies step k's
-    reflector, built from the pivot column and its exact norm beta.  The
+    pairs is a (2, m, n) view of the matrix as it stands, the pair (x1, x2)
+    of complex halves whose squared moduli add up to the quaternion ones,
+    and step(k, beta) applies step k's reflector, built from column k and
+    its exact norm beta.  The
     squared column norms are computed once and then downdated by each new
     row of R (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998), with
     xLAQP2's recomputation of a stale one (Drmac & Bujanovic, ACM TOMS
-    2008).  Step k pivots on the column of largest
-    downdated norm and stops when that column's exact norm is at most
-    max(m, n) eps times the first pivot's.
+    2008).  Step k pivots on the column j of largest downdated norm,
+    swapping columns k and j only when they differ, and stops when that
+    column's exact norm is at most max(m, n) eps times the first pivot's.
     """
     perm = np.arange(n)
-    nrm = _sq_norms(*block(0))
-    exact = nrm.copy()
+    nrm = _sq_norms(*pairs)
+    floor = _STALE * nrm
     r = stop = 0
     steps = min(m, n)
     for k in range(steps):
-        i = int(np.argmax(nrm[k:]))
-        x1, x2 = block(k)
+        i = int(nrm[k:].argmax())
+        x1, x2 = pairs[:, k:, k:]  # views: they see the swap and the step
         big = math.sqrt(np.vdot(x1[:, i], x1[:, i]).real
                         + np.vdot(x2[:, i], x2[:, i]).real)
         if k == 0:
@@ -638,13 +645,16 @@ def _pivoted_qr(m, n, block, step):
             break
         j = k + i
         if j > k:
-            for arr in (perm, nrm, exact):
-                arr[[k, j]] = arr[[j, k]]
-        step(k, j, big)
+            # the norms of column k are never read again
+            perm[k], perm[j] = perm[j], perm[k]
+            nrm[j], floor[j] = nrm[k], floor[k]
+            col = pairs[:, :, k].copy()
+            pairs[:, :, k] = pairs[:, :, j]
+            pairs[:, :, j] = col
+        step(k, big)
         r = k + 1
         if r < steps:  # the norms are read again
-            x1, x2 = block(k)
-            _downdate(nrm[r:], exact[r:], x1[:, 1:], x2[:, 1:])
+            _downdate(nrm[r:], floor[r:], x1[:, 1:], x2[:, 1:])
     return perm, r
 
 
@@ -655,21 +665,25 @@ def _back_substitute(b, r):
     # k = r-1, ..., 0, with d_k = conj(p_k) / |p_k|^2 the quaternion inverse
     # of the pivot p_k.  The rows of X and of j X are kept as they are
     # solved, so each row costs two matrix-vector products with the rows
-    # below and one product of its expansion with d_k's
+    # below and one product of its expansion [y; j y] with d_k's, written
+    # straight into row k of X and of j X
     l = b.shape[1] - r
     u1 = np.ascontiguousarray(b[:r, :r, 0])
     u2 = np.ascontiguousarray(b[:r, :r, 1])
     p = b[np.arange(r), np.arange(r)]
     n2 = np.abs(p[:, 0]) ** 2 + np.abs(p[:, 1]) ** 2
-    x = np.empty((r, 2 * l), dtype=complex)
-    jx = np.empty((r, 2 * l), dtype=complex)
+    xs = np.empty((r, 2, 2 * l), dtype=complex)  # rows of X and of j X
+    x, jx = xs[:, 0], xs[:, 1]
     ed = np.empty((r, 2, 2), dtype=complex)
     ed[:, 0] = _qconj(p) / n2[:, None]
     _jmul(ed[:, 0], out=ed[:, 1])
+    y = np.empty((2, l, 2), dtype=complex)  # [y; j y]
     for k in reversed(range(r)):
         z = u1[k, k + 1:] @ x[k + 1:]
         z += u2[k, k + 1:] @ jx[k + 1:]
-        x[k], jx[k] = ed[k] @ _expand(b[k, r:] - z.reshape(l, 2))
+        np.subtract(b[k, r:], z.reshape(l, 2), out=y[0])
+        _jmul(y[0], out=y[1])
+        np.matmul(ed[k], y.reshape(2, 2 * l), out=xs[k])
     return x.reshape(r, l, 2)
 
 
@@ -683,11 +697,10 @@ def _qr_direct(a: QMatrix):
     m, n = a.shape
     b = _pair(_scale_to_safe(a)[0])
 
-    def step(k, j, beta):
-        b[:, [k, j]] = b[:, [j, k]]
+    def step(k, beta):
         _reflect_rows(b[k:, k:], *_reflector(b[k:, k], beta))
 
-    perm, r = _pivoted_qr(m, n, lambda k: (b[k:, k:, 0], b[k:, k:, 1]), step)
+    perm, r = _pivoted_qr(m, n, b.transpose(2, 0, 1), step)
     return perm, r, _from_pair(_back_substitute(b, r))
 
 
@@ -740,10 +753,10 @@ def _qr_crep(a: QMatrix):
     block column L = [Q1; -conj Q2] (2m-by-n) is stored: the right one,
     [Q2; conj Q1] = [-conj L_bot; conj L_top], is fixed by it, and every
     reflector, the representation of a quaternion one, keeps that
-    structure.  Step k swaps columns k and j of L, builds the reflector
-    from the true pair (Q1, Q2) of column k, and applies it as the rank-2
-    complex update I - tau v^C (v^C)* to rows k: of L's two halves, in
-    columns k: only.  The column norms are read off L's halves as they
+    structure.  Step k, once columns k and j of L are swapped, builds the
+    reflector from the true pair (Q1, Q2) of column k, and applies it as
+    the rank-2 complex update I - tau v^C (v^C)* to rows k: of L's two
+    halves, in columns k: only.  The column norms are read off L's halves as they
     stand, since only moduli enter.  R = R1 + R2 j is read off L once,
     after the loop, as R1 = L_top and R2 = -conj L_bot in rows :r, and
     X = R11^-1 R12 comes from the route's square solve, ``_solve``."""
@@ -751,15 +764,18 @@ def _qr_crep(a: QMatrix):
     a = _scale_to_safe(a)[0]
     c = np.concatenate([a.q1, -np.conj(a.q2)])  # L = [Q1; -conj Q2]
 
-    def step(k, j, beta):
-        c[:, [k, j]] = c[:, [j, k]]
+    # the step's column buffers, whose leading 2 (m - k) entries step k
+    # reads as C-contiguous arrays
+    xbuf, vbuf = np.empty(2 * m, dtype=complex), np.empty(2 * m, dtype=complex)
+
+    def step(k, beta):
         top, bot = c[k:m, k:], c[m + k:, k:]
-        x = np.empty((m - k, 2), dtype=complex)
+        x = xbuf[:2 * (m - k)].reshape(m - k, 2)
         x[:, 0] = top[:, 0]
         np.negative(np.conj(bot[:, 0]), out=x[:, 1])  # Q2, not L_bot
         v, tau = _reflector(x, beta)
         # v^C = [v; vb] with vb = [-conj v2, conj v1], so vb* = [-v2^T; v1^T]
-        vbh = np.empty((2, m - k), dtype=complex)
+        vbh = vbuf[:2 * (m - k)].reshape(2, m - k)
         np.negative(v[:, 1], out=vbh[0])
         vbh[1] = v[:, 0]
         h = np.conj(v.T) @ top
@@ -768,7 +784,7 @@ def _qr_crep(a: QMatrix):
         top -= v @ h
         bot -= np.conj(vbh.T) @ h
 
-    perm, r = _pivoted_qr(m, n, lambda k: (c[k:m, k:], c[m + k:, k:]), step)
+    perm, r = _pivoted_qr(m, n, c.reshape(2, m, n), step)
     if r == 0:  # no solve, so no representation with A's n columns
         return perm, 0, QMatrix.zeros(0, n)
     r1, r2 = c[:r], -np.conj(c[m:m + r])  # rows :r of R = R1 + R2 j

@@ -475,8 +475,10 @@ def _spectral(a: QMatrix, route, group: bool = False):
     # None.  For k = 0 rank() has proved A of full rank, so X is A^-1 from
     # the route's square solve, with nothing factored or ranked again.
     # The powers are the route's products (direct ones when route is None).
-    # With group, Ind(A) > 1 raises before X is built.  A NaN or Inf is
-    # refused before the walk's normalization can meet it
+    # The fourth item is None for k = 0 or route None, else the pair (AX,
+    # residuals) of _drazin_check, which checked X.  With group,
+    # Ind(A) > 1 raises before X is built.  A NaN or Inf is refused before
+    # the walk's normalization can meet it
     if a.nrows != a.ncols:
         raise ValueError(f"the index needs a square matrix, got {a.shape}")
     _require_finite(a, "mat_index" if route is None
@@ -499,19 +501,19 @@ def _spectral(a: QMatrix, route, group: bool = False):
         raise InverseExistenceError(
             f"group inverse does not exist: Ind(A) = {k} > 1")
     if route is None:
-        return k, p, None
+        return k, p, None, None
     if not k:
-        return k, p, _solve(a, None, route)
+        return k, p, _solve(a, None, route), None
     x, w_rank, r = _w_inverse(a, p, route)
     if x is None:  # mathematically impossible; numerically defensive
         raise InverseExistenceError(_SINGULAR.format(w_rank, r))
-    gap = _drazin_gap(a, p, x, mm)
+    ax, res, gap = _drazin_check(a, p, x, mm)
     if gap > _GAP_BOUND:
         raise InverseExistenceError(
             f"{'group' if group else 'Drazin'} inverse rejected: X misses "
             f"its defining equations by g = {gap:.2e} > sqrt(eps), so the "
             "walk by powers misjudged Ind(A) or rank(A^k)")
-    return k, p, x
+    return k, p, x, (ax, res)
 
 
 # the bound on g above which _spectral rejects its X.  On the exact-index
@@ -520,23 +522,29 @@ def _spectral(a: QMatrix, route, group: bool = False):
 _GAP_BOUND = math.sqrt(_EPS)
 
 
-def _drazin_gap(a, p, x, mm):
-    # g, the largest of ||AX - XA|| / (||A|| ||X||), ||XAX - X|| /
-    # (||A|| ||X||^2) and ||APX - P|| / (||P|| max(1, ||A|| ||X||)), with
-    # the route's product mm: four products, as P, a power of A, commutes
-    # with A and A P X is P (A X).  Each is 0 for the Drazin inverse with
-    # P = A^k up to scale.  A quotient whose numerator is 0 reads 0, which
-    # covers X = 0 and the P = 0 of a nilpotent A
+def _drazin_check(a, p, x, mm):
+    # (AX, res, g) with the route's product mm: res holds the absolute
+    # Frobenius residuals of X's defining equations, "outer" ||X(AX) - X||,
+    # "commute" ||AX - XA|| and "power" ||P(AX) - P||, and g is the largest
+    # of ||AX - XA|| / (||A|| ||X||), ||XAX - X|| / (||A|| ||X||^2) and
+    # ||APX - P|| / (||P|| max(1, ||A|| ||X||)).  Four products, as P, a
+    # power of A, commutes with A and A P X is P (A X); P None is the
+    # identity of k = 0, for which "power" is ||AX - I||.  Each quotient is
+    # 0 for the Drazin inverse with P = A^k up to scale; one whose
+    # numerator is 0 reads 0, which covers X = 0 and the P = 0 of a
+    # nilpotent A
     def quotient(num, den):
         return num / den if num else 0.0
 
     ax = mm(a, x)
+    pax, p = (ax, QMatrix.eye(a.nrows)) if p is None else (mm(p, ax), p)
+    res = {"outer": fro_norm(mm(x, ax) - x),
+           "commute": fro_norm(ax - mm(x, a)), "power": fro_norm(pax - p)}
     nx = fro_norm(x)
     anx = fro_norm(a) * nx
-    return max(quotient(fro_norm(ax - mm(x, a)), anx),
-               quotient(fro_norm(mm(x, ax) - x), anx * nx),
-               quotient(fro_norm(mm(p, ax) - p),
-                        fro_norm(p) * max(1.0, anx)))
+    return ax, res, max(quotient(res["commute"], anx),
+                        quotient(res["outer"], anx * nx),
+                        quotient(res["power"], fro_norm(p) * max(1.0, anx)))
 
 
 def mat_index(a: QMatrix) -> int:

@@ -172,6 +172,29 @@ MUTANTS = (
          "tests/test_factor.py::test_direct_solve_backward_error"),
     ),
     Mutant(
+        "qr-swap-skips-the-next-column",
+        "quatinv/factor.py",
+        "        if j > k:\n",
+        "        if j > k + 1:\n",
+        ("tests/test_factor.py::test_frd_reconstructs_and_has_full_rank_factors",
+         "tests/test_factor.py::test_downdated_pivots_match_a_qr_that_recomputes_every_norm"),
+    ),
+    Mutant(
+        "reflect-rows-mix-sign-flipped",
+        "quatinv/factor.py",
+        "    np.negative(mix[0, :, 1], out=mix[0, :, 1])\n",
+        "",
+        ("tests/test_factor.py::test_frd_reconstructs_and_has_full_rank_factors",
+         "tests/test_factor.py::test_direct_solve_backward_error"),
+    ),
+    Mutant(
+        "qr-floor-kept-after-a-recomputation",
+        "quatinv/factor.py",
+        "        floor[stale] = _STALE * nrm[stale]\n",
+        "",
+        ("tests/test_factor.py::test_norms_are_computed_again_only_at_the_start_and_when_stale",),
+    ),
+    Mutant(
         "cli-exits-0-for-every-payload",
         "quatinv/cli.py",
         'if payload.get("exists", True):',

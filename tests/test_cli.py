@@ -409,6 +409,39 @@ def test_rank_of_extreme_rectangular_input(m, n, r, scale, tmp_path,
     assert load_json(rpt)["rank"] == want
 
 
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("op", ["drazin", "group"])
+@pytest.mark.parametrize("route", ["direct", "crep"])
+def test_spectral_cli_reports_the_checks_residuals(tmp_path, record, route,
+                                                   op, index):
+    # the residuals are those the check of X formed, with the route's own
+    # product: past the library call, drazin forms no product for index 1
+    # and the three of the residuals for index 0 (which the walk does not
+    # check), and group one more, (AX) A
+    import quatinv.geninv as geninv
+    import quatinv.qcore as qcore
+
+    rng = np.random.default_rng(12)
+    p = random_qmat(4, 4, rng) + QMatrix.eye(4) * 3.0
+    d = np.diag([2.0, 1.0, 0.5, 0.0 if index else 3.0]).astype(complex)
+    a = mat_mul(mat_mul(p, QMatrix(d, np.zeros((4, 4), complex))), pinv(p))
+    path = tmp_path / "A.qmat"
+    write_qmat(path, a)
+    products = record(qcore.mat_mul, lambda x, y: "direct")
+    record(qcore.crep_mul, lambda x, y: "crep", products)
+    ctor = geninv.group_inverse if op == "group" else geninv.drazin
+    ctor(read_qmat(path), route=route)
+    walk = len(products)
+    products.clear()
+    rpt = tmp_path / "r.json"
+    assert main([op, "--in", str(path), "--route", route,
+                 "--json", str(rpt)]) == 0
+    assert products == [route] * (walk + 3 * (1 - index) + (op == "group"))
+    report = load_json(rpt)
+    assert report["index"] == index
+    assert max(report["residuals"].values()) <= 1e-12
+
+
 def test_drazin_of_an_invertible_input_reports_index_zero(tmp_path):
     # A^0 = I is built for the power residual alone
     path = tmp_path / "a.qmat"

@@ -101,7 +101,7 @@ def test_walk_stops_when_the_computed_rank_rises(route):
     # rank of the normalized powers rises from one power to the next, and a
     # walk that stops only on equal ranks raised RuntimeError
     a, index, core, _ = case(886)
-    k, p, x = _spectral(a, route)
+    k, p, x, _ = _spectral(a, route)
     assert k == index and rank(p) == core and rank(x) == core
     ak = QMatrix.eye(a.nrows)
     for _ in range(k):
